@@ -30,6 +30,24 @@ from .registration import IcpConfig, icp_align
 PREDICTOR_NAMES = ("icp", "mean", "knn")
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_icp_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("alignment")
     group.add_argument("--tau", type=float, default=1e-8,
@@ -72,8 +90,9 @@ def _add_predictor_flags(parser: argparse.ArgumentParser, multi: bool) -> None:
                            help="predictor to run (default icp)")
     group.add_argument("--k", type=int, default=3,
                        help="neighbour count for the knn predictor (default 3)")
-    group.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for ICP alignments (default: available parallelism)")
+    group.add_argument("--jobs", type=_positive_int, default=_available_cpus(),
+                       help="worker processes for ICP alignments, each taking a share of the "
+                            "training scans (default: the CPUs this process may run on)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -5,6 +5,12 @@ The index is exact, never approximate: for every query it returns the same
 distance resolved to the lowest model index. That determinism is what makes
 distance rankings reproducible bit-for-bit across runs and platforms.
 
+Every model, from a single point up, is served by one k-d tree. The tree
+evaluates distances in its own operation order, so a query whose two
+nearest tree candidates lie within a relative 1e-9 of each other is re-ranked
+over every model point in a slightly inflated ball by the squared distances
+a linear scan computes.
+
 Matching is directional (each moving point gets its closest model point) and
 many-to-one matches are allowed, which is how two clouds of different sizes
 can be compared at all.
@@ -21,9 +27,10 @@ from scipy.spatial import cKDTree
 from .errors import InvalidInputError
 from .geometry import Point3, PointCloud
 
-# Below this model size a vectorized scan beats tree traversal and is
-# trivially exact; above it a k-d tree with explicit tie resolution is used.
-_BRUTE_FORCE_MAX = 256
+# Relative gap between the two nearest tree distances under which a query
+# is re-ranked exactly. The tree's distances differ from the linear scan's
+# by a few units in the last place, far inside this slack.
+_TIE_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +79,7 @@ class SpatialIndex:
         pts = np.array(model.xyz, dtype=np.float64)
         pts.setflags(write=False)
         self._points = pts
-        self._tree = cKDTree(pts) if pts.shape[0] > _BRUTE_FORCE_MAX else None
+        self._tree = cKDTree(pts)
 
     def __len__(self) -> int:
         return self._points.shape[0]
@@ -92,29 +99,18 @@ class SpatialIndex:
         pts = np.asarray(xyz, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidInputError(f"queries must have shape (m, 3), got {pts.shape}")
-        model = self._points
-        if self._tree is None:
-            diffs = pts[:, None, :] - model[None, :, :]
-            d2 = (diffs * diffs).sum(axis=2)
-            # argmin returns the first (lowest-index) minimum; the matrix
-            # entries are exactly the per-pair squared distances.
-            idx = d2.argmin(axis=1).astype(np.int64)
-            return idx, d2[np.arange(pts.shape[0]), idx]
         dist, nbr = self._tree.query(pts, k=2)
         idx = nbr[:, 0].astype(np.int64)
-        for row in np.nonzero(dist[:, 0] == dist[:, 1])[0]:
-            idx[row] = self._resolve_tie(pts[row], float(dist[row, 0]))
-        matched = pts - model[idx]
+        # A one-point model reports an infinite second distance: never a tie.
+        close = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_SLACK))
+        if close.size:
+            radii = dist[close, 0] * (1.0 + _TIE_SLACK)
+            for row, candidates in zip(close, self._tree.query_ball_point(pts[close], radii)):
+                diffs = self._points[candidates] - pts[row]
+                sq = (diffs * diffs).sum(axis=1)
+                idx[row] = min(zip(sq.tolist(), candidates))[1]
+        matched = pts - self._points[idx]
         return idx, (matched * matched).sum(axis=1)
-
-    def _resolve_tie(self, point: np.ndarray, distance: float) -> int:
-        # The reported distance may be off by a rounding in the last place;
-        # inflate the ball slightly, then compare exact squared distances.
-        radius = distance * (1.0 + 1e-9)
-        candidates = self._tree.query_ball_point(point, radius)
-        diffs = self._points[candidates] - point
-        sq = (diffs * diffs).sum(axis=1)
-        return min(zip(sq.tolist(), candidates))[1]
 
 
 def build_index(model: PointCloud) -> SpatialIndex:

@@ -22,3 +22,9 @@ class ParseError(LogmatchError, ValueError):
         self.message = message
         where = self.path if line is None else f"{self.path}:{line}"
         super().__init__(f"{where}: {message}")
+
+    def __reduce__(self):
+        # Rebuild from the constructor's own arguments; the default would
+        # pass only the formatted message. Worker errors cross processes
+        # by pickling.
+        return (type(self), (self.path, self.message, self.line))

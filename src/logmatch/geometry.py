@@ -163,7 +163,8 @@ class UnitQuaternion:
         return UnitQuaternion(self.q0, -self.q1, -self.q2, -self.q3)
 
 
-def _rotation_matrix(q0: float, q1: float, q2: float, q3: float) -> np.ndarray:
+def _rotation_matrix(q0, q1, q2, q3) -> np.ndarray:
+    # Elementwise: components given as length-B arrays yield a (3, 3, B) stack.
     return np.array(
         [
             [q0 * q0 + q1 * q1 - q2 * q2 - q3 * q3, 2.0 * (q1 * q2 - q0 * q3), 2.0 * (q1 * q3 + q0 * q2)],

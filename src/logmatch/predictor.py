@@ -17,10 +17,10 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
-from .correspondence import SpatialIndex, build_index
+from .correspondence import build_index
 from .errors import InvalidInputError
 from .geometry import PointCloud
-from .registration import IcpConfig, icp_align
+from .registration import IcpConfig, _align_pairs
 
 _FEATURE_MIN_POINTS = 10
 _END_SLAB_FRACTION = 0.05
@@ -162,85 +162,53 @@ def icp_nn_predict_batch(
 ) -> list[PredictionOutcome]:
     """ICP nearest-neighbour prediction for many queries.
 
-    Nearest-neighbour indices are built once per training scan and shared
-    across queries. With jobs > 1 the independent (query x training scan)
-    alignments are distributed over a process pool; every alignment is a
-    pure function and the per-query reduction is a lexicographic
-    (distance, index) minimum, so results do not depend on the worker count.
+    Every (query, training scan) alignment runs in the lockstep engine, with
+    one nearest-neighbour index per training scan shared by all queries.
+    With jobs > 1 the training scans are dealt round-robin to up to jobs
+    worker processes, each aligning every query onto its share. A pair's
+    distance does not depend on the batch it runs in, and the per-query
+    reduction is a lexicographic (distance, index) minimum, so results do
+    not depend on the worker count.
     """
     _check_train(train)
+    if jobs < 1:
+        raise InvalidInputError(f"jobs must be >= 1, got {jobs!r}")
     if cfg is None:
         cfg = IcpConfig()
     if not queries:
         return []
-    n_train = len(train)
+    models = [rec.scan for rec in train]
+    workers = min(jobs, len(models))
 
-    if jobs > 1 and len(queries) * n_train > 1:
-        train_arrays = [np.asarray(rec.scan.xyz) for rec in train]
-        query_arrays = [np.asarray(q.xyz) for q in queries]
-        tasks = [(qi, ti) for qi in range(len(queries)) for ti in range(n_train)]
-        workers = min(jobs, len(tasks))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_icp_worker,
-            initargs=(train_arrays, query_arrays, cfg),
-        ) as pool:
-            chunk = max(1, len(tasks) // (workers * 8))
-            distances = list(pool.map(_icp_worker_distance, tasks, chunksize=chunk))
-        hits = [
-            min((d, ti) for ti, d in enumerate(distances[qi * n_train:(qi + 1) * n_train]))
-            for qi in range(len(queries))
-        ]
+    if workers > 1:
+        shares = [list(range(w, len(models), workers)) for w in range(workers)]
+        distances = np.empty((len(queries), len(models)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [
+                pool.submit(_share_distances, [models[i] for i in share], list(queries), cfg)
+                for share in shares
+            ]
+            for share, future in zip(shares, futures):
+                distances[:, share] = future.result()
     else:
-        indices = [build_index(rec.scan) for rec in train]
-        hits = [
-            _best_alignment(query, [rec.scan for rec in train], indices, cfg)
-            for query in queries
-        ]
+        distances = _share_distances(models, queries, cfg)
 
+    # argmin keeps the first, lowest-index minimum of each row.
+    nearest = distances.argmin(axis=1)
     return [
-        PredictionOutcome(train[index].basket, train[index].id, distance)
-        for distance, index in hits
+        PredictionOutcome(train[i].basket, train[i].id, float(distances[qi, i]))
+        for qi, i in enumerate(nearest.tolist())
     ]
 
 
-def _best_alignment(
-    query: PointCloud,
-    models: Sequence[PointCloud],
-    indices: Sequence[SpatialIndex],
-    cfg: IcpConfig,
-) -> tuple[float, int]:
-    best: tuple[float, int] | None = None
-    for i, (model, index) in enumerate(zip(models, indices)):
-        result, _ = icp_align(query, model, cfg, model_index=index)
-        if best is None or (result.mse, i) < best:
-            best = (result.mse, i)
-    assert best is not None
-    return best
-
-
-_WORKER_STATE: dict = {}
-
-
-def _init_icp_worker(
-    train_arrays: list[np.ndarray], query_arrays: list[np.ndarray], cfg: IcpConfig
-) -> None:
-    models = [PointCloud(arr) for arr in train_arrays]
-    _WORKER_STATE["models"] = models
-    _WORKER_STATE["indices"] = [build_index(c) for c in models]
-    _WORKER_STATE["queries"] = [PointCloud(arr) for arr in query_arrays]
-    _WORKER_STATE["cfg"] = cfg
-
-
-def _icp_worker_distance(task: tuple[int, int]) -> float:
-    qi, ti = task
-    result, _ = icp_align(
-        _WORKER_STATE["queries"][qi],
-        _WORKER_STATE["models"][ti],
-        _WORKER_STATE["cfg"],
-        model_index=_WORKER_STATE["indices"][ti],
-    )
-    return result.mse
+def _share_distances(
+    models: Sequence[PointCloud], queries: Sequence[PointCloud], cfg: IcpConfig
+) -> np.ndarray:
+    """ICP distance of every query onto every model: (queries, models)."""
+    indices = [build_index(model) for model in models]
+    pairs = [(qi, mi) for mi in range(len(models)) for qi in range(len(queries))]
+    run = _align_pairs([query.xyz for query in queries], indices, pairs, cfg)
+    return run.mse.reshape(len(models), len(queries)).T
 
 
 def extract_features(scan: PointCloud) -> LogFeatures:

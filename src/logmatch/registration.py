@@ -11,6 +11,14 @@ non-increasing and converges to a local minimum.
 Conventions: the moving cloud P is aligned onto the model cloud X; every
 registration is an absolute transform of the original moving points, not an
 increment on the previous iteration.
+
+One engine runs every alignment. It moves a batch of (moving, model) pairs
+forward in lockstep: each iteration makes one exact nearest-neighbour query
+per model over the stacked placements of that model's pairs, forms every
+pair's centroids and cross-covariance as segment sums over its own points,
+and solves all 4x4 eigenproblems with one batched cyclic Jacobi. Nothing a
+pair computes reads another pair's data, so its result is bit-identical
+alone or in any batch. The single-pair functions are batches of one.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -125,8 +134,9 @@ def cross_covariance(moving: PointCloud, model: PointCloud, pairs: Correspondenc
     matched model points counted with multiplicity.
     """
     _check_pairs(moving, model, pairs)
-    matched = model.xyz[pairs.target_indices]
-    return _cross_covariance_arrays(moving.xyz, matched)
+    stack = _Stack([moving.xyz])
+    sigma, _ = _cross_covariances(stack, _columns([model.xyz[pairs.target_indices]]))
+    return sigma[0]
 
 
 def _check_pairs(moving: PointCloud, model: PointCloud, pairs: CorrespondenceSet) -> None:
@@ -136,12 +146,6 @@ def _check_pairs(moving: PointCloud, model: PointCloud, pairs: CorrespondenceSet
         )
     if pairs.target_indices.max() >= len(model) or pairs.target_indices.min() < 0:
         raise InvalidInputError("correspondence target index out of range for the model cloud")
-
-
-def _cross_covariance_arrays(p_xyz: np.ndarray, x_xyz: np.ndarray) -> np.ndarray:
-    mu_p = p_xyz.mean(axis=0)
-    mu_x = x_xyz.mean(axis=0)
-    return (p_xyz - mu_p).T @ (x_xyz - mu_x) / p_xyz.shape[0]
 
 
 def quaternion_alignment_matrix(sigma: np.ndarray) -> np.ndarray:
@@ -156,73 +160,103 @@ def quaternion_alignment_matrix(sigma: np.ndarray) -> np.ndarray:
         raise InvalidInputError(f"expected a 3x3 matrix, got shape {s.shape}")
     if not np.isfinite(s).all():
         raise InvalidInputError("cross-covariance contains non-finite entries")
-    trace = float(np.trace(s))
-    delta = np.array([s[1, 2] - s[2, 1], s[2, 0] - s[0, 2], s[0, 1] - s[1, 0]])
-    q = np.empty((4, 4), dtype=np.float64)
-    q[0, 0] = trace
-    q[0, 1:] = delta
-    q[1:, 0] = delta
-    q[1:, 1:] = s + s.T - trace * np.eye(3)
+    return _alignment_matrices(s[None])[0]
+
+
+def _alignment_matrices(sigma: np.ndarray) -> np.ndarray:
+    """quaternion_alignment_matrix over a (B, 3, 3) stack: (B, 4, 4)."""
+    trace = sigma[:, 0, 0] + sigma[:, 1, 1] + sigma[:, 2, 2]
+    delta = np.stack(
+        [sigma[:, 1, 2] - sigma[:, 2, 1], sigma[:, 2, 0] - sigma[:, 0, 2], sigma[:, 0, 1] - sigma[:, 1, 0]],
+        axis=1,
+    )
+    q = np.empty((sigma.shape[0], 4, 4), dtype=np.float64)
+    q[:, 0, 0] = trace
+    q[:, 0, 1:] = delta
+    q[:, 1:, 0] = delta
+    q[:, 1:, 1:] = sigma + sigma.transpose(0, 2, 1) - trace[:, None, None] * np.eye(3)
     return q
 
 
 _PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_OTHERS4 = {pq: [r for r in range(4) if r not in pq] for pq in _PAIRS4}
 
 
-def _jacobi_eigh4(a: list[list[float]]) -> tuple[list[float], list[list[float]]]:
-    """Cyclic Jacobi sweeps on a symmetric 4x4 given as nested lists.
+def _off_diagonal2(a: np.ndarray) -> np.ndarray:
+    """Squared off-diagonal Frobenius norms of a (4, 4, B) stack."""
+    return 2.0 * (a[0, 1] * a[0, 1] + a[0, 2] * a[0, 2] + a[0, 3] * a[0, 3]
+                  + a[1, 2] * a[1, 2] + a[1, 3] * a[1, 3] + a[2, 3] * a[2, 3])
 
-    Mutates `a`; returns (eigenvalues, eigenvector columns), unsorted.
-    Raises NumericalError if the off-diagonal norm has not fallen below
-    1e-12 x ||input||_F after 100 sweeps.
+
+# theta * theta may overflow to inf for a tiny pivot; t then rounds to 0,
+# as the scalar formula does.
+@np.errstate(over="ignore")
+def _jacobi_eigh4(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic Jacobi sweeps on a (B, 4, 4) stack of symmetric matrices.
+
+    Returns (eigenvalues (B, 4), eigenvector columns (B, 4, 4)), unsorted.
+    Each matrix sweeps until its own off-diagonal norm has fallen below
+    1e-12 x its input Frobenius norm, and is left untouched afterwards, so
+    its result does not depend on the rest of the stack. Raises
+    NumericalError if any matrix has not converged after 100 sweeps.
     """
-    v = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
-    off2 = 2.0 * (a[0][1] ** 2 + a[0][2] ** 2 + a[0][3] ** 2
-                  + a[1][2] ** 2 + a[1][3] ** 2 + a[2][3] ** 2)
-    fro2 = off2 + a[0][0] ** 2 + a[1][1] ** 2 + a[2][2] ** 2 + a[3][3] ** 2
+    # Layout (4, 4, B): every matrix entry is one contiguous length-B row.
+    a = np.asarray(matrices, dtype=np.float64).transpose(1, 2, 0).copy()
+    v = np.zeros_like(a)
+    for i in range(4):
+        v[i, i] = 1.0
+    off2 = _off_diagonal2(a)
+    fro2 = off2 + a[0, 0] * a[0, 0] + a[1, 1] * a[1, 1] + a[2, 2] * a[2, 2] + a[3, 3] * a[3, 3]
     threshold2 = _JACOBI_REL_TOL * _JACOBI_REL_TOL * fro2
 
     for _ in range(_JACOBI_MAX_SWEEPS):
-        if off2 <= threshold2:
+        live = np.flatnonzero(off2 > threshold2)
+        if live.size == 0:
             break
+        sa = a[:, :, live]
+        sv = v[:, :, live]
         for p, q in _PAIRS4:
-            apq = a[p][q]
-            if apq == 0.0:
-                continue
-            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-            t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
+            apq = sa[p, q].copy()
+            # A zero pivot rotates by t = 0, which leaves every entry as is.
+            zero = apq == 0.0
+            theta = (sa[q, q] - sa[p, p]) / (2.0 * np.where(zero, 1.0, apq))
+            t = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
+            t[zero] = 0.0
+            c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
             tau = s / (1.0 + c)
             h = t * apq
-            a[p][p] -= h
-            a[q][q] += h
-            a[p][q] = 0.0
-            a[q][p] = 0.0
-            for r in range(4):
-                if r != p and r != q:
-                    arp = a[r][p]
-                    arq = a[r][q]
-                    a[r][p] = arp - s * (arq + tau * arp)
-                    a[p][r] = a[r][p]
-                    a[r][q] = arq + s * (arp - tau * arq)
-                    a[q][r] = a[r][q]
-            for r in range(4):
-                vrp = v[r][p]
-                vrq = v[r][q]
-                v[r][p] = vrp - s * (vrq + tau * vrp)
-                v[r][q] = vrq + s * (vrp - tau * vrq)
-        off2 = 2.0 * (a[0][1] ** 2 + a[0][2] ** 2 + a[0][3] ** 2
-                      + a[1][2] ** 2 + a[1][3] ** 2 + a[2][3] ** 2)
+            sa[p, p] -= h
+            sa[q, q] += h
+            sa[p, q] = 0.0
+            sa[q, p] = 0.0
+            rows = _OTHERS4[(p, q)]
+            arp = sa[rows, p]
+            arq = sa[rows, q]
+            sa[rows, p] = sa[p, rows] = arp - s * (arq + tau * arp)
+            sa[rows, q] = sa[q, rows] = arq + s * (arp - tau * arq)
+            vrp = sv[:, p].copy()
+            vrq = sv[:, q].copy()
+            sv[:, p] = vrp - s * (vrq + tau * vrp)
+            sv[:, q] = vrq + s * (vrp - tau * vrq)
+        a[:, :, live] = sa
+        v[:, :, live] = sv
+        off2[live] = _off_diagonal2(sa)
     else:
-        raise NumericalError(f"Jacobi sweeps did not converge: off-diagonal norm {math.sqrt(off2)!r}")
-    return [a[0][0], a[1][1], a[2][2], a[3][3]], v
+        worst = float(np.sqrt(off2[live].max()))
+        raise NumericalError(f"Jacobi sweeps did not converge: off-diagonal norm {worst!r}")
+    return np.diagonal(a).copy(), v.transpose(2, 0, 1).copy()
 
 
-def _pick_max_eigenpair(values: list[float], vectors: list[list[float]]) -> tuple[float, list[float]]:
-    """Largest eigenvalue and its column; equal maxima keep the lowest index."""
-    best = max(range(4), key=lambda i: (values[i], -i))
-    return values[best], [vectors[0][best], vectors[1][best], vectors[2][best], vectors[3][best]]
+def _max_eigenpairs(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Largest eigenvalue and unit eigenvector of each matrix of a (B, 4, 4)
+    stack; equal maxima keep the lowest-index eigenvector."""
+    values, vectors = _jacobi_eigh4(matrices)
+    best = values.argmax(axis=1)
+    rows = np.arange(values.shape[0])
+    col = vectors[rows, :, best]
+    norm = np.sqrt(col[:, 0] * col[:, 0] + col[:, 1] * col[:, 1] + col[:, 2] * col[:, 2] + col[:, 3] * col[:, 3])
+    return values[rows, best], col / norm[:, None]
 
 
 def max_eigenvector(matrix: np.ndarray) -> tuple[float, np.ndarray]:
@@ -239,46 +273,101 @@ def max_eigenvector(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     magnitude = float(np.abs(m).max())
     if float(np.abs(m - m.T).max()) > _SYMMETRY_TOL * max(1.0, magnitude):
         raise InvalidInputError("matrix is not symmetric within tolerance")
-    values, vectors = _jacobi_eigh4([[float(m[r, c]) for c in range(4)] for r in range(4)])
-    value, column = _pick_max_eigenpair(values, vectors)
-    vec = np.array(column, dtype=np.float64)
-    return value, vec / float(np.linalg.norm(vec))
+    values, vectors = _max_eigenpairs(m[None])
+    return float(values[0]), vectors[0]
 
 
-def _fit_arrays(p_xyz: np.ndarray, x_xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray, UnitQuaternion]:
-    """Closed-form least-squares rigid fit of paired arrays: (R, T, quaternion).
+# Stacked moving points per lockstep batch. The engine holds about 200 bytes
+# per stacked point, so this bounds its working set near 6.5 MB; a pair with
+# more points runs in a batch of its own.
+_BATCH_POINTS = 1 << 15
 
-    Hot path of the ICP loop; builds the alignment matrix entrywise, which
-    is bit-identical to quaternion_alignment_matrix on the same input.
+
+def _columns(clouds: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack (n_i, 3) clouds end to end as a (3, sum n_i) array of columns."""
+    return np.concatenate([np.asarray(c, dtype=np.float64).T for c in clouds], axis=1)
+
+
+class _Stack:
+    """Moving clouds stacked end to end, one consecutive run per pair.
+
+    Per-pair sums are segment sums over those runs (np.add.reduceat), whose
+    value depends only on the run's own points, never on its neighbours.
     """
-    mu_p = p_xyz.mean(axis=0)
-    mu_x = x_xyz.mean(axis=0)
-    sigma = (p_xyz - mu_p).T @ (x_xyz - mu_x) / p_xyz.shape[0]
-    s00, s01, s02, s10, s11, s12, s20, s21, s22 = sigma.ravel().tolist()
-    trace = s00 + s11 + s22
-    d0 = s12 - s21
-    d1 = s20 - s02
-    d2 = s01 - s10
-    b01 = s01 + s10
-    b02 = s02 + s20
-    b12 = s12 + s21
-    q = [
-        [trace, d0, d1, d2],
-        [d0, s00 + s00 - trace, b01, b02],
-        [d1, b01, s11 + s11 - trace, b12],
-        [d2, b02, b12, s22 + s22 - trace],
-    ]
-    values, vectors = _jacobi_eigh4(q)
-    _, column = _pick_max_eigenpair(values, vectors)
-    norm = math.sqrt(column[0] ** 2 + column[1] ** 2 + column[2] ** 2 + column[3] ** 2)
-    quat = UnitQuaternion(column[0] / norm, column[1] / norm, column[2] / norm, column[3] / norm)
-    rot = _rotation_matrix(quat.q0, quat.q1, quat.q2, quat.q3)
-    return rot, mu_x - rot @ mu_p, quat
+
+    def __init__(self, clouds: Sequence[np.ndarray]):
+        self.points = _columns(clouds)
+        self.counts = np.array([len(c) for c in clouds], dtype=np.intp)
+        self._update_starts()
+        self.centroids = _segment_means(self.points, self.starts, self.counts)
+        self.centred = self.points - np.repeat(self.centroids, self.counts, axis=1)
+
+    def _update_starts(self) -> None:
+        self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]]).astype(np.intp)
+
+    def keep(self, mask: np.ndarray) -> np.ndarray:
+        """Drop the pairs where mask is False; returns the kept point rows."""
+        rows = np.repeat(mask, self.counts)
+        self.points = self.points[:, rows]
+        self.centred = self.centred[:, rows]
+        self.centroids = self.centroids[:, mask]
+        self.counts = self.counts[mask]
+        self._update_starts()
+        return rows
 
 
-def _mse_arrays(x_xyz: np.ndarray, p_transformed: np.ndarray) -> float:
-    diff = x_xyz - p_transformed
-    return float((diff * diff).sum(axis=1).mean())
+def _segment_means(columns: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-pair means of every row of a (k, N) array: (k, B)."""
+    return np.add.reduceat(columns, starts, axis=1) / counts
+
+
+def _cross_covariances(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair cross-covariances (B, 3, 3) of the stacked moving points
+    against their matched model columns (3, N), and the matched centroids
+    (3, B). Builds one (N,) temporary at a time."""
+    starts, counts = stack.starts, stack.counts
+    mu_x = _segment_means(matched, starts, counts)
+    sigma = np.empty((starts.shape[0], 3, 3), dtype=np.float64)
+    for b in range(3):
+        xc = matched[b] - np.repeat(mu_x[b], counts)
+        for a in range(3):
+            sigma[:, a, b] = np.add.reduceat(stack.centred[a] * xc, starts)
+    return sigma / counts[:, None, None], mu_x
+
+
+def _fit(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form least-squares rigid fit of every pair of the stack onto
+    its matched model columns: (unit quaternions (B, 4), rotations
+    (B, 3, 3), translations (B, 3))."""
+    sigma, mu_x = _cross_covariances(stack, matched)
+    _, quats = _max_eigenpairs(_alignment_matrices(sigma))
+    rot = _rotation_matrix(*quats.T).transpose(2, 0, 1)
+    mu_p = stack.centroids
+    trans = (mu_x - (rot[:, :, 0].T * mu_p[0] + rot[:, :, 1].T * mu_p[1] + rot[:, :, 2].T * mu_p[2])).T
+    return quats, rot, trans
+
+
+def _place(stack: _Stack, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """R p + T for every stacked point under its pair's transform: (N, 3)."""
+    p, counts = stack.points, stack.counts
+    placed = np.empty((p.shape[1], 3), dtype=np.float64)
+    for a in range(3):
+        col = p[0] * np.repeat(rot[:, a, 0], counts)
+        col += p[1] * np.repeat(rot[:, a, 1], counts)
+        col += p[2] * np.repeat(rot[:, a, 2], counts)
+        col += np.repeat(trans[:, a], counts)
+        placed[:, a] = col
+    return placed
+
+
+def _mean_residuals(stack: _Stack, matched: np.ndarray, placed: np.ndarray) -> np.ndarray:
+    """Per-pair mean of ||x - placed||^2 over the stacked points: (B,)."""
+    d = matched[0] - placed[:, 0]
+    sq = d * d
+    for a in (1, 2):
+        d = matched[a] - placed[:, a]
+        sq += d * d
+    return np.add.reduceat(sq, stack.starts) / stack.counts
 
 
 def mse(moving: PointCloud, model: PointCloud, pairs: CorrespondenceSet, t: RigidTransform) -> float:
@@ -286,7 +375,8 @@ def mse(moving: PointCloud, model: PointCloud, pairs: CorrespondenceSet, t: Rigi
     (1/n) sum ||x_i - (R p_i + T)||^2."""
     _check_pairs(moving, model, pairs)
     transformed = _apply_arrays(t.matrix(), t.translation, moving.xyz)
-    return _mse_arrays(model.xyz[pairs.target_indices], transformed)
+    diff = model.xyz[pairs.target_indices] - transformed
+    return float((diff * diff).sum(axis=1).mean())
 
 
 def compute_registration(
@@ -302,10 +392,147 @@ def compute_registration(
     the solver finds is accepted.
     """
     _check_pairs(moving, model, pairs)
-    matched = model.xyz[pairs.target_indices]
-    rot, trans, quat = _fit_arrays(moving.xyz, matched)
-    transform = RigidTransform(quat, trans)
-    return RegistrationResult(transform, _mse_arrays(matched, _apply_arrays(rot, trans, moving.xyz)))
+    stack = _Stack([moving.xyz])
+    matched = _columns([model.xyz[pairs.target_indices]])
+    quats, rot, trans = _fit(stack, matched)
+    error = _mean_residuals(stack, matched, _place(stack, rot, trans))
+    return RegistrationResult(RigidTransform(UnitQuaternion(*quats[0]), trans[0]), float(error[0]))
+
+
+@dataclass(frozen=True, eq=False)
+class _Alignments:
+    """Per-pair outcome of the engine, in the order the pairs were given.
+
+    history, when recorded, holds for each pair its (mse, quaternion,
+    translation) after every iteration.
+    """
+
+    mse: np.ndarray
+    quaternions: np.ndarray
+    translations: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    history: list[list[tuple[float, np.ndarray, np.ndarray]]] | None
+
+
+def _align_pairs(
+    moving: Sequence[np.ndarray],
+    models: Sequence[SpatialIndex],
+    pairs: Sequence[tuple[int, int]],
+    cfg: IcpConfig,
+    record: bool = False,
+) -> _Alignments:
+    """Align moving[i] onto models[j] for every (i, j) in pairs, in lockstep.
+
+    Pairs are grouped by model and cut into batches of at most
+    _BATCH_POINTS stacked points. Within a batch, every iteration makes one
+    query per model over the stacked placements of its active pairs, fits
+    all pairs at once, and retires each pair as soon as it converges or
+    reaches cfg.max_iterations. Every per-pair quantity is computed from
+    that pair's own points, so each result is bit-identical to aligning the
+    pair alone, whatever batch or order it runs in.
+    """
+    n = len(pairs)
+    out = _Alignments(
+        mse=np.empty(n),
+        quaternions=np.empty((n, 4)),
+        translations=np.empty((n, 3)),
+        iterations=np.empty(n, dtype=np.int64),
+        converged=np.empty(n, dtype=bool),
+        history=[[] for _ in range(n)] if record else None,
+    )
+    strided = [np.asarray(cloud, dtype=np.float64)[:: cfg.stride] for cloud in moving]
+    order = sorted(range(n), key=lambda k: pairs[k][1])
+    batch: list[int] = []
+    size = 0
+    for k in order:
+        points = len(strided[pairs[k][0]])
+        if batch and size + points > _BATCH_POINTS:
+            _lockstep(strided, models, pairs, batch, cfg, out)
+            batch, size = [], 0
+        batch.append(k)
+        size += points
+    if batch:
+        _lockstep(strided, models, pairs, batch, cfg, out)
+    return out
+
+
+def _lockstep(
+    strided: Sequence[np.ndarray],
+    models: Sequence[SpatialIndex],
+    pairs: Sequence[tuple[int, int]],
+    batch: list[int],
+    cfg: IcpConfig,
+    out: _Alignments,
+) -> None:
+    """Run one batch of pairs, sorted by model, to completion into out."""
+    ids = np.array(batch, dtype=np.intp)
+    model_of = np.array([pairs[k][1] for k in batch], dtype=np.intp)
+    stack = _Stack([strided[pairs[k][0]] for k in batch])
+
+    initial = cfg.initial_transform
+    rot0 = np.broadcast_to(initial.matrix(), (len(batch), 3, 3))
+    trans = np.tile(initial.translation, (len(batch), 1))
+    current = _place(stack, rot0, trans)
+    if cfg.pre_align:
+        centres = np.array([models[j].points.mean(axis=0) for j in model_of.tolist()])
+        placed_centres = _segment_means(np.ascontiguousarray(current.T), stack.starts, stack.counts)
+        trans = trans + (centres - placed_centres.T)
+        current = _place(stack, rot0, trans)
+    quats = np.tile(initial.rotation.as_array(), (len(batch), 1))
+    previous = np.full(len(batch), np.inf)
+    matched = np.empty_like(stack.points)
+    squared = np.empty(stack.points.shape[1])
+
+    for iteration in range(1, cfg.max_iterations + 1):
+        # One exact query per model over its pairs' stacked placements.
+        firsts = np.flatnonzero(np.diff(model_of, prepend=-1))
+        bounds = np.append(stack.starts[firsts], stack.points.shape[1])
+        for g, first in enumerate(firsts.tolist()):
+            lo, hi = bounds[g], bounds[g + 1]
+            index = models[model_of[first]]
+            nearest, squared[lo:hi] = index.query_batch(current[lo:hi])
+            matched[:, lo:hi] = index.points[nearest].T
+        incumbent_error = np.add.reduceat(squared, stack.starts) / stack.counts
+
+        fit_quats, rot, fit_trans = _fit(stack, matched)
+        placed = _place(stack, rot, fit_trans)
+        fitted_error = _mean_residuals(stack, matched, placed)
+        # The closed form cannot worsen the objective; keep the incumbent
+        # transform when rounding at the convergence plateau says otherwise.
+        accept = fitted_error <= incumbent_error
+        error = np.where(accept, fitted_error, incumbent_error)
+        quats[accept] = fit_quats[accept]
+        trans[accept] = fit_trans[accept]
+        if accept.all():
+            current = placed
+        else:
+            rows = np.repeat(accept, stack.counts)
+            current[rows] = placed[rows]
+        if out.history is not None:
+            for k, e, q, t in zip(ids.tolist(), error.tolist(), quats, trans):
+                out.history[k].append((e, q.copy(), t.copy()))
+
+        converged = previous - error < cfg.tau
+        done = converged | (iteration == cfg.max_iterations)
+        previous = error
+        if not done.any():
+            continue
+        finished = ids[done]
+        out.mse[finished] = error[done]
+        out.quaternions[finished] = quats[done]
+        out.translations[finished] = trans[done]
+        out.iterations[finished] = iteration
+        out.converged[finished] = converged[done]
+        keep = ~done
+        if not keep.any():
+            return
+        rows = stack.keep(keep)
+        current = current[rows]
+        matched = matched[:, rows]
+        squared = squared[rows]
+        ids, model_of = ids[keep], model_of[keep]
+        quats, trans, previous = quats[keep], trans[keep], previous[keep]
 
 
 def icp_align(
@@ -325,50 +552,22 @@ def icp_align(
     no predecessor, so convergence is checked from the second iteration on.
 
     Pass a prebuilt model_index to amortize index construction over many
-    alignments against the same model.
+    alignments against the same model. This is the lockstep engine on a
+    batch of one pair.
     """
     if cfg is None:
         cfg = IcpConfig()
     index = model_index if model_index is not None else build_index(model)
     if index.points.shape != model.xyz.shape or not np.array_equal(index.points, model.xyz):
         raise InvalidInputError("model_index was not built over the given model cloud")
-    model_pts = index.points
 
-    p0 = np.ascontiguousarray(moving.xyz[:: cfg.stride])
-    initial = cfg.initial_transform
-    if cfg.pre_align:
-        placed = _apply_arrays(initial.matrix(), initial.translation, p0)
-        shift = model_pts.mean(axis=0) - placed.mean(axis=0)
-        initial = RigidTransform(initial.rotation, initial.translation + shift)
-
-    current = _apply_arrays(initial.matrix(), initial.translation, p0)
-    incumbent = initial
-    previous_error: float | None = None
-    entries: list[IcpIteration] = []
-    reason = TerminalReason.MAX_ITERATIONS
-
-    for k in range(cfg.max_iterations):
-        idx, sq = index.query_batch(current)
-        incumbent_error = float(sq.mean())
-        matched = model_pts[idx]
-        rot, trans, quat = _fit_arrays(p0, matched)
-        placed = _apply_arrays(rot, trans, p0)
-        fitted_error = _mse_arrays(matched, placed)
-        if fitted_error <= incumbent_error:
-            error = fitted_error
-            incumbent = RigidTransform(quat, trans)
-            current = placed
-        else:
-            # The closed form cannot worsen the objective; keep the incumbent
-            # transform when rounding at the convergence plateau says otherwise.
-            error = incumbent_error
-        entries.append(IcpIteration(k, error, incumbent))
-        if previous_error is not None and previous_error - error < cfg.tau:
-            reason = TerminalReason.CONVERGED
-            break
-        previous_error = error
-
-    trace = IcpTrace(tuple(entries), reason)
+    run = _align_pairs([moving.xyz], [index], [(0, 0)], cfg, record=True)
+    entries = tuple(
+        IcpIteration(k, e, RigidTransform(UnitQuaternion(*q), t))
+        for k, (e, q, t) in enumerate(run.history[0])
+    )
+    reason = TerminalReason.CONVERGED if run.converged[0] else TerminalReason.MAX_ITERATIONS
+    trace = IcpTrace(entries, reason)
     final = entries[-1]
     return RegistrationResult(final.transform, final.mse), trace
 

@@ -1,11 +1,12 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from logmatch import PointCloud, ProductBasket, apply_transform
-from logmatch.cli import main
+from logmatch.cli import _build_parser, main
 from logmatch.io import load_predictions, write_predictions, write_scan, PredictionRow
 from synthdata import box_cloud, log_like_cloud, random_transform, write_dataset_files
 
@@ -287,6 +288,29 @@ class TestSplit:
         code, out, _ = run_cli(capsys, "split", manifest, "--runs", 1, "--drop-empty")
         assert code == 0
         assert "empty" not in out
+
+
+class TestJobs:
+    @pytest.mark.parametrize("command", ["predict", "experiment"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_below_one_exits_2(self, tiny_dataset, capsys, command, value):
+        train, test, tmp_path = tiny_dataset
+        out = tmp_path / "out.csv"
+        inputs = [train, test] if command == "predict" else [train]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *map(str, inputs), "--jobs", value, "--output", str(out)])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert _build_parser().parse_args(["predict", "a.csv", "b.csv"]).jobs == 3
+
+    def test_default_without_affinity_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert _build_parser().parse_args(["predict", "a.csv", "b.csv"]).jobs == 5
 
 
 class TestUsage:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from logmatch import (
     CorrespondenceSet,
@@ -87,8 +90,7 @@ class TestMatchCorrespondences:
 
 class TestExactness:
     @pytest.mark.parametrize("n_model", [50, 256, 257, 2000])
-    def test_identical_to_linear_scan_both_strategies(self, n_model):
-        # n_model spans the brute-force/tree crossover
+    def test_identical_to_linear_scan(self, n_model):
         rng = np.random.default_rng(3)
         model = box_cloud(rng, n_model)
         queries = box_cloud(rng, 300)
@@ -133,6 +135,33 @@ class TestExactness:
         oracle_idx, oracle_sq = linear_scan(pts, queries)
         np.testing.assert_array_equal(idx, oracle_idx)
         np.testing.assert_array_equal(sq, oracle_sq)
+
+
+@st.composite
+def lattice_case(draw):
+    """A model on an integer lattice and queries on the half-integer lattice
+    around it, scaled and offset; cell centres and edge midpoints are
+    multi-way exact ties before scaling and near-ties after it."""
+    extent = draw(st.integers(1, 4))
+    n_model = draw(st.integers(1, 300))
+    n_query = draw(st.integers(1, 40))
+    model = draw(arrays(np.int64, (n_model, 3), elements=st.integers(-extent, extent)))
+    halves = draw(arrays(np.int64, (n_query, 3), elements=st.integers(-2 * extent - 2, 2 * extent + 2)))
+    scale = draw(st.floats(1e-3, 1e4))
+    offset = np.array(draw(st.tuples(*[st.floats(-1e4, 1e4)] * 3)))
+    return model * scale + offset, (halves / 2.0) * scale + offset
+
+
+class TestExactnessProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_case())
+    def test_tree_equals_linear_scan_on_tie_lattices(self, case):
+        model, queries = case
+        idx, sq = build_index(PointCloud(model)).query_batch(queries)
+        oracle_idx, oracle_sq = linear_scan(model, queries)
+        # first-occurrence argmin: equal distances go to the lowest index
+        np.testing.assert_array_equal(idx, oracle_idx)
+        assert sq.tobytes() == oracle_sq.tobytes()
 
 
 class TestValidation:

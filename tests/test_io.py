@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -59,6 +60,15 @@ class TestXyzFormat:
     def test_missing_file_names_path(self, tmp_path):
         with pytest.raises(ParseError, match="nowhere.xyz"):
             load_scan(tmp_path / "nowhere.xyz")
+
+
+def test_parse_error_survives_pickling():
+    for line in (3, None):
+        original = ParseError("a.xyz", "bad float", line)
+        copy = pickle.loads(pickle.dumps(original))
+        assert type(copy) is ParseError
+        assert (copy.path, copy.line, copy.message) == ("a.xyz", line, "bad float")
+        assert str(copy) == str(original)
 
 
 class TestCsvScanFormat:

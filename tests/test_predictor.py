@@ -140,6 +140,25 @@ class TestIcpNnPredict:
         assert [o.distance for o in seq] == [o.distance for o in par]
         assert [o.neighbor_id for o in seq] == [o.neighbor_id for o in par]
 
+    def test_distances_equal_single_alignments_at_any_jobs(self):
+        # each worker aligns every query onto its share of the training scans
+        rng = np.random.default_rng(15)
+        train = [record(f"t{i}", log_like_cloud(rng, 20 + 7 * i), (i, 0)) for i in range(5)]
+        queries = [PointCloud(train[i].scan.xyz + rng.normal(0, 0.5, train[i].scan.xyz.shape))
+                   for i in (4, 1, 2)]
+        for jobs in (1, 2, 3, 8):
+            outcomes = icp_nn_predict_batch(train, queries, jobs=jobs)
+            assert [o.neighbor_id for o in outcomes] == ["t4", "t1", "t2"]
+            for query, outcome in zip(queries, outcomes):
+                model = train[int(outcome.neighbor_id[1:])].scan
+                assert outcome.distance == icp_distance(query, model)
+
+    def test_jobs_below_one_rejected(self):
+        rng = np.random.default_rng(16)
+        train = [record("a", box_cloud(rng, 5), (1,))]
+        with pytest.raises(InvalidInputError):
+            icp_nn_predict_batch(train, [box_cloud(rng, 5)], jobs=0)
+
 
 class TestExtractFeatures:
     def test_cylinder_oracle(self):

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from logmatch import registration
+from logmatch.registration import _align_pairs, _jacobi_eigh4
+
 from logmatch import (
     quaternion_to_rotation,
     CorrespondenceSet,
@@ -373,3 +376,129 @@ class TestConfigAndTrace:
     def test_trace_requires_entries(self):
         with pytest.raises(InvalidInputError):
             IcpTrace((), TerminalReason.CONVERGED)
+
+
+def reference_jacobi(m):
+    """Scalar cyclic Jacobi on one symmetric 4x4, the arithmetic the batched
+    solver must reproduce bit for bit: (eigenvalues, eigenvector columns)."""
+    a = [[float(m[r][c]) for c in range(4)] for r in range(4)]
+    v = [[1.0 if r == c else 0.0 for c in range(4)] for r in range(4)]
+    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+    def off2():
+        return 2.0 * sum(a[p][q] * a[p][q] for p, q in pairs)
+
+    current = off2()
+    threshold2 = 1e-12 * 1e-12 * (current + a[0][0] * a[0][0] + a[1][1] * a[1][1]
+                                  + a[2][2] * a[2][2] + a[3][3] * a[3][3])
+    for _ in range(100):
+        if current <= threshold2:
+            break
+        for p, q in pairs:
+            apq = a[p][q]
+            if apq == 0.0:
+                continue
+            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            h = t * apq
+            a[p][p] -= h
+            a[q][q] += h
+            a[p][q] = a[q][p] = 0.0
+            for r in range(4):
+                if r not in (p, q):
+                    arp, arq = a[r][p], a[r][q]
+                    a[r][p] = a[p][r] = arp - s * (arq + tau * arp)
+                    a[r][q] = a[q][r] = arq + s * (arp - tau * arq)
+            for r in range(4):
+                vrp, vrq = v[r][p], v[r][q]
+                v[r][p] = vrp - s * (vrq + tau * vrp)
+                v[r][q] = vrq + s * (vrp - tau * vrq)
+        current = off2()
+    else:
+        raise NumericalError("no convergence")
+    return np.array([a[i][i] for i in range(4)]), np.array(v)
+
+
+class TestBatchedJacobi:
+    def test_stack_matches_scalar_reference_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        stack = []
+        for scale in (1e-6, 1.0, 1e3, 1e6):
+            for _ in range(50):
+                a = rng.normal(size=(4, 4)) * scale
+                stack.append((a + a.T) / 2.0)
+        block = np.zeros((4, 4))
+        block[:2, :2] = [[2.0, 1.0], [1.0, 3.0]]
+        block[2, 2], block[3, 3] = -1.0, 5.0
+        stack += [np.eye(4), np.diag([3.0, 1.0, 2.0, 0.0]), block, np.zeros((4, 4))]
+        values, vectors = _jacobi_eigh4(np.array(stack))
+        for i, m in enumerate(stack):
+            ref_values, ref_vectors = reference_jacobi(m)
+            assert values[i].tobytes() == ref_values.tobytes()
+            assert vectors[i].tobytes() == ref_vectors.tobytes()
+
+    def test_input_is_not_modified(self):
+        m = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, 1.0]])
+        before = m.copy()
+        _jacobi_eigh4(m[None])
+        np.testing.assert_array_equal(m, before)
+
+    def test_any_unconverged_matrix_raises(self, monkeypatch):
+        monkeypatch.setattr(registration, "_JACOBI_MAX_SWEEPS", 1)
+        a = np.random.default_rng(31).normal(size=(4, 4))
+        with pytest.raises(NumericalError):
+            _jacobi_eigh4(np.array([np.eye(4), a + a.T]))
+
+
+def engine_case(rng):
+    """Moving clouds of 1 to 120 points and models of 1 to 300 points,
+    including rigid copies that converge and unrelated pairs that do not."""
+    models = [box_cloud(rng, n) for n in (1, 40, 90, 300)]
+    moving = [box_cloud(rng, n) for n in (1, 7, 60, 120)]
+    moving.append(apply_transform(random_transform(rng, math.radians(20), 50.0), models[2]))
+    moving.append(PointCloud(models[3].xyz[::3] + rng.normal(0.0, 1.0, (100, 3))))
+    pairs = [(i, j) for i in range(len(moving)) for j in range(len(models))]
+    return [c.xyz for c in moving], [build_index(m) for m in models], pairs
+
+
+def outcome(run, k):
+    return (run.mse[k].tobytes(), run.quaternions[k].tobytes(), run.translations[k].tobytes(),
+            int(run.iterations[k]), bool(run.converged[k]))
+
+
+class TestLockstepEngine:
+    @pytest.mark.parametrize("cfg", [
+        IcpConfig(),
+        IcpConfig(max_iterations=3),
+        IcpConfig(pre_align=True, stride=2),
+        IcpConfig(tau=1e-3, initial_transform=RigidTransform(
+            UnitQuaternion.from_axis_angle([1.0, 1.0, 0.0], 0.3), [10.0, -20.0, 5.0])),
+    ])
+    def test_pair_results_do_not_depend_on_the_batch(self, cfg, monkeypatch):
+        moving, models, pairs = engine_case(np.random.default_rng(32))
+        alone = [outcome(_align_pairs(moving, models, [pair], cfg), 0) for pair in pairs]
+        together = _align_pairs(moving, models, pairs, cfg)
+        backwards = _align_pairs(moving, models, pairs[::-1], cfg)
+        # a cap below most pair sizes cuts the stack into many batches
+        monkeypatch.setattr(registration, "_BATCH_POINTS", 64)
+        chunked = _align_pairs(moving, models, pairs, cfg)
+        n = len(pairs)
+        assert len({int(it) for it in together.iterations}) > 1
+        for k in range(n):
+            assert outcome(together, k) == alone[k]
+            assert outcome(backwards, n - 1 - k) == alone[k]
+            assert outcome(chunked, k) == alone[k]
+
+    def test_icp_align_is_a_batch_of_one(self):
+        moving, models, pairs = engine_case(np.random.default_rng(33))
+        run = _align_pairs(moving, models, pairs, IcpConfig())
+        for k, (i, j) in enumerate(pairs):
+            result, trace = icp_align(PointCloud(moving[i]), PointCloud(models[j].points),
+                                      model_index=models[j])
+            assert result.mse == run.mse[k]
+            np.testing.assert_array_equal(result.transform.translation, run.translations[k])
+            assert len(trace.iterations) == run.iterations[k]
+            assert (trace.terminal_reason is TerminalReason.CONVERGED) == run.converged[k]
