@@ -24,7 +24,8 @@ from . import metrics as metrics_mod
 from . import predictor as predictor_mod
 from .errors import InvalidInputError, NumericalError, ParseError
 from .metrics import MetricConfig, ScoredPair, ScoreReport
-from .predictor import LogRecord, PredictionOutcome
+from .geometry import PointCloud
+from .predictor import LogFeatures, LogRecord, PredictionOutcome
 from .registration import IcpConfig, icp_align
 
 PREDICTOR_NAMES = ("icp", "mean", "knn")
@@ -193,29 +194,39 @@ def cmd_register(args: argparse.Namespace) -> int:
     return 0
 
 
+def _log_features(log_id: str, scan: PointCloud) -> LogFeatures:
+    """The knn features of one scan; an unmeasurable scan names its log."""
+    try:
+        return predictor_mod.extract_features(scan)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"log {log_id!r}: {exc}") from None
+
+
+def _with_features(ds: dataset_mod.Dataset) -> dataset_mod.Dataset:
+    return dataset_mod.Dataset(
+        tuple(rec.with_features(_log_features(rec.id, rec.scan)) for rec in ds.records),
+        ds.product_count, ds.product_names,
+    )
+
+
 def _predict_outcomes(
     name: str,
     train: Sequence[LogRecord],
-    queries: Sequence,
+    queries: Sequence[PointCloud],
+    query_features: Sequence[LogFeatures] | None,
     cfg: IcpConfig,
     k: int,
     jobs: int,
 ) -> list[PredictionOutcome]:
-    """Run one predictor over all query scans, in query order."""
+    """Run one predictor over all query scans, in query order. knn reads the
+    training records' features and query_features, one per query scan."""
     if name == "icp":
         return predictor_mod.icp_nn_predict_batch(train, list(queries), cfg, jobs=jobs)
     if name == "mean":
         basket = predictor_mod.mean_predict(train)
         return [PredictionOutcome(basket) for _ in queries]
     if name == "knn":
-        fitted = [
-            rec if rec.features is not None else rec.with_features(predictor_mod.extract_features(rec.scan))
-            for rec in train
-        ]
-        return [
-            predictor_mod.knn_feature_predict(fitted, predictor_mod.extract_features(query), k)
-            for query in queries
-        ]
+        return [predictor_mod.knn_feature_predict(train, features, k) for features in query_features]
     raise InvalidInputError(f"unknown predictor {name!r}; expected one of {PREDICTOR_NAMES}")
 
 
@@ -225,8 +236,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if len(train) == 0:
         raise InvalidInputError("training set is empty")
     tests = io_mod.load_scans(args.manifest_test)
+    features = None
+    if args.predictor == "knn":
+        train = _with_features(train)
+        features = [_log_features(log_id, scan) for log_id, scan in tests]
     outcomes = _predict_outcomes(
-        args.predictor, train.records, [scan for _, scan in tests],
+        args.predictor, train.records, [scan for _, scan in tests], features,
         cfg, args.k, args.jobs,
     )
     rows = [
@@ -279,20 +294,14 @@ def _parse_predictors(value: str) -> list[str]:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     predictors = _parse_predictors(args.predictor)
-    spec = dataset_mod.SplitSpec(
-        train_fraction=args.train_frac, seed=args.seed, runs=args.runs,
-        drop_empty_baskets=args.drop_empty,
-    )
+    spec = dataset_mod.SplitSpec(train_fraction=args.train_frac, seed=args.seed, runs=args.runs)
     icp_cfg = _icp_config(args)
     metric_cfg = _metric_config(args)
     ds = io_mod.load_dataset(args.manifest, args.baskets)
     if args.drop_empty:
         ds = dataset_mod.drop_empty(ds)
     if "knn" in predictors:
-        ds = dataset_mod.Dataset(
-            tuple(rec.with_features(predictor_mod.extract_features(rec.scan)) for rec in ds.records),
-            ds.product_count, ds.product_names,
-        )
+        ds = _with_features(ds)
 
     labels: list[str] = []
     reports: list[ScoreReport] = []
@@ -302,8 +311,9 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         if len(train) == 0 or len(test) == 0:
             raise InvalidInputError(f"run {run} produced an empty train or test set")
         queries = [rec.scan for rec in test.records]
+        features = [rec.features for rec in test.records]
         for name in predictors:
-            outcomes = _predict_outcomes(name, train.records, queries, icp_cfg, args.k, args.jobs)
+            outcomes = _predict_outcomes(name, train.records, queries, features, icp_cfg, args.k, args.jobs)
             pairs = [ScoredPair(rec.basket, outcome.predicted)
                      for rec, outcome in zip(test.records, outcomes)]
             report = metrics_mod.evaluate(pairs, metric_cfg)
@@ -319,16 +329,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_split(args: argparse.Namespace) -> int:
-    spec = dataset_mod.SplitSpec(
-        train_fraction=args.train_frac, seed=args.seed, runs=args.runs,
-        drop_empty_baskets=args.drop_empty,
-    )
+    spec = dataset_mod.SplitSpec(train_fraction=args.train_frac, seed=args.seed, runs=args.runs)
     manifest = io_mod.load_manifest(args.manifest, args.baskets)
-    ids = [entry.id for entry in manifest.entries]
-    if args.drop_empty:
-        baskets_path = args.baskets if args.baskets else io_mod.default_baskets_path(args.manifest)
-        table = io_mod.load_baskets(baskets_path)
-        ids = [log_id for log_id in ids if not table[log_id].is_empty()]
+    ids = [entry.id for entry in manifest.entries
+           if not (args.drop_empty and entry.basket.is_empty())]
     runs = range(spec.runs) if args.run_index is None else [args.run_index]
     with io_mod._open_out(args.output) as handle:
         handle.write("run,role,id\n")

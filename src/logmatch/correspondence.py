@@ -19,7 +19,6 @@ can be compared at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -60,11 +59,6 @@ class CorrespondenceSet:
 
     def __len__(self) -> int:
         return self.target_indices.shape[0]
-
-    def pairs(self) -> Iterator[tuple[int, int, float]]:
-        """(source_index, target_index, squared_distance) triples in order."""
-        for i in range(len(self)):
-            yield i, int(self.target_indices[i]), float(self.squared_distances[i])
 
 
 class SpatialIndex:

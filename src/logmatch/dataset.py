@@ -55,16 +55,11 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """How to partition a dataset into train and test sets, repeatedly.
-
-    drop_empty_baskets records which dataset variant the protocol uses;
-    callers apply :func:`drop_empty` before splitting when it is set.
-    """
+    """How to partition a dataset into train and test sets, repeatedly."""
 
     train_fraction: float = 0.6
     seed: int = 0
     runs: int = 10
-    drop_empty_baskets: bool = False
 
     def __post_init__(self) -> None:
         if not (0.0 < self.train_fraction < 1.0):

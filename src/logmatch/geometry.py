@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -63,23 +62,8 @@ class PointCloud:
         arr.setflags(write=False)
         object.__setattr__(self, "xyz", arr)
 
-    @classmethod
-    def from_points(cls, points: Iterable[Point3]) -> "PointCloud":
-        rows = [(p.x, p.y, p.z) for p in points]
-        if not rows:
-            raise InvalidInputError("point cloud must contain at least one point")
-        return cls(np.array(rows, dtype=np.float64))
-
     def __len__(self) -> int:
         return self.xyz.shape[0]
-
-    def __iter__(self) -> Iterator[Point3]:
-        for row in self.xyz:
-            yield Point3(row[0], row[1], row[2])
-
-    def point(self, index: int) -> Point3:
-        row = self.xyz[index]
-        return Point3(row[0], row[1], row[2])
 
 
 def _canonical_sign(q0: float, q1: float, q2: float, q3: float) -> tuple[float, float, float, float]:

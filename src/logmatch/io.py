@@ -296,18 +296,18 @@ def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
 
 @dataclass(frozen=True)
 class ManifestEntry:
-    """One manifest row: the log id, its scan file, its basket row key."""
+    """One manifest row: the log id, its scan file, its basket."""
 
     id: str
     scan_path: Path
-    basket_id: str
+    basket: ProductBasket
 
 
 @dataclass(frozen=True, eq=False)
 class Manifest:
     """A validated list of scans with baskets; all referenced files exist."""
 
-    product_count: int
+    product_names: tuple[str, ...]
     entries: tuple[ManifestEntry, ...]
 
 
@@ -353,8 +353,8 @@ def load_manifest(manifest_path, baskets_path=None) -> Manifest:
     for log_id, scan_path in rows:
         if log_id not in table:
             raise ParseError(manifest_path, f"id {log_id!r} has no row in {baskets}")
-        entries.append(ManifestEntry(log_id, scan_path, log_id))
-    return Manifest(len(names), tuple(entries))
+        entries.append(ManifestEntry(log_id, scan_path, table[log_id]))
+    return Manifest(names, tuple(entries))
 
 
 def load_scans(manifest_path) -> list[tuple[str, PointCloud]]:
@@ -364,14 +364,11 @@ def load_scans(manifest_path) -> list[tuple[str, PointCloud]]:
 
 def load_dataset(manifest_path, baskets_path=None) -> Dataset:
     """Assemble a full dataset: manifest rows, scans, and baskets."""
-    baskets = default_baskets_path(manifest_path) if baskets_path is None else Path(baskets_path)
-    manifest = load_manifest(manifest_path, baskets)
-    names, table = _read_basket_table(baskets)
+    manifest = load_manifest(manifest_path, baskets_path)
     records = tuple(
-        LogRecord(entry.id, load_scan(entry.scan_path), table[entry.basket_id])
-        for entry in manifest.entries
+        LogRecord(entry.id, load_scan(entry.scan_path), entry.basket) for entry in manifest.entries
     )
-    return Dataset(records, manifest.product_count, names)
+    return Dataset(records, len(manifest.product_names), manifest.product_names)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,11 @@ One engine runs every alignment. It moves a batch of (moving, model) pairs
 forward in lockstep: each iteration makes one exact nearest-neighbour query
 per model over the stacked placements of that model's pairs, forms every
 pair's centroids and cross-covariance as segment sums over its own points,
-and solves all 4x4 eigenproblems with one batched cyclic Jacobi. Nothing a
-pair computes reads another pair's data, so its result is bit-identical
-alone or in any batch. The single-pair functions are batches of one.
+and solves all 4x4 eigenproblems with one call of LAPACK's symmetric
+eigensolver (numpy.linalg.eigh) over the stack, which factors each matrix
+on its own. Nothing a pair computes reads another pair's data, so its
+result is bit-identical alone or in any batch. The single-pair functions
+are batches of one.
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ from .geometry import (
     _rotation_matrix,
 )
 
-_JACOBI_MAX_SWEEPS = 100
-# Convergence threshold on the off-diagonal norm, relative to the Frobenius
-# norm of the input; an absolute threshold would be unreachable for the
-# mm^2-scale covariances this solver sees.
-_JACOBI_REL_TOL = 1e-12
 _SYMMETRY_TOL = 1e-9
 
 
@@ -178,85 +175,16 @@ def _alignment_matrices(sigma: np.ndarray) -> np.ndarray:
     return q
 
 
-_PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_OTHERS4 = {pq: [r for r in range(4) if r not in pq] for pq in _PAIRS4}
-
-
-def _off_diagonal2(a: np.ndarray) -> np.ndarray:
-    """Squared off-diagonal Frobenius norms of a (4, 4, B) stack."""
-    return 2.0 * (a[0, 1] * a[0, 1] + a[0, 2] * a[0, 2] + a[0, 3] * a[0, 3]
-                  + a[1, 2] * a[1, 2] + a[1, 3] * a[1, 3] + a[2, 3] * a[2, 3])
-
-
-# theta * theta may overflow to inf for a tiny pivot; t then rounds to 0,
-# as the scalar formula does.
-@np.errstate(over="ignore")
-def _jacobi_eigh4(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi sweeps on a (B, 4, 4) stack of symmetric matrices.
-
-    Returns (eigenvalues (B, 4), eigenvector columns (B, 4, 4)), unsorted.
-    Each matrix sweeps until its own off-diagonal norm has fallen below
-    1e-12 x its input Frobenius norm, and is left untouched afterwards, so
-    its result does not depend on the rest of the stack. Raises
-    NumericalError if any matrix has not converged after 100 sweeps.
-    """
-    # Layout (4, 4, B): every matrix entry is one contiguous length-B row.
-    a = np.asarray(matrices, dtype=np.float64).transpose(1, 2, 0).copy()
-    v = np.zeros_like(a)
-    for i in range(4):
-        v[i, i] = 1.0
-    off2 = _off_diagonal2(a)
-    fro2 = off2 + a[0, 0] * a[0, 0] + a[1, 1] * a[1, 1] + a[2, 2] * a[2, 2] + a[3, 3] * a[3, 3]
-    threshold2 = _JACOBI_REL_TOL * _JACOBI_REL_TOL * fro2
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        live = np.flatnonzero(off2 > threshold2)
-        if live.size == 0:
-            break
-        sa = a[:, :, live]
-        sv = v[:, :, live]
-        for p, q in _PAIRS4:
-            apq = sa[p, q].copy()
-            # A zero pivot rotates by t = 0, which leaves every entry as is.
-            zero = apq == 0.0
-            theta = (sa[q, q] - sa[p, p]) / (2.0 * np.where(zero, 1.0, apq))
-            t = np.where(theta >= 0.0, 1.0, -1.0) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
-            t[zero] = 0.0
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            tau = s / (1.0 + c)
-            h = t * apq
-            sa[p, p] -= h
-            sa[q, q] += h
-            sa[p, q] = 0.0
-            sa[q, p] = 0.0
-            rows = _OTHERS4[(p, q)]
-            arp = sa[rows, p]
-            arq = sa[rows, q]
-            sa[rows, p] = sa[p, rows] = arp - s * (arq + tau * arp)
-            sa[rows, q] = sa[q, rows] = arq + s * (arp - tau * arq)
-            vrp = sv[:, p].copy()
-            vrq = sv[:, q].copy()
-            sv[:, p] = vrp - s * (vrq + tau * vrp)
-            sv[:, q] = vrq + s * (vrp - tau * vrq)
-        a[:, :, live] = sa
-        v[:, :, live] = sv
-        off2[live] = _off_diagonal2(sa)
-    else:
-        worst = float(np.sqrt(off2[live].max()))
-        raise NumericalError(f"Jacobi sweeps did not converge: off-diagonal norm {worst!r}")
-    return np.diagonal(a).copy(), v.transpose(2, 0, 1).copy()
-
-
 def _max_eigenpairs(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Largest eigenvalue and unit eigenvector of each matrix of a (B, 4, 4)
-    stack; equal maxima keep the lowest-index eigenvector."""
-    values, vectors = _jacobi_eigh4(matrices)
+    stack, from one eigh call; equal maxima keep the lowest-index one."""
+    try:
+        values, vectors = np.linalg.eigh(matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"4x4 eigensolve failed: {exc}") from exc
     best = values.argmax(axis=1)
     rows = np.arange(values.shape[0])
-    col = vectors[rows, :, best]
-    norm = np.sqrt(col[:, 0] * col[:, 0] + col[:, 1] * col[:, 1] + col[:, 2] * col[:, 2] + col[:, 3] * col[:, 3])
-    return values[rows, best], col / norm[:, None]
+    return values[rows, best], vectors[rows, :, best]
 
 
 def max_eigenvector(matrix: np.ndarray) -> tuple[float, np.ndarray]:

@@ -77,6 +77,18 @@ class TestRegister:
         assert code == 2
         assert "absent.xyz" in err
 
+    def test_eigensolver_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def fail(matrices):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        path = tmp_path / "scan.xyz"
+        write_scan(box_cloud(np.random.default_rng(0), 50), path)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code, out, err = run_cli(capsys, "register", path, path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("numerical failure:")
+
 
 class TestPredict:
     def test_identical_test_log_hits_its_neighbor(self, tiny_dataset, capsys):
@@ -127,6 +139,33 @@ class TestPredict:
         code, _, err = run_cli(capsys, "predict", tmp_path / "train.csv", tmp_path / "test.csv")
         assert code == 2
         assert "empty" in err
+
+
+class TestShortScan:
+    """knn cannot measure a scan of fewer than 10 points; the command stops
+    with exit code 2 and names the log."""
+
+    @pytest.fixture()
+    def manifest(self, tmp_path):
+        rng = np.random.default_rng(8)
+        entries = [(f"log{i}", log_like_cloud(rng, 16), ProductBasket((i % 2,))) for i in range(6)]
+        entries.append(("stub", box_cloud(rng, 5), ProductBasket((1,))))
+        return write_dataset_files(tmp_path, entries)
+
+    def test_experiment_names_the_log(self, manifest, capsys):
+        code, out, err = run_cli(capsys, "experiment", manifest, "--runs", 1, "--predictor", "knn")
+        assert code == 2
+        assert out == ""
+        assert "'stub'" in err and "need at least 10 points, got 5" in err
+
+    def test_predict_names_the_log(self, tiny_dataset, manifest, capsys):
+        train, _, root = tiny_dataset
+        out_path = root / "pred.csv"
+        code, _, err = run_cli(capsys, "predict", train, manifest, "--predictor", "knn", "--k", 1,
+                               "--output", out_path)
+        assert code == 2
+        assert "'stub'" in err and "need at least 10 points, got 5" in err
+        assert not out_path.exists()
 
 
 class TestEvaluate:

@@ -30,7 +30,7 @@ class TestPoint3:
 class TestPointCloud:
     def test_preserves_order(self):
         cloud = PointCloud([[3.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        assert [p.x for p in cloud] == [3.0, 1.0, 2.0]
+        assert cloud.xyz[:, 0].tolist() == [3.0, 1.0, 2.0]
         assert len(cloud) == 3
 
     def test_rejects_empty(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logmatch import registration
-from logmatch.registration import _align_pairs, _jacobi_eigh4
+from logmatch.registration import _align_pairs, _max_eigenpairs
 
 from logmatch import (
     quaternion_to_rotation,
@@ -218,7 +218,7 @@ class TestMse:
         value = mse(moving, model, pairs, t)
         r = t.matrix()
         total = 0.0
-        for src, tgt, _ in pairs.pairs():
+        for src, tgt in enumerate(pairs.target_indices):
             p = r @ moving.xyz[src] + t.translation
             x = model.xyz[tgt]
             total += float((x - p) @ (x - p))
@@ -378,79 +378,57 @@ class TestConfigAndTrace:
             IcpTrace((), TerminalReason.CONVERGED)
 
 
-def reference_jacobi(m):
-    """Scalar cyclic Jacobi on one symmetric 4x4, the arithmetic the batched
-    solver must reproduce bit for bit: (eigenvalues, eigenvector columns)."""
-    a = [[float(m[r][c]) for c in range(4)] for r in range(4)]
-    v = [[1.0 if r == c else 0.0 for c in range(4)] for r in range(4)]
-    pairs = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-    def off2():
-        return 2.0 * sum(a[p][q] * a[p][q] for p, q in pairs)
-
-    current = off2()
-    threshold2 = 1e-12 * 1e-12 * (current + a[0][0] * a[0][0] + a[1][1] * a[1][1]
-                                  + a[2][2] * a[2][2] + a[3][3] * a[3][3])
-    for _ in range(100):
-        if current <= threshold2:
-            break
-        for p, q in pairs:
-            apq = a[p][q]
-            if apq == 0.0:
-                continue
-            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-            t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            tau = s / (1.0 + c)
-            h = t * apq
-            a[p][p] -= h
-            a[q][q] += h
-            a[p][q] = a[q][p] = 0.0
-            for r in range(4):
-                if r not in (p, q):
-                    arp, arq = a[r][p], a[r][q]
-                    a[r][p] = a[p][r] = arp - s * (arq + tau * arp)
-                    a[r][q] = a[q][r] = arq + s * (arp - tau * arq)
-            for r in range(4):
-                vrp, vrq = v[r][p], v[r][q]
-                v[r][p] = vrp - s * (vrq + tau * vrp)
-                v[r][q] = vrq + s * (vrp - tau * vrq)
-        current = off2()
-    else:
-        raise NumericalError("no convergence")
-    return np.array([a[i][i] for i in range(4)]), np.array(v)
+def eigen_stack():
+    """Symmetric 4x4 matrices at scales 1e-6 to 1e6, then the identity, a
+    diagonal, a 2x2 block and the zero matrix: (stack, scale of each)."""
+    rng = np.random.default_rng(30)
+    stack, scales = [], []
+    for scale in (1e-6, 1.0, 1e3, 1e6):
+        for _ in range(50):
+            a = rng.normal(size=(4, 4)) * scale
+            stack.append((a + a.T) / 2.0)
+            scales.append(scale)
+    block = np.zeros((4, 4))
+    block[:2, :2] = [[2.0, 1.0], [1.0, 3.0]]
+    block[2, 2], block[3, 3] = -1.0, 5.0
+    stack += [np.eye(4), np.diag([3.0, 1.0, 2.0, 0.0]), block, np.zeros((4, 4))]
+    scales += [1.0] * 4
+    return np.array(stack), scales
 
 
-class TestBatchedJacobi:
-    def test_stack_matches_scalar_reference_bit_for_bit(self):
-        rng = np.random.default_rng(30)
-        stack = []
-        for scale in (1e-6, 1.0, 1e3, 1e6):
-            for _ in range(50):
-                a = rng.normal(size=(4, 4)) * scale
-                stack.append((a + a.T) / 2.0)
-        block = np.zeros((4, 4))
-        block[:2, :2] = [[2.0, 1.0], [1.0, 3.0]]
-        block[2, 2], block[3, 3] = -1.0, 5.0
-        stack += [np.eye(4), np.diag([3.0, 1.0, 2.0, 0.0]), block, np.zeros((4, 4))]
-        values, vectors = _jacobi_eigh4(np.array(stack))
+class TestMaxEigenpairs:
+    def test_stack_rows_match_each_matrix_alone(self):
+        stack, _ = eigen_stack()
+        values, vectors = _max_eigenpairs(stack)
         for i, m in enumerate(stack):
-            ref_values, ref_vectors = reference_jacobi(m)
-            assert values[i].tobytes() == ref_values.tobytes()
-            assert vectors[i].tobytes() == ref_vectors.tobytes()
+            value, vector = _max_eigenpairs(m[None])
+            assert values[i:i + 1].tobytes() == value.tobytes()
+            assert vectors[i:i + 1].tobytes() == vector.tobytes()
+
+    def test_residuals_scale_with_the_matrix(self):
+        stack, scales = eigen_stack()
+        values, vectors = _max_eigenpairs(stack)
+        for m, value, vector, scale in zip(stack, values, vectors, scales):
+            assert np.linalg.norm(m @ vector - value * vector) <= 1e-9 * scale
+            assert abs(np.linalg.norm(vector) - 1.0) <= 1e-12
+
+    def test_zero_and_identity_give_the_identity_quaternion(self):
+        _, vectors = _max_eigenpairs(np.array([np.zeros((4, 4)), np.eye(4)]))
+        np.testing.assert_array_equal(vectors, [[1.0, 0.0, 0.0, 0.0]] * 2)
 
     def test_input_is_not_modified(self):
         m = np.array([[2.0, 1.0, 0.0, 0.0], [1.0, 2.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.5], [0.0, 0.0, 0.5, 1.0]])
         before = m.copy()
-        _jacobi_eigh4(m[None])
+        _max_eigenpairs(m[None])
         np.testing.assert_array_equal(m, before)
 
-    def test_any_unconverged_matrix_raises(self, monkeypatch):
-        monkeypatch.setattr(registration, "_JACOBI_MAX_SWEEPS", 1)
-        a = np.random.default_rng(31).normal(size=(4, 4))
-        with pytest.raises(NumericalError):
-            _jacobi_eigh4(np.array([np.eye(4), a + a.T]))
+    def test_solver_failure_raises_numerical_error(self, monkeypatch):
+        def fail(matrices):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="did not converge"):
+            _max_eigenpairs(np.eye(4)[None])
 
 
 def engine_case(rng):
