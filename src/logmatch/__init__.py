@@ -44,10 +44,12 @@ from .predictor import (
     PredictionOutcome,
     ProductBasket,
     extract_features,
+    icp_distance_matrix,
     icp_nn_predict,
     icp_nn_predict_batch,
     knn_feature_predict,
     mean_predict,
+    nn_predict_from_distances,
 )
 from .registration import (
     IcpConfig,
@@ -105,6 +107,7 @@ __all__ = [
     "hamming_distance",
     "icp_align",
     "icp_distance",
+    "icp_distance_matrix",
     "icp_nn_predict",
     "icp_nn_predict_batch",
     "knn_feature_predict",
@@ -113,6 +116,7 @@ __all__ = [
     "mean_predict",
     "mse",
     "nearest_point",
+    "nn_predict_from_distances",
     "prediction_score",
     "production_score",
     "quaternion_alignment_matrix",

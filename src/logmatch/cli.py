@@ -18,6 +18,8 @@ import os
 import sys
 from typing import Sequence
 
+import numpy as np
+
 from . import dataset as dataset_mod
 from . import io as io_mod
 from . import metrics as metrics_mod
@@ -292,6 +294,19 @@ def _parse_predictors(value: str) -> list[str]:
     return names
 
 
+def _check_runs(
+    splits: Sequence[tuple[np.ndarray, np.ndarray]], predictors: Sequence[str], k: int
+) -> None:
+    """Reject every run's split before any alignment starts: an empty train
+    or test set, or a knn --k outside [1, training set size]. The first
+    failing run raises."""
+    for run, (train_idx, test_idx) in enumerate(splits):
+        if len(train_idx) == 0 or len(test_idx) == 0:
+            raise InvalidInputError(f"run {run} produced an empty train or test set")
+        if "knn" in predictors and not 1 <= k <= len(train_idx):
+            raise InvalidInputError(f"k must be in [1, {len(train_idx)}], got {k}")
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
     predictors = _parse_predictors(args.predictor)
     spec = dataset_mod.SplitSpec(train_fraction=args.train_frac, seed=args.seed, runs=args.runs)
@@ -302,21 +317,36 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         ds = dataset_mod.drop_empty(ds)
     if "knn" in predictors:
         ds = _with_features(ds)
+    splits = [dataset_mod.split_indices(len(ds), spec, run) for run in range(spec.runs)]
+    _check_runs(splits, predictors, args.k)
+
+    if "icp" in predictors:
+        # Every run's (test, train) pairs, each aligned once for the command.
+        pairs = {(i, j) for train_idx, test_idx in splits
+                 for i in test_idx.tolist() for j in train_idx.tolist()}
+        distances = predictor_mod.icp_distance_matrix(
+            [rec.scan for rec in ds.records], pairs, icp_cfg, args.jobs)
+        requested = sum(len(train_idx) * len(test_idx) for train_idx, test_idx in splits)
+        print(f"aligned {len(pairs)} distinct pairs for {requested} requested over {spec.runs} runs",
+              file=sys.stderr)
 
     labels: list[str] = []
     reports: list[ScoreReport] = []
     by_predictor: dict[str, list[ScoreReport]] = {name: [] for name in predictors}
-    for run in range(spec.runs):
-        train, test = dataset_mod.split(ds, spec, run)
-        if len(train) == 0 or len(test) == 0:
-            raise InvalidInputError(f"run {run} produced an empty train or test set")
-        queries = [rec.scan for rec in test.records]
-        features = [rec.features for rec in test.records]
+    for run, (train_idx, test_idx) in enumerate(splits):
+        train = [ds.records[i] for i in train_idx]
+        test = [ds.records[i] for i in test_idx]
+        queries = [rec.scan for rec in test]
+        features = [rec.features for rec in test]
         for name in predictors:
-            outcomes = _predict_outcomes(name, train.records, queries, features, icp_cfg, args.k, args.jobs)
-            pairs = [ScoredPair(rec.basket, outcome.predicted)
-                     for rec, outcome in zip(test.records, outcomes)]
-            report = metrics_mod.evaluate(pairs, metric_cfg)
+            if name == "icp":
+                # Columns in training order: ties go to the lowest training index.
+                outcomes = predictor_mod.nn_predict_from_distances(
+                    train, distances[np.ix_(test_idx, train_idx)])
+            else:
+                outcomes = _predict_outcomes(name, train, queries, features, icp_cfg, args.k, args.jobs)
+            scored = [ScoredPair(rec.basket, outcome.predicted) for rec, outcome in zip(test, outcomes)]
+            report = metrics_mod.evaluate(scored, metric_cfg)
             labels.append(f"{name}:run{run}")
             reports.append(report)
             by_predictor[name].append(report)

@@ -18,6 +18,7 @@ can be compared at all.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,16 @@ class SpatialIndex:
         close = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_SLACK))
         if close.size:
             radii = dist[close, 0] * (1.0 + _TIE_SLACK)
-            for row, candidates in zip(close, self._tree.query_ball_point(pts[close], radii)):
-                diffs = self._points[candidates] - pts[row]
-                sq = (diffs * diffs).sum(axis=1)
-                idx[row] = min(zip(sq.tolist(), candidates))[1]
+            found = self._tree.query_ball_point(pts[close], radii)
+            rows = np.repeat(close, [len(c) for c in found])
+            cand = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64, count=rows.size)
+            diffs = self._points[cand] - pts[rows]
+            sq = (diffs * diffs).sum(axis=1)
+            # Per row, the candidate of least (squared distance, index).
+            order = np.lexsort((cand, sq, rows))
+            _, first = np.unique(rows[order], return_index=True)
+            best = order[first]
+            idx[rows[best]] = cand[best]
         matched = pts - self._points[idx]
         return idx, (matched * matched).sum(axis=1)
 

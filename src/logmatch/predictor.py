@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
@@ -162,53 +162,112 @@ def icp_nn_predict_batch(
 ) -> list[PredictionOutcome]:
     """ICP nearest-neighbour prediction for many queries.
 
-    Every (query, training scan) alignment runs in the lockstep engine, with
-    one nearest-neighbour index per training scan shared by all queries.
-    With jobs > 1 the training scans are dealt round-robin to up to jobs
-    worker processes, each aligning every query onto its share. A pair's
-    distance does not depend on the batch it runs in, and the per-query
-    reduction is a lexicographic (distance, index) minimum, so results do
-    not depend on the worker count.
+    Aligns every query onto every training scan with icp_distance_matrix,
+    whose jobs workers each take a round-robin share of the training scans,
+    and picks each query's neighbour with nn_predict_from_distances. Results
+    do not depend on the worker count.
     """
     _check_train(train)
+    n = len(train)
+    scans = [rec.scan for rec in train] + list(queries)
+    pairs = [(n + q, t) for q in range(len(queries)) for t in range(n)]
+    distances = icp_distance_matrix(scans, pairs, cfg, jobs)
+    return nn_predict_from_distances(train, distances[n:, :n])
+
+
+def icp_distance_matrix(
+    scans: Sequence[PointCloud],
+    pairs: Iterable[tuple[int, int]],
+    cfg: IcpConfig | None = None,
+    jobs: int = 1,
+) -> np.ndarray:
+    """ICP distance of scans[i] aligned onto scans[j] for every (i, j) in pairs.
+
+    Returns a dense (n, n) array over the n scans with each requested
+    distance at [i, j] and NaN everywhere else; a pair listed twice is
+    aligned once. The model scans (the j's) are dealt round-robin, in index
+    order, to up to jobs worker processes of one pool. Each worker receives
+    only its models and the moving scans paired with them, and aligns all of
+    its pairs in one pass of the lockstep engine. A pair's distance does not
+    depend on the batch or worker that computes it, so neither does the
+    array.
+    """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs!r}")
     if cfg is None:
         cfg = IcpConfig()
-    if not queries:
-        return []
-    models = [rec.scan for rec in train]
+    n = len(scans)
+    wanted = sorted({(int(i), int(j)) for i, j in pairs})
+    for i, j in wanted:
+        if not (0 <= i < n and 0 <= j < n):
+            raise InvalidInputError(f"pair {(i, j)} is out of range for {n} scans")
+    distances = np.full((n, n), np.nan)
+    models = sorted({j for _, j in wanted})
+    if not models:
+        return distances
     workers = min(jobs, len(models))
-
+    worker_of = {j: k % workers for k, j in enumerate(models)}
+    shares: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
+    for i, j in wanted:
+        shares[worker_of[j]].append((i, j))
+    tasks = [_share_task(scans, share, cfg) for share in shares]
     if workers > 1:
-        shares = [list(range(w, len(models), workers)) for w in range(workers)]
-        distances = np.empty((len(queries), len(models)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_share_distances, [models[i] for i in share], list(queries), cfg)
-                for share in shares
-            ]
-            for share, future in zip(shares, futures):
-                distances[:, share] = future.result()
+            futures = [pool.submit(_align_share, *task) for task in tasks]
+            results = [future.result() for future in futures]
     else:
-        distances = _share_distances(models, queries, cfg)
+        results = [_align_share(*tasks[0])]
+    for share, mse in zip(shares, results):
+        rows, cols = np.array(share).T
+        distances[rows, cols] = mse
+    return distances
 
+
+def _share_task(
+    scans: Sequence[PointCloud], share: list[tuple[int, int]], cfg: IcpConfig
+) -> tuple[list[PointCloud], list[PointCloud], list[tuple[int, int]], IcpConfig]:
+    """The arguments of _align_share for one worker's pairs: its moving and
+    model scans, and the pairs renumbered into those two lists."""
+    moving = {i: k for k, i in enumerate(sorted({i for i, _ in share}))}
+    models = {j: k for k, j in enumerate(sorted({j for _, j in share}))}
+    local = [(moving[i], models[j]) for i, j in share]
+    return [scans[i] for i in moving], [scans[j] for j in models], local, cfg
+
+
+def _align_share(
+    moving: Sequence[PointCloud],
+    models: Sequence[PointCloud],
+    pairs: Sequence[tuple[int, int]],
+    cfg: IcpConfig,
+) -> np.ndarray:
+    """ICP distance of moving[i] onto models[j] for each (i, j) in pairs."""
+    indices = [build_index(model) for model in models]
+    return _align_pairs([scan.xyz for scan in moving], indices, pairs, cfg).mse
+
+
+def nn_predict_from_distances(
+    train: Sequence[LogRecord], distances: np.ndarray
+) -> list[PredictionOutcome]:
+    """Nearest-neighbour outcome for each row of a (queries, len(train))
+    distance array whose columns follow the order of train.
+
+    Each row picks the basket of its smallest distance; ties resolve to the
+    lowest column, that is the lowest training index.
+    """
+    _check_train(train)
+    distances = np.asarray(distances, dtype=np.float64)
+    if distances.ndim != 2 or distances.shape[1] != len(train):
+        raise InvalidInputError(
+            f"distances must have shape (queries, {len(train)}), got {distances.shape}"
+        )
+    if np.isnan(distances).any():
+        raise InvalidInputError("distances hold pairs that were not aligned")
     # argmin keeps the first, lowest-index minimum of each row.
     nearest = distances.argmin(axis=1)
     return [
         PredictionOutcome(train[i].basket, train[i].id, float(distances[qi, i]))
         for qi, i in enumerate(nearest.tolist())
     ]
-
-
-def _share_distances(
-    models: Sequence[PointCloud], queries: Sequence[PointCloud], cfg: IcpConfig
-) -> np.ndarray:
-    """ICP distance of every query onto every model: (queries, models)."""
-    indices = [build_index(model) for model in models]
-    pairs = [(qi, mi) for mi in range(len(models)) for qi in range(len(queries))]
-    run = _align_pairs([query.xyz for query in queries], indices, pairs, cfg)
-    return run.mse.reshape(len(models), len(queries)).T
 
 
 def extract_features(scan: PointCloud) -> LogFeatures:

@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from logmatch import PointCloud, ProductBasket, apply_transform
+from logmatch import PointCloud, ProductBasket, SplitSpec, apply_transform, predictor, registration
 from logmatch.cli import _build_parser, main
-from logmatch.io import load_predictions, write_predictions, write_scan, PredictionRow
-from synthdata import box_cloud, log_like_cloud, random_transform, write_dataset_files
+from logmatch.dataset import split, split_indices
+from logmatch.io import load_dataset, load_predictions, write_predictions, write_scan, PredictionRow
+from synthdata import box_cloud, jittered_copy, log_like_cloud, random_transform, write_dataset_files
 
 EPS = 1e-6
 
@@ -290,6 +291,117 @@ class TestExperiment:
         assert code == 0
         # 6 non-empty records -> 3 test logs scored
         assert out.splitlines()[1].endswith(",3")
+
+
+@pytest.fixture()
+def no_alignment(monkeypatch):
+    """Make any ICP alignment fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an alignment ran")
+
+    monkeypatch.setattr(registration, "_align_pairs", refuse)
+    monkeypatch.setattr(predictor, "_align_pairs", refuse)
+
+
+@pytest.fixture()
+def pool_count(monkeypatch):
+    """Count the process pools built for ICP alignments."""
+    built = []
+
+    class CountingPool(predictor.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(predictor, "ProcessPoolExecutor", CountingPool)
+    return built
+
+
+@pytest.fixture()
+def twin_manifest(tmp_path):
+    """Three prototypes, each as two byte-identical twins under different ids
+    plus two jittered copies, so equal distances tie across training logs."""
+    rng = np.random.default_rng(21)
+    entries = []
+    for k in range(3):
+        proto = log_like_cloud(rng, 20)
+        basket = ProductBasket((k, 1, 2 - k))
+        entries += [(f"p{k}twin{m}", proto, basket) for m in range(2)]
+        entries += [(f"p{k}copy{m}", jittered_copy(rng, proto), basket) for m in range(2)]
+    return write_dataset_files(tmp_path, entries)
+
+
+class TestAlignOnce:
+    """experiment aligns every needed (test, train) pair once, in one pool,
+    and reduces each run to an argmin over its rows and columns."""
+
+    ARGS = ("--runs", 3, "--seed", 5, "--train-frac", 0.5)
+
+    def test_outcomes_equal_predict_batch_per_run(self, twin_manifest, capsys, monkeypatch):
+        ds = load_dataset(twin_manifest)
+        spec = SplitSpec(train_fraction=0.5, seed=5, runs=3)
+        expected = []
+        tie_broken_by_training_order = False
+        for run in range(3):
+            train, test = split(ds, spec, run)
+            outcomes = predictor.icp_nn_predict_batch(train.records, [rec.scan for rec in test.records])
+            expected.append([(o.neighbor_id, o.distance) for o in outcomes])
+            ids = [rec.id for rec in train.records]
+            for o in outcomes:
+                twins = [i for i in ids if i.startswith(o.neighbor_id[:2] + "twin")]
+                if o.neighbor_id in twins and o.neighbor_id != min(twins):
+                    tie_broken_by_training_order = True
+        assert tie_broken_by_training_order
+
+        original = predictor.nn_predict_from_distances
+        for jobs in (1, 2, 3):
+            got = []
+
+            def spy(train, distances):
+                outcomes = original(train, distances)
+                got.append([(o.neighbor_id, o.distance) for o in outcomes])
+                return outcomes
+
+            monkeypatch.setattr(predictor, "nn_predict_from_distances", spy)
+            code, _, _ = run_cli(capsys, "experiment", twin_manifest, *self.ARGS, "--jobs", jobs)
+            assert code == 0
+            assert got == expected, f"--jobs {jobs}"
+
+    def test_one_pool_per_command(self, twin_manifest, capsys, pool_count):
+        code, _, _ = run_cli(capsys, "experiment", twin_manifest, *self.ARGS, "--jobs", 2)
+        assert code == 0
+        assert pool_count == [2]
+
+    def test_mean_and_knn_align_nothing(self, twin_manifest, capsys, pool_count, no_alignment):
+        code, _, err = run_cli(capsys, "experiment", twin_manifest, *self.ARGS,
+                               "--predictor", "mean,knn", "--k", 1, "--jobs", 2)
+        assert code == 0
+        assert pool_count == []
+        assert "aligned" not in err
+
+    def test_reports_distinct_and_requested_pairs(self, twin_manifest, capsys):
+        code, _, err = run_cli(capsys, "experiment", twin_manifest, *self.ARGS, "--jobs", 1)
+        assert code == 0
+        spec = SplitSpec(train_fraction=0.5, seed=5, runs=3)
+        splits = [split_indices(12, spec, run) for run in range(3)]
+        distinct = {(i, j) for tr, te in splits for i in te.tolist() for j in tr.tolist()}
+        assert len(distinct) < 3 * 36
+        lines = err.splitlines()
+        assert lines[0] == f"aligned {len(distinct)} distinct pairs for 108 requested over 3 runs"
+        assert lines[1:] == ["run 1/3 done", "run 2/3 done", "run 3/3 done"]
+
+    def test_empty_split_fails_before_aligning(self, twin_manifest, capsys, no_alignment):
+        code, out, err = run_cli(capsys, "experiment", twin_manifest, "--runs", 2, "--train-frac", 0.05)
+        assert code == 2
+        assert out == ""
+        assert "run 0 produced an empty train or test set" in err
+
+    def test_knn_k_above_training_size_fails_before_aligning(self, twin_manifest, capsys, no_alignment):
+        code, out, err = run_cli(capsys, "experiment", twin_manifest, *self.ARGS,
+                                 "--predictor", "icp,knn", "--k", 7)
+        assert code == 2
+        assert out == ""
+        assert "k must be in [1, 6], got 7" in err
 
 
 class TestSplit:

@@ -14,10 +14,12 @@ from logmatch import (
     apply_transform,
     extract_features,
     icp_distance,
+    icp_distance_matrix,
     icp_nn_predict,
     icp_nn_predict_batch,
     knn_feature_predict,
     mean_predict,
+    nn_predict_from_distances,
 )
 from logmatch.geometry import RigidTransform
 from synthdata import box_cloud, log_like_cloud, random_transform
@@ -158,6 +160,52 @@ class TestIcpNnPredict:
         train = [record("a", box_cloud(rng, 5), (1,))]
         with pytest.raises(InvalidInputError):
             icp_nn_predict_batch(train, [box_cloud(rng, 5)], jobs=0)
+
+
+class TestDistanceMatrix:
+    def test_requested_entries_only_at_any_jobs(self):
+        rng = np.random.default_rng(17)
+        scans = [log_like_cloud(rng, 16 + 5 * i) for i in range(5)]
+        pairs = [(0, 1), (0, 3), (2, 1), (4, 3), (1, 1), (3, 0), (0, 1)]
+        for jobs in (1, 2, 3, 8):
+            distances = icp_distance_matrix(scans, pairs, jobs=jobs)
+            assert distances.shape == (5, 5)
+            for i in range(5):
+                for j in range(5):
+                    if (i, j) in pairs:
+                        assert distances[i, j] == icp_distance(scans[i], scans[j])
+                    else:
+                        assert np.isnan(distances[i, j])
+
+    def test_no_pairs_give_all_nan(self):
+        scans = [box_cloud(np.random.default_rng(18), 5)]
+        assert np.isnan(icp_distance_matrix(scans, [], jobs=2)).all()
+
+    def test_rejects_bad_pairs_and_jobs(self):
+        scans = [box_cloud(np.random.default_rng(19), 5) for _ in range(2)]
+        with pytest.raises(InvalidInputError):
+            icp_distance_matrix(scans, [(0, 2)])
+        with pytest.raises(InvalidInputError):
+            icp_distance_matrix(scans, [(-1, 0)])
+        with pytest.raises(InvalidInputError):
+            icp_distance_matrix(scans, [(0, 1)], jobs=0)
+
+
+class TestNnPredictFromDistances:
+    def test_first_minimum_in_column_order(self):
+        rng = np.random.default_rng(20)
+        train = [record(f"t{i}", box_cloud(rng, 5), (i,)) for i in range(3)]
+        outcomes = nn_predict_from_distances(train, np.array([[2.0, 1.0, 1.0], [0.5, 3.0, 0.5]]))
+        assert [(o.neighbor_id, o.distance) for o in outcomes] == [("t1", 1.0), ("t0", 0.5)]
+        assert [o.predicted.quantities for o in outcomes] == [(1,), (0,)]
+
+    def test_rejects_unaligned_entries_and_wrong_width(self):
+        rng = np.random.default_rng(21)
+        train = [record(f"t{i}", box_cloud(rng, 5), (i,)) for i in range(2)]
+        with pytest.raises(InvalidInputError):
+            nn_predict_from_distances(train, np.array([[1.0, np.nan]]))
+        with pytest.raises(InvalidInputError):
+            nn_predict_from_distances(train, np.zeros((1, 3)))
 
 
 class TestExtractFeatures:
