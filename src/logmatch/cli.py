@@ -364,10 +364,11 @@ def cmd_split(args: argparse.Namespace) -> int:
     ids = [entry.id for entry in manifest.entries
            if not (args.drop_empty and entry.basket.is_empty())]
     runs = range(spec.runs) if args.run_index is None else [args.run_index]
+    # Every split is drawn, and checked, before the output is opened.
+    splits = [(run, *dataset_mod.split_indices(len(ids), spec, run)) for run in runs]
     with io_mod._open_out(args.output) as handle:
         handle.write("run,role,id\n")
-        for run in runs:
-            train_idx, test_idx = dataset_mod.split_indices(len(ids), spec, run)
+        for run, train_idx, test_idx in splits:
             for i in train_idx:
                 handle.write(f"{run},train,{ids[i]}\n")
             for i in test_idx:

@@ -11,6 +11,12 @@ nearest tree candidates lie within a relative 1e-9 of each other is re-ranked
 over every model point in a slightly inflated ball by the squared distances
 a linear scan computes.
 
+The ICP engine (registration._NeighbourCache) reuses queries across
+iterations. It asks the index for each point's few nearest tree neighbours
+through the same exact query, and sends a point back only when the
+triangle inequality cannot prove that its match is unchanged. Its matches
+and squared distances come from the same evaluation as query_batch's.
+
 Matching is directional (each moving point gets its closest model point) and
 many-to-one matches are allowed, which is how two clouds of different sizes
 can be compared at all.
@@ -94,7 +100,19 @@ class SpatialIndex:
         pts = np.asarray(xyz, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidInputError(f"queries must have shape (m, 3), got {pts.shape}")
-        dist, nbr = self._tree.query(pts, k=2)
+        idx, _, _ = self._nearest(pts, 2)
+        return idx, _squared_distances(pts, self._points[idx])
+
+    def _nearest(self, pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Exact nearest model index of each row of a float64 (m, 3) array,
+        with the tree's k >= 2 nearest neighbours of each row: (indices (m,),
+        tree distances (m, k), neighbour indices (m, k)).
+
+        The tree orders neighbours at equal distance as it likes, and reports
+        a missing neighbour of a model with fewer than k points at an
+        infinite distance with index len(self).
+        """
+        dist, nbr = self._tree.query(pts, k=k)
         idx = nbr[:, 0].astype(np.int64)
         # A one-point model reports an infinite second distance: never a tie.
         close = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_SLACK))
@@ -110,8 +128,16 @@ class SpatialIndex:
             _, first = np.unique(rows[order], return_index=True)
             best = order[first]
             idx[rows[best]] = cand[best]
-        matched = pts - self._points[idx]
-        return idx, (matched * matched).sum(axis=1)
+        return idx, dist, nbr
+
+
+def _squared_distances(queries: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Squared distance of each row of queries (m, 3) to the same row of
+    targets, a fresh (m, 3) array that is overwritten. Every exact match
+    reports its squared distance through this one evaluation."""
+    np.subtract(queries, targets, out=targets)
+    np.multiply(targets, targets, out=targets)
+    return targets.sum(axis=1)
 
 
 def build_index(model: PointCloud) -> SpatialIndex:

@@ -428,6 +428,22 @@ class TestSplit:
         assert code == 0
         assert {line.split(",")[0] for line in out.splitlines()[1:]} == {"2"}
 
+    @pytest.mark.parametrize("run_index", [4, -1])
+    def test_run_index_out_of_range_writes_nothing(self, tmp_path, capsys, run_index):
+        rng = np.random.default_rng(6)
+        entries = [(f"log{i}", log_like_cloud(rng, 16), ProductBasket((1,))) for i in range(5)]
+        manifest = write_dataset_files(tmp_path, entries)
+        output = tmp_path / "split.csv"
+        code, out, err = run_cli(capsys, "split", manifest, "--runs", 4, "--run-index", run_index,
+                                 "--output", output)
+        assert code == 2
+        assert "run_index must be in [0, 4)" in err
+        assert out == ""
+        assert not output.exists()
+        code, out, err = run_cli(capsys, "split", manifest, "--runs", 4, "--run-index", run_index)
+        assert code == 2
+        assert out == ""
+
     def test_drop_empty_filters_ids(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
         entries = [
