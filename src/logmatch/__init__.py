@@ -12,7 +12,6 @@ from .correspondence import (
     SpatialIndex,
     build_index,
     match_correspondences,
-    nearest_point,
 )
 from .dataset import Dataset, SplitSpec, drop_empty, split, split_indices
 from .errors import InvalidInputError, LogmatchError, NumericalError, ParseError
@@ -45,7 +44,6 @@ from .predictor import (
     ProductBasket,
     extract_features,
     icp_distance_matrix,
-    icp_nn_predict,
     icp_nn_predict_batch,
     knn_feature_predict,
     mean_predict,
@@ -108,14 +106,12 @@ __all__ = [
     "icp_align",
     "icp_distance",
     "icp_distance_matrix",
-    "icp_nn_predict",
     "icp_nn_predict_batch",
     "knn_feature_predict",
     "match_correspondences",
     "max_eigenvector",
     "mean_predict",
     "mse",
-    "nearest_point",
     "nn_predict_from_distances",
     "prediction_score",
     "production_score",

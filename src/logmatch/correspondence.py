@@ -31,7 +31,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
-from .geometry import Point3, PointCloud
+from .geometry import PointCloud
 
 # Relative gap between the two nearest tree distances under which a query
 # is re-ranked exactly. The tree's distances differ from the linear scan's
@@ -145,15 +145,6 @@ def build_index(model: PointCloud) -> SpatialIndex:
     if not isinstance(model, PointCloud):
         raise InvalidInputError("model must be a PointCloud")
     return SpatialIndex(model)
-
-
-def nearest_point(index: SpatialIndex, p: Point3) -> tuple[int, float]:
-    """The model point closest to p: (target_index, squared_distance).
-
-    Ties at equal distance resolve to the lowest target index.
-    """
-    idx, sq = index.query_batch(p.as_array()[None, :])
-    return int(idx[0]), float(sq[0])
 
 
 def match_correspondences(index: SpatialIndex, moving: PointCloud) -> CorrespondenceSet:

@@ -49,9 +49,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(rec.id for rec in self.records)
-
 
 @dataclass(frozen=True)
 class SplitSpec:

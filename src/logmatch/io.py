@@ -17,6 +17,17 @@ Formats are deliberately small and exact:
 Cloud coordinates are written with shortest round-trip decimal formatting,
 so a write/load cycle reproduces the numbers exactly. Parsers never skip a
 malformed row; every defect is a hard error naming the file and line.
+Every file is read as UTF-8; other bytes are a parse error at their line.
+
+Scan data lines are converted in one ``np.loadtxt`` call when the text is
+ASCII, every data line is a row (no blank lines), csv cells are unquoted,
+and the result has the expected shape and only finite coordinates. That
+call splits fields and converts numbers as ``str.split``, ``csv`` and
+``float`` do, except that it rejects some forms ``float`` accepts, such as
+``1_0``. Any other file, and any file it fails on, goes through the
+line-by-line parser of its format, which raises the located error. So the
+array path never accepts a file that the line parser rejects, and the
+coordinates it returns are bit-identical to the line parser's.
 """
 
 from __future__ import annotations
@@ -67,20 +78,68 @@ def load_scan(path, format: str | None = None) -> PointCloud:
     fmt = format if format is not None else scan_format_for(path)
     if fmt not in SCAN_FORMATS:
         raise InvalidInputError(f"unknown scan format {fmt!r}; expected one of {SCAN_FORMATS}")
+    text = _read_text(path)
+    lines = text.splitlines()
+    points = _array_points(path, fmt, text, lines) if text.isascii() else None
+    if points is None:
+        rows = _LINE_PARSERS[fmt](path, lines)
+        if not rows:
+            raise ParseError(path, "scan contains no points")
+        points = np.array(rows, dtype=np.float64)
+    return PointCloud(points)
+
+
+def _read_text(path) -> str:
+    """The text of a UTF-8 file; an unreadable file or a byte sequence that
+    is not UTF-8 is a ParseError, the latter at the line it starts on."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(path, f"cannot read file: {exc}") from exc
-    lines = text.splitlines()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Count lines as str.splitlines does; the bytes before the bad one decode.
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(
+            path, f"not UTF-8 text (byte 0x{data[exc.start]:02x} at offset {exc.start})", line
+        ) from None
+
+
+def _array_points(path, fmt: str, text: str, lines: list[str]) -> np.ndarray | None:
+    """The points of an ASCII scan from one np.loadtxt call over its data
+    lines, or None where the line parser must decide (see the module
+    docstring). PLY header errors are raised here, as the line parser
+    raises them."""
     if fmt == "xyz":
-        points = _parse_xyz(path, lines)
+        points = _number_rows(lines, None, 3)
     elif fmt == "csv":
-        points = _parse_csv_scan(path, lines)
+        if '"' in text or not lines or [cell.strip() for cell in lines[0].split(",")] != ["x", "y", "z"]:
+            return None
+        points = _number_rows(lines[1:], ",", 3)
     else:
-        points = _parse_ply(path, lines)
-    if not points:
-        raise ParseError(path, "scan contains no points")
-    return PointCloud(np.array(points, dtype=np.float64))
+        data_start, elements, vertex_pos, vertex_props, columns = _ply_layout(path, lines)
+        data = lines[data_start:]
+        if len(data) != sum(count for _, count, _ in elements) or not all(map(str.strip, data)):
+            return None
+        first = sum(count for _, count, _ in elements[:vertex_pos])
+        table = _number_rows(data[first:first + elements[vertex_pos][1]], None, len(vertex_props))
+        points = None if table is None else table[:, [columns[axis] for axis in ("x", "y", "z")]]
+    if points is None or not np.isfinite(points).all():
+        return None
+    return points
+
+
+def _number_rows(lines: list[str], delimiter: str | None, width: int) -> np.ndarray | None:
+    """lines as a (len(lines), width) array when each is one row of width
+    numbers np.loadtxt reads, else None; blank lines are not rows here."""
+    if not lines or not all(map(str.strip, lines)):
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape == (len(lines), width) else None
 
 
 def _parse_float(path, lineno: int, token: str) -> float:
@@ -124,7 +183,10 @@ def _parse_csv_scan(path, lines: list[str]) -> list[tuple[float, float, float]]:
     return points
 
 
-def _parse_ply(path, lines: list[str]) -> list[tuple[float, float, float]]:
+def _ply_layout(path, lines: list[str]):
+    """Walk a PLY header. Returns the index of the first data line, the
+    elements as (name, count, [(type, property)]), the vertex element's
+    position and properties, and the column of each of x, y, z."""
     if not lines or lines[0].strip() != "ply":
         raise ParseError(path, "not a PLY file (missing 'ply' magic)", 1)
 
@@ -177,7 +239,7 @@ def _parse_ply(path, lines: list[str]) -> list[tuple[float, float, float]]:
     vertex = [(i, count, props) for i, (name, count, props) in enumerate(elements) if name == "vertex"]
     if not vertex:
         raise ParseError(path, "missing vertex element", data_start)
-    vertex_pos, vertex_count, vertex_props = vertex[0]
+    vertex_pos, _, vertex_props = vertex[0]
     columns = {}
     for col, (ptype, pname) in enumerate(vertex_props):
         if pname in ("x", "y", "z"):
@@ -187,7 +249,12 @@ def _parse_ply(path, lines: list[str]) -> list[tuple[float, float, float]]:
     missing = [name for name in ("x", "y", "z") if name not in columns]
     if missing:
         raise ParseError(path, f"vertex element lacks float properties {missing}", data_start)
+    return data_start, elements, vertex_pos, vertex_props, columns
 
+
+def _parse_ply(path, lines: list[str]) -> list[tuple[float, float, float]]:
+    data_start, elements, vertex_pos, vertex_props, columns = _ply_layout(path, lines)
+    vertex_count = elements[vertex_pos][1]
     data = [
         (no, raw.split())
         for no, raw in enumerate(lines[data_start:], start=data_start + 1)
@@ -212,6 +279,9 @@ def _parse_ply(path, lines: list[str]) -> list[tuple[float, float, float]]:
     if len(points) != vertex_count:
         raise ParseError(path, f"vertex count mismatch: header says {vertex_count}, found {len(points)}")
     return points
+
+
+_LINE_PARSERS = {"xyz": _parse_xyz, "csv": _parse_csv_scan, "ply-ascii": _parse_ply}
 
 
 def write_scan(cloud: PointCloud, path, format: str | None = None) -> None:
@@ -282,11 +352,7 @@ def _read_basket_table(path) -> tuple[tuple[str, ...], dict[str, ProductBasket]]
 
 
 def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(path, f"cannot read file: {exc}") from exc
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(_read_text(path).splitlines())
     return [(reader.line_num, row) for row in reader if row]
 
 

@@ -25,6 +25,13 @@ from .registration import IcpConfig, _align_pairs
 _FEATURE_MIN_POINTS = 10
 _END_SLAB_FRACTION = 0.05
 _VOLUME_SLICES = 100
+# A batched slice hull is certified only above this area, relative to the
+# slice's largest squared centroid distance, and with no point outside it
+# by more than _HULL_SLACK of its area (see _slice_hulls). The rounding
+# error of a hull's area grows with its length over its width, so thinner
+# slices take the Qhull path; on log scans almost none is this thin.
+_FLAT_HULL = 1e-3
+_HULL_SLACK = 1e-13
 
 
 @dataclass(frozen=True)
@@ -141,17 +148,6 @@ def mean_predict(train: Sequence[LogRecord]) -> ProductBasket:
     _check_train(train)
     stacked = np.stack([rec.basket.as_array() for rec in train])
     return ProductBasket(tuple(_round_half_up(stacked.mean(axis=0)).tolist()))
-
-
-def icp_nn_predict(
-    train: Sequence[LogRecord], query: PointCloud, cfg: IcpConfig | None = None
-) -> PredictionOutcome:
-    """Basket of the training log closest to the query under the ICP distance.
-
-    The query is always the moving cloud and each training scan the model.
-    Ties at equal distance resolve to the lowest training index.
-    """
-    return icp_nn_predict_batch(train, [query], cfg)[0]
 
 
 def icp_nn_predict_batch(
@@ -277,8 +273,11 @@ def extract_features(scan: PointCloud) -> LogFeatures:
     Length is the extent along the axis; each end diameter is twice the
     largest radial offset within the 5%-length slab at that end; volume is
     accumulated over 100 axial slices from the convex-hull area of the
-    points projected across the axis (a circle of the slab's largest radius
-    when the hull is degenerate).
+    points projected across the axis. The hulls of all slices are found in
+    one batched pass (_slice_hulls). A slice that pass cannot certify, such
+    as a degenerate one, gets Qhull's area, or the circle of the slice's
+    largest radial offset when it has fewer than 3 points or Qhull finds
+    them degenerate.
     """
     if len(scan) < _FEATURE_MIN_POINTS:
         raise InvalidInputError(f"need at least {_FEATURE_MIN_POINTS} points, got {len(scan)}")
@@ -303,23 +302,107 @@ def extract_features(scan: PointCloud) -> LogFeatures:
     plane = np.column_stack([centered @ vectors[:, 0], centered @ vectors[:, 1]])
     thickness = length / _VOLUME_SLICES
     bins = np.clip(((along - s_min) / thickness).astype(np.int64), 0, _VOLUME_SLICES - 1)
+    areas = _slice_areas(plane, bins, radial, _VOLUME_SLICES)
     volume = 0.0
-    for i in range(_VOLUME_SLICES):
-        mask = bins == i
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        area = None
-        if count >= 3:
-            try:
-                area = float(ConvexHull(plane[mask]).volume)
-            except QhullError:
-                area = None
-        if area is None:
-            area = math.pi * float(radial[mask].max()) ** 2
-        volume += area * thickness
+    for area in areas.tolist():
+        volume += area * thickness  # slice by slice, in axial order
 
     return LogFeatures(volume, length, wide, narrow, (wide - narrow) / length)
+
+
+def _slice_areas(plane: np.ndarray, bins: np.ndarray, radial: np.ndarray, slices: int) -> np.ndarray:
+    """Convex-hull area of each slice's points: plane[k] lies in slice
+    bins[k] at radial offset radial[k]. An empty slice has area 0.
+
+    _slice_hulls solves all slices at once. A slice it does not certify
+    gets the per-slice answer: Qhull's area of its points, or the circle of
+    its largest radial offset when it has fewer than 3 points or Qhull finds
+    them degenerate.
+    """
+    counts = np.bincount(bins, minlength=slices)
+    _, areas, certified = _slice_hulls(plane, bins, slices)
+    largest = np.zeros(slices)
+    np.maximum.at(largest, bins, radial)
+    for i in np.flatnonzero((counts > 0) & ~certified).tolist():
+        area = None
+        if counts[i] >= 3:
+            try:
+                area = float(ConvexHull(plane[bins == i]).volume)
+            except QhullError:
+                pass
+        areas[i] = math.pi * float(largest[i]) ** 2 if area is None else area
+    return areas
+
+
+def _slice_hulls(
+    plane: np.ndarray, bins: np.ndarray, slices: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Convex hulls of the points of every slice in one pass, after Graham's
+    angular-sort scan. Returns the corner indices into plane, grouped by
+    slice and counter-clockwise within it; each slice's area; and whether
+    each slice's hull is certified.
+
+    The points of each slice are sorted by angle around the slice centroid,
+    and only the farthest point at each exact angle is kept. Then every kept
+    point whose turn from its predecessor to its successor (cyclically,
+    within its slice) is not strictly left is dropped, all at once, until
+    none is. The centroid of a slice of positive area is interior to its
+    hull, so with exact angles what remains is the hull's corners, in
+    order; the area is their shoelace sum in centroid-relative coordinates.
+
+    Rounded angles can misorder points that share a ray from the centroid,
+    so the result is checked, not trusted. A slice is certified when it
+    keeps at least 3 corners, its area exceeds _FLAT_HULL times its largest
+    squared centroid distance, the centroid lies strictly inside every
+    edge, and no point lies outside the edge of its angular sector by more
+    than _HULL_SLACK of the slice's area (in twice-triangle-area units). A
+    convex polygon of the slice's own points that contains them all is
+    their hull.
+    """
+    counts = np.bincount(bins, minlength=slices)
+    x, y = plane[:, 0], plane[:, 1]
+    div = np.maximum(counts, 1)
+    dx = x - (np.bincount(bins, weights=x, minlength=slices) / div)[bins]
+    dy = y - (np.bincount(bins, weights=y, minlength=slices) / div)[bins]
+    angle = np.arctan2(dy, dx)
+    angle[angle == -np.pi] = np.pi  # one angle for the direction (-1, 0)
+    dist2 = dx * dx + dy * dy
+    order = np.lexsort((-dist2, angle, bins))
+    kept = np.ones(len(order), dtype=bool)
+    kept[1:] = (bins[order[1:]] != bins[order[:-1]]) | (angle[order[1:]] != angle[order[:-1]])
+    while True:
+        hull = order[kept]
+        corners = np.bincount(bins[hull], minlength=slices)
+        head = (np.cumsum(corners) - corners)[bins[hull]]
+        tail = head + corners[bins[hull]] - 1
+        pos = np.arange(len(hull))
+        prev = hull[np.where(pos == head, tail, pos - 1)]
+        succ = hull[np.where(pos == tail, head, pos + 1)]
+        # Turns in the plane's own coordinates, where exact collinearity
+        # (lattice data) stays exact.
+        turn = (x[hull] - x[prev]) * (y[succ] - y[hull]) - (y[hull] - y[prev]) * (x[succ] - x[hull])
+        if (turn > 0.0).all():
+            break
+        kept[np.flatnonzero(kept)[turn <= 0.0]] = False
+
+    fan = dx[hull] * dy[succ] - dx[succ] * dy[hull]
+    areas = 0.5 * np.bincount(bins[hull], weights=fan, minlength=slices)
+    reach = np.zeros(slices)
+    np.maximum.at(reach, bins, dist2)
+    certified = (corners >= 3) & (areas > _FLAT_HULL * reach)
+    certified &= np.bincount(bins[hull], weights=fan <= 0.0, minlength=slices) == 0
+    # The sector edge of each point in sorted order starts at the last
+    # corner at or before it in its slice, else at the slice's last corner.
+    in_order = bins[order]
+    first = (np.cumsum(corners) - corners)[in_order]
+    edge = np.cumsum(kept) - 1
+    edge = np.where(edge < first, first + corners[in_order] - 1, edge)
+    has_edge = corners[in_order] > 0
+    p, a, b = order[has_edge], hull[edge[has_edge]], succ[edge[has_edge]]
+    side = (x[b] - x[a]) * (y[p] - y[a]) - (y[b] - y[a]) * (x[p] - x[a])
+    outside = side < -_HULL_SLACK * areas[bins[p]]
+    certified &= np.bincount(bins[p], weights=outside, minlength=slices) == 0
+    return hull, areas, certified
 
 
 def knn_feature_predict(

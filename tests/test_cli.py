@@ -485,3 +485,34 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+
+class TestNotUtf8:
+    """Bytes that are not UTF-8 are a located parse error (exit 2), never a traceback."""
+
+    def test_register_scan(self, tmp_path, capsys):
+        path = tmp_path / "bad.xyz"
+        path.write_bytes(b"\xff\xfe1 2 3\n")
+        code, out, err = run_cli(capsys, "register", path, path)
+        assert code == 2
+        assert out == ""
+        assert f"{path}:1: not UTF-8 text (byte 0xff at offset 0)" in err
+
+    def test_predict_baskets_table(self, tiny_dataset, capsys):
+        train, test, root = tiny_dataset
+        baskets = root / "train.baskets.csv"
+        baskets.write_bytes(baskets.read_bytes() + b"caf\xe9,1,2,3\n")
+        code, _, err = run_cli(capsys, "predict", train, test, "--output", root / "pred.csv")
+        assert code == 2
+        assert f"{baskets}:5: not UTF-8 text" in err
+        assert not (root / "pred.csv").exists()
+
+    def test_split_manifest(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        entries = [(f"log{i}", log_like_cloud(rng, 16), ProductBasket((1,))) for i in range(4)]
+        manifest = write_dataset_files(tmp_path, entries)
+        manifest.write_bytes(manifest.read_bytes().replace(b"log2,", b"log\x802,"))
+        code, out, err = run_cli(capsys, "split", manifest, "--runs", 1)
+        assert code == 2
+        assert out == ""
+        assert f"{manifest}:4: not UTF-8 text (byte 0x80" in err

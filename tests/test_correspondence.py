@@ -7,11 +7,9 @@ from hypothesis.extra.numpy import arrays
 from logmatch import (
     CorrespondenceSet,
     InvalidInputError,
-    Point3,
     PointCloud,
     build_index,
     match_correspondences,
-    nearest_point,
 )
 from synthdata import box_cloud
 
@@ -29,30 +27,36 @@ def linear_scan(model_xyz, query_xyz):
     return np.array(indices), np.array(squared)
 
 
+def nearest(index, q):
+    """One query through SpatialIndex.query_batch: (target_index, squared_distance)."""
+    idx, sq = index.query_batch(np.array([q], dtype=np.float64))
+    return int(idx[0]), float(sq[0])
+
+
 class TestNearestPoint:
     def test_single_point_model_answers_everything(self):
         index = build_index(PointCloud([[1.0, 2.0, 3.0]]))
         for q in [(0.0, 0.0, 0.0), (100.0, -5.0, 3.0), (1.0, 2.0, 3.0)]:
-            target, _ = nearest_point(index, Point3(*q))
+            target, _ = nearest(index, q)
             assert target == 0
 
     def test_basic_query(self):
         index = build_index(PointCloud([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]))
-        target, sq = nearest_point(index, Point3(1.0, 0.0, 0.0))
+        target, sq = nearest(index, (1.0, 0.0, 0.0))
         assert (target, sq) == (0, 1.0)
 
     def test_exact_hit_has_zero_distance(self):
         index = build_index(PointCloud([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]))
-        assert nearest_point(index, Point3(10.0, 0.0, 0.0)) == (1, 0.0)
+        assert nearest(index, (10.0, 0.0, 0.0)) == (1, 0.0)
 
     def test_tie_breaks_to_lowest_index(self):
         index = build_index(PointCloud([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]]))
-        target, sq = nearest_point(index, Point3(5.0, 0.0, 0.0))
+        target, sq = nearest(index, (5.0, 0.0, 0.0))
         assert (target, sq) == (0, 25.0)
 
     def test_duplicate_points_query_on_duplicate(self):
         index = build_index(PointCloud([[5.0, 5.0, 5.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]))
-        assert nearest_point(index, Point3(1.0, 1.0, 1.0)) == (1, 0.0)
+        assert nearest(index, (1.0, 1.0, 1.0)) == (1, 0.0)
 
 
 class TestMatchCorrespondences:

@@ -23,6 +23,10 @@ def make_dataset(n, width=2, empties=()):
     return Dataset(tuple(records), width)
 
 
+def ids(ds):
+    return tuple(rec.id for rec in ds.records)
+
+
 class TestDataset:
     def test_rejects_duplicate_ids(self):
         rng = np.random.default_rng(0)
@@ -63,8 +67,8 @@ class TestSplit:
         spec = SplitSpec(seed=7, runs=3)
         first = split(ds, spec, 2)
         second = split(ds, spec, 2)
-        assert first[0].ids() == second[0].ids()
-        assert first[1].ids() == second[1].ids()
+        assert ids(first[0]) == ids(second[0])
+        assert ids(first[1]) == ids(second[1])
 
     def test_fixed_seed_regression(self):
         # frozen at first run: PCG64 seeded with (42, run)
@@ -85,10 +89,10 @@ class TestSplit:
         ds = make_dataset(37)
         for run in range(5):
             train, test = split(ds, SplitSpec(train_fraction=0.31, seed=9, runs=5), run)
-            train_ids = set(train.ids())
-            test_ids = set(test.ids())
+            train_ids = set(ids(train))
+            test_ids = set(ids(test))
             assert not train_ids & test_ids
-            assert train_ids | test_ids == set(ds.ids())
+            assert train_ids | test_ids == set(ids(ds))
 
     def test_run_index_bounds(self):
         ds = make_dataset(10)
@@ -120,13 +124,13 @@ class TestDropEmpty:
 
     def test_no_empties_unchanged(self):
         ds = make_dataset(6)
-        assert drop_empty(ds).ids() == ds.ids()
+        assert ids(drop_empty(ds)) == ids(ds)
 
     def test_idempotent(self):
         ds = make_dataset(9, empties={0, 2, 5})
         once = drop_empty(ds)
         twice = drop_empty(once)
-        assert once.ids() == twice.ids()
+        assert ids(once) == ids(twice)
 
     def test_synthetic_mimic_counts(self):
         # 1207-record mimic with 736 known empties leaves 471

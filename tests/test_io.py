@@ -1,10 +1,16 @@
 import json
 import pickle
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from logmatch import ParseError, ProductBasket, ScoreReport
+from logmatch import ParseError, PointCloud, ProductBasket, ScoreReport
+from logmatch import io
 from logmatch.io import (
     PredictionRow,
     default_baskets_path,
@@ -177,6 +183,205 @@ class TestPlyFormat:
             load_scan(path)
 
 
+def line_parser_load(path, fmt):
+    """The line-by-line parser alone: the path load_scan falls back to."""
+    lines = Path(path).read_bytes().decode("utf-8").splitlines()
+    rows = {"xyz": io._parse_xyz, "csv": io._parse_csv_scan, "ply-ascii": io._parse_ply}[fmt](path, lines)
+    if not rows:
+        raise ParseError(path, "scan contains no points")
+    return np.array(rows, dtype=np.float64)
+
+
+def outcome(load, path, fmt):
+    """Points bit for bit, or the error's message and line."""
+    try:
+        xyz = load(path, fmt)
+    except ParseError as exc:
+        return ("error", str(exc), exc.line)
+    return ("points", xyz.shape, xyz.tobytes())
+
+
+def ply_text(rows, header=None, newline="\n"):
+    header = header or ["element vertex {n}", "property float x", "property float y", "property float z"]
+    lines = ["ply", "format ascii 1.0", *(h.format(n=len(rows)) for h in header), "end_header", *rows]
+    return newline.join(lines) + newline
+
+
+# Number forms: float() accepts some that np.loadtxt does not (underscores,
+# non-ASCII digits and spaces), and both reject or refuse others.
+TOKENS = [
+    "1", "-2.5", "+3", "+.5", "5.", "-0", "-0.0", "1e3", "1E-3", "4.9e-324", "2.2250738585072014e-308",
+    "1.7976931348623157e308", "0.1000000000000000055511151231257827021181583404541015625",
+    "123456789012345678901234567890", "1_0", "1__0", "_1", "1_", "1_0.5e1_0", "nan", "NaN", "-nan", "+nan",
+    "inf", "-Infinity", "INF", "1e400", "-1e400", "1e-400", "0x10", "0X1p3", "1d3", "1D3", "\uff11\uff12",
+    "\u0663.\u0665", "\U0001d7d9", "1,5", "abc", "1.2.3", "--1", "1e", "e3", "#1", "1#", "1+1", "\u00a01",
+    "1\u2003", "1\x00", "\x7f1", "1\x1f", "\"1\"", "'1'", "(1)", "nan(1)",
+]
+
+XYZ_CASES = [
+    *(f"{t} 2 3\n" for t in TOKENS),
+    *(f"1 2 3\n4 5 {t}\n" for t in TOKENS),
+    "1 2 3\n4 5 6\n", "1 2 3\n4 5 6", "1\t2\t3\n4 5\t6\n", "1 2 3\r\n4 5 6\r\n", "1 2 3\r4 5 6\r",
+    "  1   2   3  \n", "1 2 3\n\n4 5 6\n", "1 2 3\n   \n4 5 6\n", "\n\n1 2 3\n", "1 2 3\n\t\n",
+    "# comment\n1 2 3\n", "1 2 3 # comment\n", "1 2\n", "1 2 3 4\n", "1,2,3\n", "1 2 3\n4 5\n",
+    "", "\n \n", "1 2 3\x0b4 5 6\n", "1 2 3\x0c4 5 6\n", "1\x1f2 3\n", "1 2 3\x1c\n",
+    "1\u00a02 3\n", "1 2 3\u20284 5 6\n", "1 2 3\x854 5 6\n",
+]
+
+CSV_CASES = [
+    *(f"x,y,z\n{t},2,3\n" for t in TOKENS),
+    *(f"x,y,z\n1,2,3\n4,5, {t} \n" for t in TOKENS),
+    "x,y,z\n1,2,3\n4,5,6\n", "x,y,z\n1,2,3", "x,y,z\r\n1,2,3\r\n", "x,y,z\r1,2,3\r", " x , y ,z\n1,2,3\n",
+    '"x","y","z"\n1,2,3\n', "X,Y,Z\n1,2,3\n", "x,y\n1,2\n", "1,2,3\n", "x,y,z\n", "", "\nx,y,z\n1,2,3\n",
+    "x,y,z\n 1 , 2 ,3 \n", "x,y,z\n1\t,2,\t3\n", "x,y,z\n1,2,3\n\n4,5,6\n", "x,y,z\n1,2,3\n  \n4,5,6\n",
+    "x,y,z\n1,2,3\n\n", 'x,y,z\n"1",2,3\n', 'x,y,z\n" 1 ",2,3\n', 'x,y,z\n"1,2",3\n',
+    'x,y,z\n"1\n2",3,4\n', 'x,y,z\n1,2,"3\n"\n', 'x,y,z\n1,2,3"\n', "x,y,z\n1,,2,3\n", "x,y,z\n1,2,3,\n",
+    "x,y,z\n,1,2,3\n", "x,y,z\n1,2\n", "x,y,z\n1,,3\n", "x,y,z\n# c\n1,2,3\n", "x,y,z\n1 2 3\n",
+    "x,y,z\n1;2;3\n", "x,y,z\n1,2,3\x0c4,5,6\n", "x,y,z\n1\u00a0,2,3\n",
+]
+
+PLY_CASES = [
+    *(ply_text([f"{t} 2 3"]) for t in TOKENS),
+    *(ply_text(["1 2 3", f"4 5 {t}"]) for t in TOKENS),
+    ply_text(["1 2 3", "4 5 6"]),
+    ply_text(["1 2 3", "4 5 6"]).rstrip("\n"),
+    ply_text(["1 2 3", "4 5 6"], newline="\r\n"),
+    ply_text(["1\t2\t3", " 4  5 6 "]),
+    ply_text(["1 2 3"], ["comment made by hand", "element vertex {n}", "property float x",
+                         "property float y", "property float z"]),
+    ply_text(["1 2 3 255", "4 5 6 0"], ["element vertex {n}", "property float x", "property float y",
+                                        "property float z", "property uchar red"]),
+    ply_text(["1 2 3 red", "4 5 6 nan"], ["element vertex {n}", "property float x", "property float y",
+                                          "property float z", "property uchar red"]),
+    ply_text(["1 2 3 4", "5 6 7 8"], ["element vertex {n}", "property float z", "property double w",
+                                      "property float x", "property float y"]),
+    ply_text(["1 2 3", "4 5 6", "3 0 1 0"], ["element vertex 2", "property float x", "property float y",
+                                            "property float z", "element face 1",
+                                            "property list uchar int vertex_indices"]),
+    ply_text(["3 0 1 0", "1 2 3", "4 5 6"], ["element face 1", "property list uchar int vertex_indices",
+                                            "element vertex 2", "property float x", "property float y",
+                                            "property float z"]),
+    ply_text(["1 2 3", "", "4 5 6"]),
+    ply_text(["1 2 3", "4 5 6", ""]),
+    ply_text(["1 2 3", "4 5 6", "  "]),
+    ply_text(["1 2 3", "4 5 6", ""], ["element vertex 2", "property float x", "property float y",
+                                     "property float z", "element face 1",
+                                     "property list uchar int vertex_indices"]),
+    ply_text(["1 2 3", "", "3 0 1 0"], ["element vertex 1", "property float x", "property float y",
+                                       "property float z", "element face 1",
+                                       "property list uchar int vertex_indices"]),
+    ply_text([], ["element vertex 0", "property float x", "property float y", "property float z"]),
+    ply_text(["3 0 1 0"], ["element vertex 0", "property float x", "property float y", "property float z",
+                           "element face 1", "property list uchar int vertex_indices"]),
+    ply_text(["1 2 3"], ["element vertex 2", "property float x", "property float y", "property float z"]),
+    ply_text(["1 2 3", "4 5 6"], ["element vertex 1", "property float x", "property float y",
+                                 "property float z"]),
+    ply_text(["1 2 3 4"]),
+    ply_text(["1 2"]),
+    ply_text(["# 1 2 3", "1 2 3"]),
+    ply_text(["1,2,3"]),
+    ply_text(["1 2 3"], ["element vertex {n}", "property int x", "property float y", "property float z"]),
+    ply_text(["1 2 3"], ["element vertex {n}", "property float x", "property float y"]),
+    ply_text(["1 2 3"], ["elemental vertex {n}"]),
+    "ply\nformat binary_little_endian 1.0\nelement vertex 0\nend_header\n",
+    "ply\nelement vertex 1\nproperty float x\nproperty float y\nproperty float z\nend_header\n1 2 3\n",
+    "ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\nproperty float y\nproperty float z\n1 2 3\n",
+    "plyx\n", "",
+]
+
+
+class TestArrayPathInvariance:
+    """load_scan gives what the line parsers give: the same array bit for
+    bit, or the same ParseError message and line."""
+
+    @pytest.mark.parametrize(
+        "fmt, text",
+        [pytest.param(fmt, text, id=f"{fmt}-{i}")
+         for fmt, cases in (("xyz", XYZ_CASES), ("csv", CSV_CASES), ("ply-ascii", PLY_CASES))
+         for i, text in enumerate(cases)],
+    )
+    def test_corpus(self, tmp_path, fmt, text):
+        path = tmp_path / "scan.data"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(lambda p, f: load_scan(p, f).xyz, path, fmt) == outcome(line_parser_load, path, fmt)
+
+    @pytest.fixture()
+    def no_line_parser(self, monkeypatch):
+        def refuse(path, lines):
+            raise AssertionError("the line parser ran")
+
+        for fmt in io.SCAN_FORMATS:
+            monkeypatch.setitem(io._LINE_PARSERS, fmt, refuse)
+
+    @pytest.mark.parametrize("suffix", ["xyz", "csv", "ply"])
+    def test_written_files_take_the_array_path(self, tmp_path, suffix, no_line_parser):
+        cloud = box_cloud(np.random.default_rng(2), 40)
+        path = tmp_path / f"cloud.{suffix}"
+        write_scan(cloud, path)
+        assert load_scan(path).xyz.tobytes() == cloud.xyz.tobytes()
+
+    def test_ply_extras_and_padded_csv_take_the_array_path(self, tmp_path, no_line_parser):
+        ply = tmp_path / "extra.ply"
+        ply.write_text(ply_text(["4 1 2 3 255", "8 5 6 7 0", "3 0 1 0"], [
+            "comment made by hand", "element vertex 2", "property double w", "property float z",
+            "property float x", "property float y", "property uchar red", "element face 1",
+            "property list uchar int vertex_indices",
+        ]))
+        padded = tmp_path / "padded.csv"
+        padded.write_text("x,y,z\r\n 1 ,\t2 ,3 \r\n-4,+5,6e0")
+        np.testing.assert_array_equal(load_scan(ply).xyz, [[2, 3, 1], [6, 7, 5]])
+        np.testing.assert_array_equal(load_scan(padded).xyz, [[1, 2, 3], [-4, 5, 6]])
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 2.225073858507201e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e300, 0.1, 1 / 3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    xyz=arrays(np.float64, st.tuples(st.integers(1, 30), st.just(3)),
+               elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                  st.sampled_from(EDGE_FLOATS))),
+    suffix=st.sampled_from(["xyz", "csv", "ply"]),
+)
+def test_write_load_round_trip_is_bit_exact(xyz, suffix):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / f"cloud.{suffix}"
+        write_scan(PointCloud(xyz), path)
+        assert load_scan(path).xyz.tobytes() == xyz.tobytes()
+
+
+class TestNotUtf8:
+    def test_scan_names_the_line(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_bytes(b"1 2 3\n4 5 6\r\n7 \xff 9\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_scan(path)
+        assert (excinfo.value.line, excinfo.value.message) == (3, "not UTF-8 text (byte 0xff at offset 15)")
+
+    def test_line_counts_every_line_break(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_bytes(b"1 2 3\r4 5 6\r\n\n\xe9")
+        with pytest.raises(ParseError, match=r"bad.xyz:4: not UTF-8 text \(byte 0xe9 at offset 14\)"):
+            load_scan(path)
+
+    def test_truncated_sequence_at_the_end(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_bytes("1 2 3\n\u00e9".encode("utf-8")[:-1])
+        with pytest.raises(ParseError, match=r":2: not UTF-8 text \(byte 0xc3 at offset 6\)"):
+            load_scan(path)
+
+    def test_baskets_and_manifest(self, tmp_path):
+        baskets = tmp_path / "b.csv"
+        baskets.write_bytes(b"id,p1\nlog\x801,2\n")
+        with pytest.raises(ParseError, match=r"b.csv:2: not UTF-8 text"):
+            load_baskets(baskets)
+        manifest = tmp_path / "m.csv"
+        manifest.write_bytes(b"\xfeid,scan_path\n")
+        with pytest.raises(ParseError, match=r"m.csv:1: not UTF-8 text"):
+            load_manifest(manifest, baskets)
+
+
 class TestBaskets:
     def test_basic_table(self, tmp_path):
         path = tmp_path / "baskets.csv"
@@ -218,7 +423,7 @@ class TestManifest:
         ]
         manifest = write_dataset_files(tmp_path, entries)
         ds = load_dataset(manifest)
-        assert ds.ids() == ("log0", "log1", "log2", "log3")
+        assert tuple(rec.id for rec in ds.records) == ("log0", "log1", "log2", "log3")
         assert ds.product_count == 2
         assert ds.product_names == ("p1", "p2")
         np.testing.assert_array_equal(ds.records[2].scan.xyz, entries[2][1].xyz)

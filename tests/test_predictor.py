@@ -1,7 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from logmatch import (
     InvalidInputError,
@@ -15,14 +19,14 @@ from logmatch import (
     extract_features,
     icp_distance,
     icp_distance_matrix,
-    icp_nn_predict,
     icp_nn_predict_batch,
     knn_feature_predict,
     mean_predict,
     nn_predict_from_distances,
 )
+from logmatch import predictor
 from logmatch.geometry import RigidTransform
-from synthdata import box_cloud, log_like_cloud, random_transform
+from synthdata import box_cloud, cone_cloud, cylinder_cloud, log_like_cloud, random_transform
 
 
 def record(log_id, cloud, quantities, features=None):
@@ -75,7 +79,7 @@ class TestIcpNnPredict:
     def test_identical_query_returns_own_basket(self):
         rng = np.random.default_rng(5)
         train = [record(f"t{i}", log_like_cloud(rng), (i, 19 - i)) for i in range(4)]
-        outcome = icp_nn_predict(train, train[2].scan)
+        outcome = icp_nn_predict_batch(train, [train[2].scan])[0]
         assert outcome.predicted.quantities == (2, 17)
         assert outcome.neighbor_id == "t2"
         assert outcome.distance == 0.0
@@ -87,7 +91,7 @@ class TestIcpNnPredict:
         train = [record("a", a, (1, 0)), record("b", b, (0, 1))]
         diameter = float(np.linalg.norm(a.xyz.max(0) - a.xyz.min(0)))
         query = PointCloud(a.xyz + rng.uniform(-1e-3, 1e-3, a.xyz.shape) * diameter)
-        outcome = icp_nn_predict(train, query)
+        outcome = icp_nn_predict_batch(train, [query])[0]
         assert outcome.predicted.quantities == (1, 0)
         # oracle: the reported neighbour really is the argmin of the distances
         d_a = icp_distance(query, a)
@@ -100,19 +104,19 @@ class TestIcpNnPredict:
         cloud = log_like_cloud(rng)
         same = PointCloud(cloud.xyz.copy())
         train = [record("first", cloud, (1, 0)), record("second", same, (0, 1))]
-        outcome = icp_nn_predict(train, cloud)
+        outcome = icp_nn_predict_batch(train, [cloud])[0]
         assert outcome.neighbor_id == "first"
         assert outcome.predicted.quantities == (1, 0)
 
     def test_empty_train_rejected(self):
         with pytest.raises(InvalidInputError):
-            icp_nn_predict([], box_cloud(np.random.default_rng(8), 5))
+            icp_nn_predict_batch([], [box_cloud(np.random.default_rng(8), 5)])[0]
 
     def test_training_queries_return_their_own_baskets(self):
         rng = np.random.default_rng(9)
         train = [record(f"t{i}", log_like_cloud(rng), (i + 1, 0)) for i in range(5)]
         for rec in train:
-            outcome = icp_nn_predict(train, rec.scan)
+            outcome = icp_nn_predict_batch(train, [rec.scan])[0]
             assert outcome.neighbor_id == rec.id
             assert outcome.predicted == rec.basket
 
@@ -120,17 +124,17 @@ class TestIcpNnPredict:
         rng = np.random.default_rng(10)
         train = [record(f"t{i}", log_like_cloud(rng), (i, 1)) for i in range(4)]
         query = PointCloud(train[1].scan.xyz + 0.5)
-        baseline = icp_nn_predict(train, query)
+        baseline = icp_nn_predict_batch(train, [query])[0]
         shuffled = [train[2], train[0], train[3], train[1]]
-        assert icp_nn_predict(shuffled, query).predicted == baseline.predicted
+        assert icp_nn_predict_batch(shuffled, [query])[0].predicted == baseline.predicted
 
     def test_rigid_motion_of_query_keeps_prediction(self):
         rng = np.random.default_rng(11)
         train = [record(f"t{i}", log_like_cloud(rng), (i, 2)) for i in range(3)]
         query = PointCloud(train[0].scan.xyz + rng.normal(0, 0.3, train[0].scan.xyz.shape))
-        baseline = icp_nn_predict(train, query)
+        baseline = icp_nn_predict_batch(train, [query])[0]
         moved = apply_transform(random_transform(rng, math.radians(10), 30.0), query)
-        assert icp_nn_predict(train, moved).predicted == baseline.predicted
+        assert icp_nn_predict_batch(train, [moved])[0].predicted == baseline.predicted
 
     def test_batch_matches_sequential_and_jobs(self):
         rng = np.random.default_rng(12)
@@ -233,8 +237,6 @@ class TestExtractFeatures:
         assert feats.volume == pytest.approx(base.volume, rel=0.05)
 
     def test_cone_taper(self):
-        from synthdata import cone_cloud
-
         rng = np.random.default_rng(15)
         cloud = cone_cloud(rng, 20000, length=1000.0, r_wide=100.0, r_narrow=50.0)
         feats = extract_features(cloud)
@@ -253,9 +255,173 @@ class TestExtractFeatures:
 
 
 def cylinder(rng):
-    from synthdata import cylinder_cloud
-
     return cylinder_cloud(rng, 20000, length=1000.0, radius=100.0)
+
+
+# ---------------------------------------------------------------------------
+# batched slice hulls against the per-slice Qhull loop they replace
+
+
+def oracle_slice_area(points, radial):
+    """One slice as extract_features measured it slice by slice: Qhull's
+    hull area, or the circle of the largest radius when there are fewer than
+    3 points or Qhull finds them degenerate. Returns (area, circled)."""
+    if len(points) >= 3:
+        try:
+            return float(ConvexHull(points).volume), False
+        except QhullError:
+            pass
+    return math.pi * float(radial.max()) ** 2, True
+
+
+def oracle_features(scan):
+    """extract_features with its per-slice loop, as it was before the batched hull."""
+    pts = scan.xyz
+    centered = pts - pts.mean(axis=0)
+    _, vectors = np.linalg.eigh(centered.T @ centered / len(scan))
+    axis = vectors[:, 2]
+    along = centered @ axis
+    s_min, s_max = float(along.min()), float(along.max())
+    length = s_max - s_min
+    radial = np.linalg.norm(centered - np.outer(along, axis), axis=1)
+    slab = 0.05 * length
+    d_low = 2.0 * float(radial[along <= s_min + slab].max())
+    d_high = 2.0 * float(radial[along >= s_max - slab].max())
+    wide, narrow = max(d_low, d_high), min(d_low, d_high)
+    plane = np.column_stack([centered @ vectors[:, 0], centered @ vectors[:, 1]])
+    thickness = length / 100
+    bins = np.clip(((along - s_min) / thickness).astype(np.int64), 0, 99)
+    volume = 0.0
+    for i in range(100):
+        mask = bins == i
+        if mask.any():
+            volume += oracle_slice_area(plane[mask], radial[mask])[0] * thickness
+    return LogFeatures(volume, length, wide, narrow, (wide - narrow) / length)
+
+
+def exact_hull(points):
+    """Corners and area of the convex hull of float points, in exact
+    rational arithmetic (monotone chain; collinear points are not corners)."""
+    pts = sorted({(Fraction(x), Fraction(y)) for x, y in points.tolist()})
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    corners = chain(pts) + chain(reversed(pts)) if len(pts) > 2 else pts
+    twice = sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(corners[-1:] + corners[:-1], corners))
+    return {(float(x), float(y)) for x, y in corners}, float(twice / 2)
+
+
+SLICE_KINDS = ("lattice", "run", "collinear", "coincident", "duplicates", "floats")
+
+
+@st.composite
+def slices(draw):
+    """One slice of 3-200 points: integer lattices (exact angle ties and
+    duplicates), collinear runs with a few points beside them, all-collinear
+    and all-coincident slices, duplicated float points and plain floats;
+    then offset by up to 1e4 lattice spacings and scaled by 1e-3 to 1e4."""
+    kind = draw(st.sampled_from(SLICE_KINDS))
+    n = draw(st.integers(3, 200))
+    span = draw(st.sampled_from([1, 2, 3, 5, 20]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    direction = rng.integers(-3, 4, 2)
+    if not direction.any():
+        direction[0] = 1
+    if kind == "lattice":
+        pts = rng.integers(-span, span + 1, (n, 2))
+    elif kind == "run":
+        pts = rng.integers(-5 * span, 5 * span + 1, n)[:, None] * direction
+        beside = int(rng.integers(1, 4))
+        pts[:beside] += rng.integers(-1, 2, (beside, 2))
+    elif kind == "collinear":
+        pts = rng.integers(-span, span + 1, n)[:, None] * direction
+    elif kind == "coincident":
+        pts = np.repeat(rng.integers(-span, span + 1, (1, 2)), n, axis=0)
+    elif kind == "duplicates":
+        base = rng.normal(size=(int(rng.integers(3, 12)), 2))
+        pts = base[rng.integers(0, len(base), n)]
+    else:
+        pts = rng.normal(size=(n, 2))
+    offset = np.array([draw(st.sampled_from([0, 1, -7, 1000, -10000, 10000])) for _ in range(2)])
+    scale = draw(st.sampled_from([1e-3, 0.37, 1.0, 3.0, 1e4]))
+    exact = kind not in ("duplicates", "floats") and scale == 1.0
+    return kind, (pts + offset) * scale, exact, not offset.any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(slices(), min_size=1, max_size=4), data=st.data())
+def test_batched_slice_areas_match_the_oracle(parts, data):
+    """Every slice of a batch: a certified slice has the exact hull's area
+    within 1e-12 relative (and Qhull's when centred), and on exact lattice
+    data exactly the hull's corners; any other slice, including every
+    degenerate one, has the per-slice oracle's area bit for bit."""
+    plane = np.concatenate([pts for _, pts, _, _ in parts])
+    bins = np.concatenate([np.full(len(pts), i) for i, (_, pts, _, _) in enumerate(parts)])
+    shuffle = np.array(data.draw(st.permutations(range(len(bins)))), dtype=np.int64)
+    plane, bins = plane[shuffle], bins[shuffle]
+    radial = np.random.default_rng(len(bins)).uniform(0.5, 2.0, len(bins))
+    slices_total = len(parts) + 1  # the last slice stays empty
+    areas = predictor._slice_areas(plane, bins, radial, slices_total)
+    corners, batched, certified = predictor._slice_hulls(plane, bins, slices_total)
+    assert areas[-1] == 0.0 and not certified[-1]
+    for i, (kind, _, exact, centred) in enumerate(parts):
+        mask = bins == i
+        oracle, circled = oracle_slice_area(plane[mask], radial[mask])
+        if kind in ("collinear", "coincident"):
+            assert not certified[i]
+        if not certified[i]:
+            assert areas[i] == oracle
+            continue
+        assert not circled
+        assert areas[i] == batched[i]
+        hull, area = exact_hull(plane[mask])
+        assert abs(areas[i] - area) <= 1e-12 * area
+        if centred:
+            assert abs(areas[i] - oracle) <= 1e-12 * oracle
+        if exact:
+            assert {tuple(p) for p in plane[corners[bins[corners] == i]].tolist()} == hull
+
+
+def test_duplicated_float_slices_are_certified():
+    """Exact duplicates share an angle and are kept once, so random slices
+    full of them never need the Qhull path."""
+    rng = np.random.default_rng(31)
+    plane, bins = [], []
+    for i in range(200):
+        base = rng.normal(size=(int(rng.integers(3, 30)), 2)) * rng.uniform(1e-3, 1e4)
+        plane.append(base[rng.integers(0, len(base), int(rng.integers(3, 200)))])
+        bins.append(np.full(len(plane[-1]), i))
+    plane, bins = np.concatenate(plane), np.concatenate(bins)
+    _, areas, certified = predictor._slice_hulls(plane, bins, 200)
+    assert certified.all()
+    for i in range(200):
+        _, area = exact_hull(plane[bins == i])
+        assert abs(areas[i] - area) <= 1e-12 * area
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: cylinder(rng),
+    lambda rng: cone_cloud(rng, 20000, length=1000.0, r_wide=100.0, r_narrow=50.0),
+    lambda rng: log_like_cloud(rng, 3000),
+    lambda rng: log_like_cloud(rng, 300),
+    lambda rng: log_like_cloud(rng, 24),
+    lambda rng: box_cloud(rng, 40),
+], ids=["cylinder", "cone", "log3000", "log300", "log24", "box40"])
+@pytest.mark.parametrize("seed", [13, 14, 15])
+def test_features_match_the_per_slice_loop(make, seed):
+    scan = make(np.random.default_rng(seed))
+    got, want = extract_features(scan), oracle_features(scan)
+    assert got.as_array()[1:].tobytes() == want.as_array()[1:].tobytes()
+    assert abs(got.volume - want.volume) <= 1e-12 * want.volume
 
 
 class TestKnnFeaturePredict:
