@@ -228,7 +228,7 @@ def _predict_outcomes(
         basket = predictor_mod.mean_predict(train)
         return [PredictionOutcome(basket) for _ in queries]
     if name == "knn":
-        return [predictor_mod.knn_feature_predict(train, features, k) for features in query_features]
+        return predictor_mod.knn_feature_predict(train, query_features, k)
     raise InvalidInputError(f"unknown predictor {name!r}; expected one of {PREDICTOR_NAMES}")
 
 
@@ -366,13 +366,12 @@ def cmd_split(args: argparse.Namespace) -> int:
     runs = range(spec.runs) if args.run_index is None else [args.run_index]
     # Every split is drawn, and checked, before the output is opened.
     splits = [(run, *dataset_mod.split_indices(len(ids), spec, run)) for run in runs]
-    with io_mod._open_out(args.output) as handle:
-        handle.write("run,role,id\n")
-        for run, train_idx, test_idx in splits:
-            for i in train_idx:
-                handle.write(f"{run},train,{ids[i]}\n")
-            for i in test_idx:
-                handle.write(f"{run},test,{ids[i]}\n")
+    io_mod._write_rows(args.output, ("run", "role", "id"), (
+        (run, role, ids[i])
+        for run, train_idx, test_idx in splits
+        for role, indices in (("train", train_idx), ("test", test_idx))
+        for i in indices
+    ))
     return 0
 
 

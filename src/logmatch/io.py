@@ -14,6 +14,14 @@ Formats are deliberately small and exact:
   s_pro,s_pro_x_pre,n`` with fixed 4-decimal scores, or json mirroring the
   same field names.
 
+Baskets, manifests and predictions are id-keyed tables, read by one
+reader. Blank lines are skipped. The first row is the header; its cells
+are stripped and must match the table's own rule. Every later row has
+exactly as many cells as the header, and its first cell, stripped, is a
+non-empty id no earlier row has. Quantities are non-negative integers.
+Predictions, csv reports and the partition lists of ``split`` are written
+by one csv writer, so cells are quoted as csv requires.
+
 Cloud coordinates are written with shortest round-trip decimal formatting,
 so a write/load cycle reproduces the numbers exactly. Parsers never skip a
 malformed row; every defect is a hard error naming the file and line.
@@ -314,46 +322,56 @@ def write_scan(cloud: PointCloud, path, format: str | None = None) -> None:
 
 def load_baskets(path) -> dict[str, ProductBasket]:
     """Integer baskets keyed by log id, from a csv with header id,<product...>."""
-    _, table = _read_basket_table(path)
-    return table
+    return _read_basket_table(path)[1]
 
 
 def _read_basket_table(path) -> tuple[tuple[str, ...], dict[str, ProductBasket]]:
-    rows = _read_csv_rows(path)
-    if not rows:
-        raise ParseError(path, "missing header", 1)
-    lineno, header = rows[0]
+    header, rows = _read_table(path, lambda header: len(header) >= 2 and header[0] == "id",
+                               "id,<product columns>")
+    return tuple(header[1:]), {log_id: _basket(path, line, cells) for line, log_id, cells in rows}
+
+
+def _read_table(path, header_ok, header_text: str):
+    """The stripped header of an id-keyed table and a generator of its rows
+    as (line, id, other cells) in file order. Each row is checked as it is
+    drawn, so the first defect by line is raised, the caller's included."""
+    reader = csv.reader(_read_text(path).splitlines())
+    rows = ((reader.line_num, row) for row in reader if row)
+    line, header = next(rows, (1, None))
+    if header is None:
+        raise ParseError(path, "missing header", line)
     header = [cell.strip() for cell in header]
-    if len(header) < 2 or header[0] != "id":
-        raise ParseError(path, "expected header id,<product columns>", lineno)
-    names = tuple(header[1:])
-    width = len(names)
-    table: dict[str, ProductBasket] = {}
-    for lineno, row in rows[1:]:
-        if len(row) != width + 1:
-            raise ParseError(path, f"expected {width + 1} columns, got {len(row)}", lineno)
+    if not header_ok(header):
+        raise ParseError(path, f"expected header {header_text}", line)
+    return header, _table_rows(path, len(header), rows)
+
+
+def _table_rows(path, width: int, rows):
+    seen = set()
+    for line, row in rows:
+        if len(row) != width:
+            raise ParseError(path, f"expected {width} columns, got {len(row)}", line)
         log_id = row[0].strip()
         if not log_id:
-            raise ParseError(path, "empty id", lineno)
-        if log_id in table:
-            raise ParseError(path, f"duplicate id {log_id!r}", lineno)
-        quantities = []
-        for cell in row[1:]:
-            token = cell.strip()
-            try:
-                value = int(token)
-            except ValueError:
-                raise ParseError(path, f"non-integer quantity {token!r}", lineno) from None
-            if value < 0:
-                raise ParseError(path, f"negative quantity {value}", lineno)
-            quantities.append(value)
-        table[log_id] = ProductBasket(tuple(quantities))
-    return names, table
+            raise ParseError(path, "empty id", line)
+        if log_id in seen:
+            raise ParseError(path, f"duplicate id {log_id!r}", line)
+        seen.add(log_id)
+        yield line, log_id, row[1:]
 
 
-def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
-    reader = csv.reader(_read_text(path).splitlines())
-    return [(reader.line_num, row) for row in reader if row]
+def _basket(path, line: int, cells: Sequence[str]) -> ProductBasket:
+    quantities = []
+    for cell in cells:
+        token = cell.strip()
+        try:
+            value = int(token)
+        except ValueError:
+            raise ParseError(path, f"non-integer quantity {token!r}", line) from None
+        if value < 0:
+            raise ParseError(path, f"negative quantity {value}", line)
+        quantities.append(value)
+    return ProductBasket(tuple(quantities))
 
 
 # ---------------------------------------------------------------------------
@@ -383,29 +401,12 @@ def default_baskets_path(manifest_path) -> Path:
 
 
 def _read_manifest_rows(path) -> list[tuple[str, Path]]:
-    rows = _read_csv_rows(path)
-    if not rows:
-        raise ParseError(path, "missing header", 1)
-    lineno, header = rows[0]
-    if [cell.strip() for cell in header] != ["id", "scan_path"]:
-        raise ParseError(path, "expected header id,scan_path", lineno)
-    base = Path(path).parent
+    _, rows = _read_table(path, lambda header: header == ["id", "scan_path"], "id,scan_path")
     out: list[tuple[str, Path]] = []
-    seen = set()
-    for lineno, row in rows[1:]:
-        if len(row) != 2:
-            raise ParseError(path, f"expected 2 columns, got {len(row)}", lineno)
-        log_id = row[0].strip()
-        if not log_id:
-            raise ParseError(path, "empty id", lineno)
-        if log_id in seen:
-            raise ParseError(path, f"duplicate id {log_id!r}", lineno)
-        seen.add(log_id)
-        scan_path = Path(row[1].strip())
-        if not scan_path.is_absolute():
-            scan_path = base / scan_path
+    for line, log_id, (cell,) in rows:
+        scan_path = Path(path).parent / cell.strip()  # an absolute scan path stays as it is
         if not scan_path.is_file():
-            raise ParseError(path, f"scan file does not exist: {scan_path}", lineno)
+            raise ParseError(path, f"scan file does not exist: {scan_path}", line)
         out.append((log_id, scan_path))
     return out
 
@@ -460,58 +461,39 @@ def _open_out(path):
             yield handle
 
 
-def write_predictions(rows: Sequence[PredictionRow], product_names: Sequence[str], path) -> None:
-    """Write predictions as csv: id,neighbor_id,distance,<product...>."""
+def _write_rows(path, header: Sequence[object], rows) -> None:
+    """Write a csv table to path, or to stdout for "-"."""
     with _open_out(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["id", "neighbor_id", "distance", *product_names])
-        for row in rows:
-            if len(row.basket) != len(product_names):
-                raise InvalidInputError(
-                    f"prediction for {row.id!r} has {len(row.basket)} products, expected {len(product_names)}"
-                )
-            writer.writerow([
-                row.id,
-                row.neighbor_id if row.neighbor_id is not None else "",
-                repr(float(row.distance)) if row.distance is not None else "",
-                *row.basket.quantities,
-            ])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_predictions(rows: Sequence[PredictionRow], product_names: Sequence[str], path) -> None:
+    """Write predictions as csv: id,neighbor_id,distance,<product...>."""
+    def cells(row: PredictionRow) -> list[object]:
+        if len(row.basket) != len(product_names):
+            raise InvalidInputError(
+                f"prediction for {row.id!r} has {len(row.basket)} products, expected {len(product_names)}"
+            )
+        return [row.id, row.neighbor_id if row.neighbor_id is not None else "",
+                repr(float(row.distance)) if row.distance is not None else "", *row.basket.quantities]
+
+    _write_rows(path, ["id", "neighbor_id", "distance", *product_names], map(cells, rows))
 
 
 def load_predictions(path) -> list[PredictionRow]:
     """Read a predictions csv back into rows."""
-    rows = _read_csv_rows(path)
-    if not rows:
-        raise ParseError(path, "missing header", 1)
-    lineno, header = rows[0]
-    header = [cell.strip() for cell in header]
-    if header[:3] != ["id", "neighbor_id", "distance"] or len(header) < 4:
-        raise ParseError(path, "expected header id,neighbor_id,distance,<product columns>", lineno)
-    width = len(header) - 3
-    out = []
-    seen = set()
-    for lineno, row in rows[1:]:
-        if len(row) != width + 3:
-            raise ParseError(path, f"expected {width + 3} columns, got {len(row)}", lineno)
-        log_id = row[0].strip()
-        if not log_id:
-            raise ParseError(path, "empty id", lineno)
-        if log_id in seen:
-            raise ParseError(path, f"duplicate id {log_id!r}", lineno)
-        seen.add(log_id)
-        neighbor = row[1].strip() or None
-        distance = _parse_float(path, lineno, row[2].strip()) if row[2].strip() else None
-        quantities = []
-        for cell in row[3:]:
-            try:
-                value = int(cell.strip())
-            except ValueError:
-                raise ParseError(path, f"non-integer quantity {cell.strip()!r}", lineno) from None
-            if value < 0:
-                raise ParseError(path, f"negative quantity {value}", lineno)
-            quantities.append(value)
-        out.append(PredictionRow(log_id, neighbor, distance, ProductBasket(tuple(quantities))))
-    return out
+    _, rows = _read_table(
+        path, lambda header: header[:3] == ["id", "neighbor_id", "distance"] and len(header) >= 4,
+        "id,neighbor_id,distance,<product columns>",
+    )
+    return [
+        PredictionRow(log_id, neighbor.strip() or None,
+                      _parse_float(path, line, distance.strip()) if distance.strip() else None,
+                      _basket(path, line, quantities))
+        for line, log_id, (neighbor, distance, *quantities) in rows
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -543,27 +525,14 @@ def write_report(
         raise InvalidInputError(f"{len(names)} labels for {len(items)} reports")
 
     if format == "csv":
-        with _open_out(path) as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(REPORT_COLUMNS)
-            for label, report in zip(names, items):
-                writer.writerow([
-                    label,
-                    *(f"{value:.4f}" for value in report.values()),
-                    report.n_evaluated,
-                ])
+        _write_rows(path, REPORT_COLUMNS, (
+            [label, *(f"{value:.4f}" for value in report.values()), report.n_evaluated]
+            for label, report in zip(names, items)
+        ))
     elif format == "json":
         payload: object = [
-            {
-                "predictor": label,
-                "s_z": round(report.s_z, 4),
-                "one_minus_dH": round(report.one_minus_dH, 4),
-                "one_minus_dHplus": round(report.one_minus_dHplus, 4),
-                "s_pre": round(report.s_pre, 4),
-                "s_pro": round(report.s_pro, 4),
-                "s_pro_x_pre": round(report.s_pro_x_pre, 4),
-                "n": report.n_evaluated,
-            }
+            dict(zip(REPORT_COLUMNS, [label, *(round(value, 4) for value in report.values()),
+                                      report.n_evaluated]))
             for label, report in zip(names, items)
         ]
         if single:

@@ -406,19 +406,22 @@ def _slice_hulls(
 
 
 def knn_feature_predict(
-    train: Sequence[LogRecord], query_features: LogFeatures, k: int
-) -> PredictionOutcome:
-    """k-nearest-neighbour basket prediction in standardized feature space.
+    train: Sequence[LogRecord], query_features: Sequence[LogFeatures], k: int
+) -> list[PredictionOutcome]:
+    """k-nearest-neighbour basket predictions in standardized feature space,
+    one per query, in query order.
 
     Features are z-scored with statistics from the training set (constant
-    features are ignored); the prediction is the half-up-rounded mean of
+    features are ignored); each prediction is the half-up-rounded mean of
     the k nearest baskets. Ties at the k-th distance keep the lowest
     training index. The reported neighbour is the single nearest record and
     its distance is in standardized feature space, not mm^2.
     """
     _check_train(train)
-    if not isinstance(query_features, LogFeatures):
-        raise InvalidInputError("query_features must be a LogFeatures")
+    if isinstance(query_features, LogFeatures) or not all(
+        isinstance(features, LogFeatures) for features in query_features
+    ):
+        raise InvalidInputError("query_features must be a sequence of LogFeatures")
     if k < 1 or k > len(train):
         raise InvalidInputError(f"k must be in [1, {len(train)}], got {k}")
     missing = [rec.id for rec in train if rec.features is None]
@@ -429,13 +432,15 @@ def knn_feature_predict(
     mu = table.mean(axis=0)
     sd = table.std(axis=0)
     active = sd > 0.0
-    z_train = (table[:, active] - mu[active]) / sd[active]
-    z_query = (query_features.as_array()[active] - mu[active]) / sd[active]
-    dist = np.sqrt(((z_train - z_query) ** 2).sum(axis=1))
-
-    order = np.argsort(dist, kind="stable")
-    chosen = order[:k]
-    stacked = np.stack([train[i].basket.as_array() for i in chosen])
-    predicted = ProductBasket(tuple(_round_half_up(stacked.mean(axis=0)).tolist()))
-    nearest = int(order[0])
-    return PredictionOutcome(predicted, train[nearest].id, float(dist[nearest]))
+    mu, sd = mu[active], sd[active]
+    z_train = (table[:, active] - mu) / sd
+    outcomes = []
+    for features in query_features:
+        z_query = (features.as_array()[active] - mu) / sd
+        dist = np.sqrt(((z_train - z_query) ** 2).sum(axis=1))
+        order = np.argsort(dist, kind="stable")
+        stacked = np.stack([train[i].basket.as_array() for i in order[:k]])
+        predicted = ProductBasket(tuple(_round_half_up(stacked.mean(axis=0)).tolist()))
+        nearest = int(order[0])
+        outcomes.append(PredictionOutcome(predicted, train[nearest].id, float(dist[nearest])))
+    return outcomes

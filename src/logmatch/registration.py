@@ -628,8 +628,6 @@ def icp_align(
     moving: PointCloud,
     model: PointCloud,
     cfg: IcpConfig | None = None,
-    *,
-    model_index: SpatialIndex | None = None,
 ) -> tuple[RegistrationResult, IcpTrace]:
     """Iteratively align the moving cloud onto the model cloud.
 
@@ -639,18 +637,11 @@ def icp_align(
     Iteration stops when the drop in mean-square error falls strictly below
     cfg.tau, or after cfg.max_iterations registrations. The first error has
     no predecessor, so convergence is checked from the second iteration on.
-
-    Pass a prebuilt model_index to amortize index construction over many
-    alignments against the same model. This is the lockstep engine on a
-    batch of one pair.
+    This is the lockstep engine on a batch of one pair.
     """
     if cfg is None:
         cfg = IcpConfig()
-    index = model_index if model_index is not None else build_index(model)
-    if index.points.shape != model.xyz.shape or not np.array_equal(index.points, model.xyz):
-        raise InvalidInputError("model_index was not built over the given model cloud")
-
-    run = _align_pairs([moving.xyz], [index], [(0, 0)], cfg, record=True)
+    run = _align_pairs([moving.xyz], [build_index(model)], [(0, 0)], cfg, record=True)
     entries = tuple(
         IcpIteration(k, e, RigidTransform(UnitQuaternion(*q), t))
         for k, (e, q, t) in enumerate(run.history[0])

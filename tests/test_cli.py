@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -124,6 +125,15 @@ class TestPredict:
         )
         assert code == 0
         assert len(load_predictions(out_path)) == 3
+
+    def test_knn_k_is_checked_without_test_logs(self, tiny_dataset, capsys):
+        train, _, root = tiny_dataset
+        (root / "none.csv").write_text("id,scan_path\n")
+        code, out, err = run_cli(capsys, "predict", train, root / "none.csv", "--predictor", "knn",
+                                 "--k", 4)
+        assert code == 2
+        assert out == ""
+        assert "k must be in [1, 3], got 4" in err
 
     def test_jobs_do_not_change_bytes(self, tiny_dataset, capsys):
         train, test, root = tiny_dataset
@@ -443,6 +453,18 @@ class TestSplit:
         code, out, err = run_cli(capsys, "split", manifest, "--runs", 4, "--run-index", run_index)
         assert code == 2
         assert out == ""
+
+    def test_ids_are_csv_quoted(self, tmp_path, capsys):
+        rng = np.random.default_rng(9)
+        write_scan(log_like_cloud(rng, 16), tmp_path / "a.xyz")
+        (tmp_path / "m.csv").write_text('id,scan_path\n"log,1",a.xyz\nplain,a.xyz\n"say ""hi""",a.xyz\n')
+        (tmp_path / "m.baskets.csv").write_text('id,p1\n"log,1",1\nplain,2\n"say ""hi""",3\n')
+        code, out, _ = run_cli(capsys, "split", tmp_path / "m.csv", "--runs", 1)
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert rows[0] == ["run", "role", "id"]
+        assert all(len(row) == 3 for row in rows)
+        assert sorted(row[2] for row in rows[1:]) == sorted(["log,1", "plain", 'say "hi"'])
 
     def test_drop_empty_filters_ids(self, tmp_path, capsys):
         rng = np.random.default_rng(7)

@@ -471,6 +471,68 @@ class TestPredictions:
         assert first == "id,neighbor_id,distance,p1"
 
 
+# (table, file text, line, message); "{root}" is the directory of the file.
+TABLE_ERRORS = [
+    ("baskets", "", 1, "missing header"),
+    ("baskets", "\n \n", 2, "expected header id,<product columns>"),
+    ("baskets", "name,p1\nA,1\n", 1, "expected header id,<product columns>"),
+    ("baskets", "\n\nid\nA\n", 3, "expected header id,<product columns>"),
+    ("baskets", "id,p1,p2\nA,1\n", 2, "expected 3 columns, got 2"),
+    ("baskets", "id,p1\nA,1,2\n", 2, "expected 2 columns, got 3"),
+    ("baskets", "id,p1\n ,1\n", 2, "empty id"),
+    ("baskets", "id,p1\nA,1\n\n A ,2\n", 4, "duplicate id 'A'"),
+    ("baskets", "id,p1\nA,1.5\n", 2, "non-integer quantity '1.5'"),
+    ("baskets", "id,p1\nA, \n", 2, "non-integer quantity ''"),
+    ("baskets", "id,p1\nA,-1\n", 2, "negative quantity -1"),
+    ("baskets", "id,p1\nA,x\nB,1,2\n", 2, "non-integer quantity 'x'"),
+    ("baskets", "id,p1,p2\nA,1\nB,-1,x\n", 2, "expected 3 columns, got 2"),
+    ("baskets", "id,p1,p2\nA,-1,x\n", 2, "negative quantity -1"),
+    ("manifest", "", 1, "missing header"),
+    ("manifest", "id,path\nA,a.xyz\n", 1, "expected header id,scan_path"),
+    ("manifest", "id,scan_path,extra\nA,a.xyz,1\n", 1, "expected header id,scan_path"),
+    ("manifest", "id,scan_path\nA\n", 2, "expected 2 columns, got 1"),
+    ("manifest", "id,scan_path\n,a.xyz\n", 2, "empty id"),
+    ("manifest", "id,scan_path\nA,a.xyz\nB,a.xyz\nA,a.xyz\n", 4, "duplicate id 'A'"),
+    ("manifest", "id,scan_path\nA,missing.xyz\n", 2, "scan file does not exist: {root}/missing.xyz"),
+    ("manifest", "id,scan_path\nA,{root}/elsewhere/a.xyz\n", 2,
+     "scan file does not exist: {root}/elsewhere/a.xyz"),
+    ("manifest", "id,scan_path\nA,missing.xyz\n,a.xyz\n", 2, "scan file does not exist: {root}/missing.xyz"),
+    ("manifest", "id,scan_path\nA,a.xyz\nA,missing.xyz\n", 3, "duplicate id 'A'"),
+    ("predictions", "", 1, "missing header"),
+    ("predictions", "id,neighbor_id,distance\nA,,\n", 1,
+     "expected header id,neighbor_id,distance,<product columns>"),
+    ("predictions", "id,neighbour_id,distance,p1\nA,,,1\n", 1,
+     "expected header id,neighbor_id,distance,<product columns>"),
+    ("predictions", "id,neighbor_id,distance,p1\nA,,\n", 2, "expected 4 columns, got 3"),
+    ("predictions", "id,neighbor_id,distance,p1\n,t1,1.0,1\n", 2, "empty id"),
+    ("predictions", "id,neighbor_id,distance,p1\nA,t1,1.0,1\nA,t1,1.0,1\n", 3, "duplicate id 'A'"),
+    ("predictions", "id,neighbor_id,distance,p1\nA,t1,inf,1\n", 2, "non-finite value 'inf'"),
+    ("predictions", "id,neighbor_id,distance,p1\nA,t1,x,1\n", 2, "non-numeric value 'x'"),
+    ("predictions", "id,neighbor_id,distance,p1\nA,t1,1.0,2.0\n", 2, "non-integer quantity '2.0'"),
+    ("predictions", "id,neighbor_id,distance,p1\nA,t1,1.0,-3\n", 2, "negative quantity -3"),
+    ("predictions", "id,neighbor_id,distance,p1\nA,t1,nan,-3\n", 2, "non-finite value 'nan'"),
+    ("predictions", "id,neighbor_id,distance,p1\nA,,,x\nA,,,1,2\n", 2, "non-integer quantity 'x'"),
+]
+
+
+@pytest.mark.parametrize("table, text, line, message", TABLE_ERRORS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(TABLE_ERRORS)])
+def test_table_error_corpus(tmp_path, table, text, line, message):
+    """Each table defect is one ParseError with this exact message and
+    line; in a file with several defects the first by line is raised."""
+    (tmp_path / "a.xyz").write_text("0 0 0\n")
+    baskets = tmp_path / "b.csv"
+    baskets.write_text("id,p1\nA,1\nB,2\n")
+    path = tmp_path / "t.csv"
+    path.write_text(text.format(root=tmp_path))
+    load = {"baskets": load_baskets, "manifest": lambda p: load_manifest(p, baskets),
+            "predictions": load_predictions}[table]
+    with pytest.raises(ParseError) as excinfo:
+        load(path)
+    error = excinfo.value
+    assert (error.path, error.line, error.message) == (str(path), line, message.format(root=tmp_path))
+
+
 class TestReports:
     @staticmethod
     def report(value=1.0, n=3):

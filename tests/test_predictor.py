@@ -424,6 +424,25 @@ def test_features_match_the_per_slice_loop(make, seed):
     assert abs(got.volume - want.volume) <= 1e-12 * want.volume
 
 
+def oracle_knn(train, query_features, k):
+    """The per-query knn predictor: the training table is z-scored again
+    for every query."""
+    table = np.stack([rec.features.as_array() for rec in train])
+    mu = table.mean(axis=0)
+    sd = table.std(axis=0)
+    active = sd > 0.0
+    z_train = (table[:, active] - mu[active]) / sd[active]
+    z_query = (query_features.as_array()[active] - mu[active]) / sd[active]
+    dist = np.sqrt(((z_train - z_query) ** 2).sum(axis=1))
+
+    order = np.argsort(dist, kind="stable")
+    chosen = order[:k]
+    stacked = np.stack([train[i].basket.as_array() for i in chosen])
+    predicted = ProductBasket(tuple(predictor._round_half_up(stacked.mean(axis=0)).tolist()))
+    nearest = int(order[0])
+    return PredictionOutcome(predicted, train[nearest].id, float(dist[nearest]))
+
+
 class TestKnnFeaturePredict:
     @staticmethod
     def featured_train(rng, baskets, spread=0.01):
@@ -442,7 +461,7 @@ class TestKnnFeaturePredict:
     def test_exact_feature_copy_with_k1(self):
         rng = np.random.default_rng(17)
         train = self.featured_train(rng, [(1, 0), (0, 1), (2, 2)])
-        outcome = knn_feature_predict(train, train[1].features, k=1)
+        outcome = knn_feature_predict(train, [train[1].features], k=1)[0]
         assert outcome.predicted.quantities == (0, 1)
         assert outcome.neighbor_id == "t1"
         assert outcome.distance == 0.0
@@ -450,7 +469,7 @@ class TestKnnFeaturePredict:
     def test_k_equal_train_size_reduces_to_mean(self):
         rng = np.random.default_rng(18)
         train = self.featured_train(rng, [(2, 0), (4, 0), (0, 3)])
-        outcome = knn_feature_predict(train, train[0].features, k=3)
+        outcome = knn_feature_predict(train, [train[0].features], k=3)[0]
         assert outcome.predicted == mean_predict(train)
 
     def test_two_cluster_construction(self):
@@ -463,19 +482,53 @@ class TestKnnFeaturePredict:
             feats = LogFeatures(9e6 + i, 2000.0, 500.0, 400.0, 0.05)
             train.append(record(f"l{i}", box_cloud(rng, 12), (0, 7), feats))
         query = LogFeatures(1.1e5, 510.0, 121.0, 81.0, 0.081)
-        outcome = knn_feature_predict(train, query, k=3)
+        outcome = knn_feature_predict(train, [query], k=3)[0]
         assert outcome.predicted.quantities == (5, 0)
 
     def test_k_bounds(self):
         rng = np.random.default_rng(20)
         train = self.featured_train(rng, [(1, 0), (0, 1)])
         with pytest.raises(InvalidInputError):
-            knn_feature_predict(train, train[0].features, k=0)
+            knn_feature_predict(train, [train[0].features], k=0)[0]
         with pytest.raises(InvalidInputError):
-            knn_feature_predict(train, train[0].features, k=3)
+            knn_feature_predict(train, [train[0].features], k=3)[0]
 
     def test_missing_features_rejected(self):
         rng = np.random.default_rng(21)
         bare = [record("a", box_cloud(rng, 12), (1,)), record("b", box_cloud(rng, 12), (2,))]
         with pytest.raises(InvalidInputError):
-            knn_feature_predict(bare, LogFeatures(1.0, 1.0, 1.0, 1.0, 0.0), k=1)
+            knn_feature_predict(bare, [LogFeatures(1.0, 1.0, 1.0, 1.0, 0.0)], k=1)[0]
+
+    def test_bare_features_rejected(self):
+        rng = np.random.default_rng(22)
+        train = self.featured_train(rng, [(1, 0), (0, 1)])
+        with pytest.raises(InvalidInputError, match="sequence of LogFeatures"):
+            knn_feature_predict(train, train[0].features, k=1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_query_oracle(self, seed):
+        """Bit-identical to the per-query oracle, with exact ties at the
+        k-th distance (duplicated training features), a constant feature,
+        and queries both on and off the training points."""
+        rng = np.random.default_rng(seed)
+        train = []
+        for i in range(12):
+            base = i // 3  # each feature vector appears three times
+            narrow = 80.0 + 10.0 * base
+            # length is constant over the training set
+            feats = LogFeatures(1e6 * (1 + base), 1000.0, narrow + 40.0 + base, narrow, 0.04 + 0.01 * base)
+            basket = tuple(int(q) for q in rng.integers(0, 6, size=3))
+            train.append(record(f"t{i}", box_cloud(rng, 8), basket, feats))
+        queries = [rec.features for rec in train] + [
+            LogFeatures(float(rng.uniform(5e5, 5e6)), float(rng.uniform(500, 1500)), 200.0,
+                        float(rng.uniform(50, 150)), float(rng.uniform(0.0, 0.2)))
+            for _ in range(6)
+        ]
+        for k in (1, 2, 3, 4, 12):
+            got = knn_feature_predict(train, queries, k)
+            want = [oracle_knn(train, query, k) for query in queries]
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.predicted == b.predicted
+                assert a.neighbor_id == b.neighbor_id
+                assert a.distance.hex() == b.distance.hex()

@@ -271,21 +271,6 @@ class TestIcpAlign:
             moved = icp_distance(apply_transform(g, a), apply_transform(g, b))
             assert moved == pytest.approx(base, rel=1e-9, abs=1e-9)
 
-    def test_prebuilt_index_matches_fresh(self):
-        rng = np.random.default_rng(15)
-        a = box_cloud(rng, 100)
-        b = box_cloud(rng, 130)
-        fresh, _ = icp_align(a, b)
-        reused, _ = icp_align(a, b, model_index=build_index(b))
-        assert fresh.mse == reused.mse
-
-    def test_prebuilt_index_must_match_model(self):
-        rng = np.random.default_rng(16)
-        a = box_cloud(rng, 50)
-        b = box_cloud(rng, 60)
-        with pytest.raises(InvalidInputError):
-            icp_align(a, b, model_index=build_index(a))
-
     def test_stride_subsampling_still_aligns(self):
         rng = np.random.default_rng(17)
         cloud = box_cloud(rng, 400)
@@ -480,8 +465,7 @@ class TestLockstepEngine:
         moving, models, pairs = engine_case(np.random.default_rng(33))
         run = _align_pairs(moving, models, pairs, IcpConfig())
         for k, (i, j) in enumerate(pairs):
-            result, trace = icp_align(PointCloud(moving[i]), PointCloud(models[j].points),
-                                      model_index=models[j])
+            result, trace = icp_align(PointCloud(moving[i]), PointCloud(models[j].points))
             assert result.mse == run.mse[k]
             np.testing.assert_array_equal(result.transform.translation, run.translations[k])
             assert len(trace.iterations) == run.iterations[k]
@@ -523,8 +507,7 @@ class TestNeighbourCertificates:
 
         def traces():
             for i, j in pairs:
-                result, trace = icp_align(PointCloud(moving[i]), PointCloud(models[j].points),
-                                          model_index=models[j])
+                result, trace = icp_align(PointCloud(moving[i]), PointCloud(models[j].points))
                 yield result.mse, trace.terminal_reason, [
                     (entry.index, entry.mse, entry.transform.rotation.as_array().tobytes(),
                      entry.transform.translation.tobytes()) for entry in trace.iterations]
