@@ -16,12 +16,10 @@ from .correspondence import (
 from .dataset import Dataset, SplitSpec, drop_empty, split, split_indices
 from .errors import InvalidInputError, LogmatchError, NumericalError, ParseError
 from .geometry import (
-    Point3,
     PointCloud,
     RigidTransform,
     UnitQuaternion,
     apply_transform,
-    centroid,
     quaternion_to_rotation,
 )
 from .metrics import (
@@ -60,7 +58,6 @@ from .registration import (
     icp_align,
     icp_distance,
     max_eigenvector,
-    mse,
     quaternion_alignment_matrix,
 )
 
@@ -79,7 +76,6 @@ __all__ = [
     "MetricConfig",
     "NumericalError",
     "ParseError",
-    "Point3",
     "PointCloud",
     "PredictionOutcome",
     "ProductBasket",
@@ -95,7 +91,6 @@ __all__ = [
     "area_score",
     "augmented_hamming_distance",
     "build_index",
-    "centroid",
     "compute_registration",
     "cross_covariance",
     "drop_empty",
@@ -111,7 +106,6 @@ __all__ = [
     "match_correspondences",
     "max_eigenvector",
     "mean_predict",
-    "mse",
     "nn_predict_from_distances",
     "prediction_score",
     "production_score",

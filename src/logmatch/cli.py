@@ -250,8 +250,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         io_mod.PredictionRow(log_id, outcome.neighbor_id, outcome.distance, outcome.predicted)
         for (log_id, _), outcome in zip(tests, outcomes)
     ]
-    names = train.product_names or tuple(f"p{i + 1}" for i in range(train.product_count))
-    io_mod.write_predictions(rows, names, args.output)
+    io_mod.write_predictions(rows, train.product_names, args.output)
     return 0
 
 

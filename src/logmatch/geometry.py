@@ -1,9 +1,9 @@
 """Core 3D value types and their algebra.
 
-Everything here is an immutable value: points, point clouds, unit
-quaternions and rigid (rotation + translation) transforms. Coordinates are
-double-precision millimetres. All operations are pure functions, so values
-can be shared freely between concurrent tasks.
+Everything here is an immutable value: point clouds, unit quaternions and
+rigid (rotation + translation) transforms. Coordinates are double-precision
+millimetres. All operations are pure functions, so values can be shared
+freely between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -19,25 +19,6 @@ from .errors import InvalidInputError
 _UNIT_SUMSQ_TOL = 1e-9
 # Looser guard applied when a quaternion is turned into a matrix.
 _ROTATION_NORM_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class Point3:
-    """A single 3D point in millimetres. All coordinates must be finite."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidInputError(f"coordinate {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,17 +98,6 @@ class UnitQuaternion:
         return cls(1.0, 0.0, 0.0, 0.0)
 
     @classmethod
-    def from_vector(cls, vec) -> "UnitQuaternion":
-        """Normalize an arbitrary 4-vector into a unit quaternion."""
-        arr = np.asarray(vec, dtype=np.float64).reshape(-1)
-        if arr.shape != (4,):
-            raise InvalidInputError(f"expected a 4-vector, got shape {arr.shape}")
-        norm = float(np.linalg.norm(arr))
-        if not math.isfinite(norm) or norm < 1e-12:
-            raise InvalidInputError("cannot normalize a zero or non-finite 4-vector")
-        return cls(*(arr / norm))
-
-    @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "UnitQuaternion":
         """Rotation of `angle` radians about `axis` (need not be unit length)."""
         ax = np.asarray(axis, dtype=np.float64).reshape(3)
@@ -141,10 +111,6 @@ class UnitQuaternion:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q0, self.q1, self.q2, self.q3], dtype=np.float64)
-
-    def conjugate(self) -> "UnitQuaternion":
-        """The inverse rotation."""
-        return UnitQuaternion(self.q0, -self.q1, -self.q2, -self.q3)
 
 
 def _rotation_matrix(q0, q1, q2, q3) -> np.ndarray:
@@ -198,21 +164,7 @@ class RigidTransform:
         """The 3x3 rotation matrix of this transform."""
         return quaternion_to_rotation(self.rotation)
 
-    def inverse(self) -> "RigidTransform":
-        """The transform undoing this one: (R^T, -R^T t)."""
-        rt = self.matrix().T
-        return RigidTransform(self.rotation.conjugate(), -(rt @ self.translation))
-
-
-def _apply_arrays(rotation_matrix: np.ndarray, translation: np.ndarray, xyz: np.ndarray) -> np.ndarray:
-    return xyz @ rotation_matrix.T + translation
-
 
 def apply_transform(t: RigidTransform, cloud: PointCloud) -> PointCloud:
     """Map every point p of the cloud to R p + T, preserving length and order."""
-    return PointCloud(_apply_arrays(t.matrix(), t.translation, cloud.xyz))
-
-
-def centroid(cloud: PointCloud) -> np.ndarray:
-    """Arithmetic mean of all points, as a 3-vector."""
-    return cloud.xyz.mean(axis=0)
+    return PointCloud(cloud.xyz @ t.matrix().T + t.translation)

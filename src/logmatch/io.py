@@ -57,8 +57,6 @@ from .geometry import PointCloud
 from .metrics import ScoreReport
 from .predictor import LogRecord, ProductBasket
 
-SCAN_FORMATS = ("xyz", "csv", "ply-ascii")
-
 _PLY_FLOAT_TYPES = {"float", "float32", "float64", "double"}
 
 REPORT_COLUMNS = ("predictor", "s_z", "one_minus_dH", "one_minus_dHplus",
@@ -78,14 +76,12 @@ def scan_format_for(path) -> str:
         return "csv"
     if suffix == ".ply":
         return "ply-ascii"
-    raise InvalidInputError(f"cannot infer scan format from {str(path)!r}; pass one of {SCAN_FORMATS}")
+    raise InvalidInputError(f"cannot infer scan format from {str(path)!r}; expected .xyz, .csv or .ply")
 
 
-def load_scan(path, format: str | None = None) -> PointCloud:
+def load_scan(path) -> PointCloud:
     """Read a point cloud, preserving point order exactly as on disk."""
-    fmt = format if format is not None else scan_format_for(path)
-    if fmt not in SCAN_FORMATS:
-        raise InvalidInputError(f"unknown scan format {fmt!r}; expected one of {SCAN_FORMATS}")
+    fmt = scan_format_for(path)
     text = _read_text(path)
     lines = text.splitlines()
     points = _array_points(path, fmt, text, lines) if text.isascii() else None
@@ -173,15 +169,28 @@ def _parse_xyz(path, lines: list[str]) -> list[tuple[float, float, float]]:
     return points
 
 
+def _csv_rows(path, lines: list[str]):
+    """csv.reader over lines, as (reader line number, row), blank rows
+    included. A row the reader refuses, such as one with a cell over the
+    csv field size limit, is a ParseError at the reader's line."""
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            yield reader.line_num, row
+    except csv.Error as exc:
+        raise ParseError(path, str(exc), reader.line_num) from None
+
+
 def _parse_csv_scan(path, lines: list[str]) -> list[tuple[float, float, float]]:
-    rows = list(csv.reader(lines))
-    if not rows:
+    rows = (row for _, row in _csv_rows(path, lines))
+    header = next(rows, None)
+    if header is None:
         raise ParseError(path, "missing header", 1)
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in header]
     if header != ["x", "y", "z"]:
         raise ParseError(path, f"expected header x,y,z, got {','.join(header)!r}", 1)
     points = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != 3:
@@ -262,7 +271,6 @@ def _ply_layout(path, lines: list[str]):
 
 def _parse_ply(path, lines: list[str]) -> list[tuple[float, float, float]]:
     data_start, elements, vertex_pos, vertex_props, columns = _ply_layout(path, lines)
-    vertex_count = elements[vertex_pos][1]
     data = [
         (no, raw.split())
         for no, raw in enumerate(lines[data_start:], start=data_start + 1)
@@ -284,19 +292,15 @@ def _parse_ply(path, lines: list[str]) -> list[tuple[float, float, float]]:
         cursor += count
     if cursor < len(data):
         raise ParseError(path, "trailing data after the declared elements", data[cursor][0])
-    if len(points) != vertex_count:
-        raise ParseError(path, f"vertex count mismatch: header says {vertex_count}, found {len(points)}")
     return points
 
 
 _LINE_PARSERS = {"xyz": _parse_xyz, "csv": _parse_csv_scan, "ply-ascii": _parse_ply}
 
 
-def write_scan(cloud: PointCloud, path, format: str | None = None) -> None:
+def write_scan(cloud: PointCloud, path) -> None:
     """Write a point cloud with shortest round-trip decimal coordinates."""
-    fmt = format if format is not None else scan_format_for(path)
-    if fmt not in SCAN_FORMATS:
-        raise InvalidInputError(f"unknown scan format {fmt!r}; expected one of {SCAN_FORMATS}")
+    fmt = scan_format_for(path)
     rows = [f"{float(x)!r} {float(y)!r} {float(z)!r}" for x, y, z in cloud.xyz]
     if fmt == "xyz":
         text = "\n".join(rows) + "\n"
@@ -335,8 +339,7 @@ def _read_table(path, header_ok, header_text: str):
     """The stripped header of an id-keyed table and a generator of its rows
     as (line, id, other cells) in file order. Each row is checked as it is
     drawn, so the first defect by line is raised, the caller's included."""
-    reader = csv.reader(_read_text(path).splitlines())
-    rows = ((reader.line_num, row) for row in reader if row)
+    rows = ((line, row) for line, row in _csv_rows(path, _read_text(path).splitlines()) if row)
     line, header = next(rows, (1, None))
     if header is None:
         raise ParseError(path, "missing header", line)

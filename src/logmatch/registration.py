@@ -30,7 +30,7 @@ single-pair functions are batches of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -38,13 +38,7 @@ import numpy as np
 
 from .correspondence import _TIE_SLACK, CorrespondenceSet, SpatialIndex, _squared_distances, build_index
 from .errors import InvalidInputError, NumericalError
-from .geometry import (
-    PointCloud,
-    RigidTransform,
-    UnitQuaternion,
-    _apply_arrays,
-    _rotation_matrix,
-)
+from .geometry import PointCloud, RigidTransform, UnitQuaternion, _rotation_matrix
 
 _SYMMETRY_TOL = 1e-9
 
@@ -68,16 +62,16 @@ class IcpConfig:
     """Knobs of the iterative alignment.
 
     tau is the convergence threshold on the drop in mean-square error
-    between consecutive iterations (mm^2). pre_align optionally translates
-    the moving cloud so both centroids coincide before iterating; it is off
-    by default because the plain algorithm starts from the given initial
-    transform and is sensitive to it. stride > 1 subsamples the moving
-    cloud (every stride-th point) as a performance escape hatch.
+    between consecutive iterations (mm^2). Every alignment starts from the
+    identity. pre_align optionally translates the moving cloud so both
+    centroids coincide before iterating; it is off by default, so the plain
+    algorithm runs from the clouds as given and is sensitive to their
+    placement. stride > 1 subsamples the moving cloud (every stride-th
+    point) as a performance escape hatch.
     """
 
     tau: float = 1e-8
     max_iterations: int = 50
-    initial_transform: RigidTransform = field(default_factory=RigidTransform.identity)
     pre_align: bool = False
     stride: int = 1
 
@@ -86,8 +80,6 @@ class IcpConfig:
             raise InvalidInputError(f"tau must be positive, got {self.tau!r}")
         if self.max_iterations < 1:
             raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if not isinstance(self.initial_transform, RigidTransform):
-            raise InvalidInputError("initial_transform must be a RigidTransform")
         if self.stride < 1:
             raise InvalidInputError(f"stride must be >= 1, got {self.stride!r}")
 
@@ -459,15 +451,6 @@ def _mean_residuals(stack: _Stack, matched: np.ndarray, placed: np.ndarray) -> n
     return np.add.reduceat(sq, stack.starts) / stack.counts
 
 
-def mse(moving: PointCloud, model: PointCloud, pairs: CorrespondenceSet, t: RigidTransform) -> float:
-    """Mean squared residual (mm^2) of the pairs under the transform:
-    (1/n) sum ||x_i - (R p_i + T)||^2."""
-    _check_pairs(moving, model, pairs)
-    transformed = _apply_arrays(t.matrix(), t.translation, moving.xyz)
-    diff = model.xyz[pairs.target_indices] - transformed
-    return float((diff * diff).sum(axis=1).mean())
-
-
 def compute_registration(
     moving: PointCloud, model: PointCloud, pairs: CorrespondenceSet
 ) -> RegistrationResult:
@@ -563,16 +546,15 @@ def _lockstep(
     model_of = np.array([pairs[k][1] for k in batch], dtype=np.intp)
     stack = _Stack([strided[pairs[k][0]] for k in batch])
 
-    initial = cfg.initial_transform
-    rot0 = np.broadcast_to(initial.matrix(), (len(batch), 3, 3))
-    trans = np.tile(initial.translation, (len(batch), 1))
+    rot0 = np.broadcast_to(np.eye(3), (len(batch), 3, 3))
+    trans = np.zeros((len(batch), 3))
     current = _place(stack, rot0, trans)
     if cfg.pre_align:
         centres = np.array([models[j].points.mean(axis=0) for j in model_of.tolist()])
         placed_centres = _segment_means(np.ascontiguousarray(current.T), stack.starts, stack.counts)
         trans = trans + (centres - placed_centres.T)
         current = _place(stack, rot0, trans)
-    quats = np.tile(initial.rotation.as_array(), (len(batch), 1))
+    quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(batch), 1))
     previous = np.full(len(batch), np.inf)
     queried = np.zeros(len(batch), dtype=np.int64)
     matched = np.empty_like(stack.points)

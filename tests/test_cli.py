@@ -479,6 +479,26 @@ class TestSplit:
         assert "empty" not in out
 
 
+class TestCsvFieldLimit:
+    """A csv cell over the csv module's field size limit is a located parse
+    error (exit 2), never a traceback."""
+
+    def test_split_manifest_and_register_scan(self, tmp_path, capsys):
+        rng = np.random.default_rng(10)
+        entries = [(f"log{i}", log_like_cloud(rng, 16), ProductBasket((1,))) for i in range(3)]
+        manifest = write_dataset_files(tmp_path, entries)
+        lines = manifest.read_text().splitlines()
+        lines[1] = "x" * 200_000 + lines[1][lines[1].index(","):]
+        manifest.write_text("\n".join(lines) + "\n")
+        scan = tmp_path / "long.csv"
+        scan.write_text(f"x,y,z\n{'1' * 200_000},2,3\n4,5,6\n")
+        for argv, path in [(["split", manifest], manifest), (["register", scan, scan], scan)]:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {path}:2: field larger than field limit (131072)\n"
+
+
 class TestJobs:
     @pytest.mark.parametrize("command", ["predict", "experiment"])
     @pytest.mark.parametrize("value", ["0", "-3"])

@@ -238,6 +238,9 @@ CSV_CASES = [
     'x,y,z\n"1\n2",3,4\n', 'x,y,z\n1,2,"3\n"\n', 'x,y,z\n1,2,3"\n', "x,y,z\n1,,2,3\n", "x,y,z\n1,2,3,\n",
     "x,y,z\n,1,2,3\n", "x,y,z\n1,2\n", "x,y,z\n1,,3\n", "x,y,z\n# c\n1,2,3\n", "x,y,z\n1 2 3\n",
     "x,y,z\n1;2;3\n", "x,y,z\n1,2,3\x0c4,5,6\n", "x,y,z\n1\u00a0,2,3\n",
+    # cells over the csv field size limit (131072 characters)
+    f"x,y,z\n{'1' * 200_000},2,3\n", f"x,y,z\n1,2,3\n4,5,{'a' * 200_000}\n",
+    f"x,y,z\n1,\"{'2' * 200_000}\",3\n",
 ]
 
 PLY_CASES = [
@@ -301,16 +304,16 @@ class TestArrayPathInvariance:
          for i, text in enumerate(cases)],
     )
     def test_corpus(self, tmp_path, fmt, text):
-        path = tmp_path / "scan.data"
+        path = tmp_path / {"xyz": "scan.xyz", "csv": "scan.csv", "ply-ascii": "scan.ply"}[fmt]
         path.write_bytes(text.encode("utf-8"))
-        assert outcome(lambda p, f: load_scan(p, f).xyz, path, fmt) == outcome(line_parser_load, path, fmt)
+        assert outcome(lambda p, f: load_scan(p).xyz, path, fmt) == outcome(line_parser_load, path, fmt)
 
     @pytest.fixture()
     def no_line_parser(self, monkeypatch):
         def refuse(path, lines):
             raise AssertionError("the line parser ran")
 
-        for fmt in io.SCAN_FORMATS:
+        for fmt in io._LINE_PARSERS:
             monkeypatch.setitem(io._LINE_PARSERS, fmt, refuse)
 
     @pytest.mark.parametrize("suffix", ["xyz", "csv", "ply"])
@@ -512,6 +515,14 @@ TABLE_ERRORS = [
     ("predictions", "id,neighbor_id,distance,p1\nA,t1,1.0,-3\n", 2, "negative quantity -3"),
     ("predictions", "id,neighbor_id,distance,p1\nA,t1,nan,-3\n", 2, "non-finite value 'nan'"),
     ("predictions", "id,neighbor_id,distance,p1\nA,,,x\nA,,,1,2\n", 2, "non-integer quantity 'x'"),
+    # a cell over the csv field size limit (131072 characters)
+    ("baskets", f"id,p1\n{'A' * 200_000},1\n", 2, "field larger than field limit (131072)"),
+    ("baskets", f"{'i' * 200_000},p1\nA,1\n", 1, "field larger than field limit (131072)"),
+    ("manifest", f"id,scan_path\nA,a.xyz\n\nB,{'b' * 200_000}.xyz\n", 4, "field larger than field limit (131072)"),
+    ("manifest", f"id,scan_path\nA,missing.xyz\nB,{'b' * 200_000}\n", 2,
+     "scan file does not exist: {root}/missing.xyz"),
+    ("predictions", f"id,neighbor_id,distance,p1\nA,t1,{'1' * 200_000},1\n", 2,
+     "field larger than field limit (131072)"),
 ]
 
 

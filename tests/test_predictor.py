@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 from fractions import Fraction
 
 import numpy as np
@@ -180,6 +181,34 @@ class TestDistanceMatrix:
                         assert distances[i, j] == icp_distance(scans[i], scans[j])
                     else:
                         assert np.isnan(distances[i, j])
+
+    def test_huge_jobs_ask_for_one_worker_per_model(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        scans = [log_like_cloud(rng, 16 + 5 * i) for i in range(5)]
+        pairs = [(i, j) for i in range(5) for j in (0, 2, 4) if i != j]
+        serial = icp_distance_matrix(scans, pairs, jobs=1)
+        built = []
+
+        class InlinePool:
+            """Records the pool size it is asked for and runs each share here."""
+
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(predictor, "ProcessPoolExecutor", InlinePool)
+        assert icp_distance_matrix(scans, pairs, jobs=10_000).tobytes() == serial.tobytes()
+        assert built == [3]
 
     def test_no_pairs_give_all_nan(self):
         scans = [box_cloud(np.random.default_rng(18), 5)]
