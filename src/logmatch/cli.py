@@ -27,7 +27,7 @@ from . import predictor as predictor_mod
 from .errors import InvalidInputError, NumericalError, ParseError
 from .metrics import MetricConfig, ScoredPair, ScoreReport
 from .geometry import PointCloud
-from .predictor import LogFeatures, LogRecord, PredictionOutcome
+from .predictor import LogFeatures, PredictionOutcome
 from .registration import IcpConfig, icp_align
 
 PREDICTOR_NAMES = ("icp", "mean", "knn")
@@ -189,10 +189,8 @@ def cmd_register(args: argparse.Namespace) -> int:
     json.dump(payload, sys.stdout)
     sys.stdout.write("\n")
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8", newline="") as handle:
-            handle.write("iteration,mse\n")
-            for entry in trace.iterations:
-                handle.write(f"{entry.index},{entry.mse!r}\n")
+        io_mod._write_rows(args.trace, ("iteration", "mse"),
+                           ((entry.index, entry.mse) for entry in trace.iterations))
     return 0
 
 
@@ -204,48 +202,24 @@ def _log_features(log_id: str, scan: PointCloud) -> LogFeatures:
         raise InvalidInputError(f"log {log_id!r}: {exc}") from None
 
 
-def _with_features(ds: dataset_mod.Dataset) -> dataset_mod.Dataset:
-    return dataset_mod.Dataset(
-        tuple(rec.with_features(_log_features(rec.id, rec.scan)) for rec in ds.records),
-        ds.product_count, ds.product_names,
-    )
-
-
-def _predict_outcomes(
-    name: str,
-    train: Sequence[LogRecord],
-    queries: Sequence[PointCloud],
-    query_features: Sequence[LogFeatures] | None,
-    cfg: IcpConfig,
-    k: int,
-    jobs: int,
-) -> list[PredictionOutcome]:
-    """Run one predictor over all query scans, in query order. knn reads the
-    training records' features and query_features, one per query scan."""
-    if name == "icp":
-        return predictor_mod.icp_nn_predict_batch(train, list(queries), cfg, jobs=jobs)
-    if name == "mean":
-        basket = predictor_mod.mean_predict(train)
-        return [PredictionOutcome(basket) for _ in queries]
-    if name == "knn":
-        return predictor_mod.knn_feature_predict(train, query_features, k)
-    raise InvalidInputError(f"unknown predictor {name!r}; expected one of {PREDICTOR_NAMES}")
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _icp_config(args)
     train = io_mod.load_dataset(args.manifest_train, args.baskets)
     if len(train) == 0:
         raise InvalidInputError("training set is empty")
     tests = io_mod.load_scans(args.manifest_test)
-    features = None
-    if args.predictor == "knn":
-        train = _with_features(train)
-        features = [_log_features(log_id, scan) for log_id, scan in tests]
-    outcomes = _predict_outcomes(
-        args.predictor, train.records, [scan for _, scan in tests], features,
-        cfg, args.k, args.jobs,
-    )
+    if args.predictor == "icp":
+        outcomes = predictor_mod.icp_nn_predict_batch(
+            train.records, [scan for _, scan in tests], cfg, jobs=args.jobs)
+    elif args.predictor == "mean":
+        outcomes = [PredictionOutcome(predictor_mod.mean_predict(train.records))] * len(tests)
+    else:
+        outcomes = predictor_mod.knn_feature_predict(
+            train.records,
+            [_log_features(rec.id, rec.scan) for rec in train.records],
+            [_log_features(log_id, scan) for log_id, scan in tests],
+            args.k,
+        )
     rows = [
         io_mod.PredictionRow(log_id, outcome.neighbor_id, outcome.distance, outcome.predicted)
         for (log_id, _), outcome in zip(tests, outcomes)
@@ -314,8 +288,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     ds = io_mod.load_dataset(args.manifest, args.baskets)
     if args.drop_empty:
         ds = dataset_mod.drop_empty(ds)
-    if "knn" in predictors:
-        ds = _with_features(ds)
+    # Each scan's knn features, indexed like ds.records.
+    features = [_log_features(rec.id, rec.scan) for rec in ds.records] if "knn" in predictors else []
     splits = [dataset_mod.split_indices(len(ds), spec, run) for run in range(spec.runs)]
     _check_runs(splits, predictors, args.k)
 
@@ -335,15 +309,16 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     for run, (train_idx, test_idx) in enumerate(splits):
         train = [ds.records[i] for i in train_idx]
         test = [ds.records[i] for i in test_idx]
-        queries = [rec.scan for rec in test]
-        features = [rec.features for rec in test]
         for name in predictors:
             if name == "icp":
                 # Columns in training order: ties go to the lowest training index.
                 outcomes = predictor_mod.nn_predict_from_distances(
                     train, distances[np.ix_(test_idx, train_idx)])
+            elif name == "mean":
+                outcomes = [PredictionOutcome(predictor_mod.mean_predict(train))] * len(test)
             else:
-                outcomes = _predict_outcomes(name, train, queries, features, icp_cfg, args.k, args.jobs)
+                outcomes = predictor_mod.knn_feature_predict(
+                    train, [features[i] for i in train_idx], [features[i] for i in test_idx], args.k)
             scored = [ScoredPair(rec.basket, outcome.predicted) for rec, outcome in zip(test, outcomes)]
             report = metrics_mod.evaluate(scored, metric_cfg)
             labels.append(f"{name}:run{run}")
@@ -379,10 +354,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

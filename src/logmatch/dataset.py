@@ -18,33 +18,28 @@ from .predictor import LogRecord
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """An immutable collection of log records with a uniform basket width."""
+    """An immutable collection of log records whose baskets each hold one
+    quantity per product name, in the order of product_names."""
 
     records: tuple[LogRecord, ...]
-    product_count: int
-    product_names: tuple[str, ...] | None = None
+    product_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
         records = tuple(self.records)
+        names = tuple(self.product_names)
         object.__setattr__(self, "records", records)
+        object.__setattr__(self, "product_names", names)
+        if not names:
+            raise InvalidInputError("a dataset needs at least one product name")
         seen = set()
         for rec in records:
             if rec.id in seen:
                 raise InvalidInputError(f"duplicate log id {rec.id!r}")
             seen.add(rec.id)
-            if len(rec.basket) != self.product_count:
+            if len(rec.basket) != len(names):
                 raise InvalidInputError(
-                    f"log {rec.id!r} has basket length {len(rec.basket)}, expected {self.product_count}"
+                    f"log {rec.id!r} has basket length {len(rec.basket)}, expected {len(names)}"
                 )
-        if self.product_count < 1:
-            raise InvalidInputError(f"product_count must be >= 1, got {self.product_count!r}")
-        if self.product_names is not None:
-            names = tuple(self.product_names)
-            if len(names) != self.product_count:
-                raise InvalidInputError(
-                    f"{len(names)} product names for {self.product_count} products"
-                )
-            object.__setattr__(self, "product_names", names)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -94,13 +89,10 @@ def split(ds: Dataset, spec: SplitSpec, run_index: int) -> tuple[Dataset, Datase
     train_idx, test_idx = split_indices(len(ds), spec, run_index)
     train = tuple(ds.records[i] for i in train_idx)
     test = tuple(ds.records[i] for i in test_idx)
-    return (
-        Dataset(train, ds.product_count, ds.product_names),
-        Dataset(test, ds.product_count, ds.product_names),
-    )
+    return Dataset(train, ds.product_names), Dataset(test, ds.product_names)
 
 
 def drop_empty(ds: Dataset) -> Dataset:
     """Remove records whose basket is all-zero (logs yielding only chips)."""
     kept = tuple(rec for rec in ds.records if not rec.basket.is_empty())
-    return Dataset(kept, ds.product_count, ds.product_names)
+    return Dataset(kept, ds.product_names)

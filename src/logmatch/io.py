@@ -182,15 +182,15 @@ def _csv_rows(path, lines: list[str]):
 
 
 def _parse_csv_scan(path, lines: list[str]) -> list[tuple[float, float, float]]:
-    rows = (row for _, row in _csv_rows(path, lines))
-    header = next(rows, None)
+    rows = _csv_rows(path, lines)
+    lineno, header = next(rows, (1, None))
     if header is None:
-        raise ParseError(path, "missing header", 1)
+        raise ParseError(path, "missing header", lineno)
     header = [cell.strip() for cell in header]
     if header != ["x", "y", "z"]:
-        raise ParseError(path, f"expected header x,y,z, got {','.join(header)!r}", 1)
+        raise ParseError(path, f"expected header x,y,z, got {','.join(header)!r}", lineno)
     points = []
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != 3:
@@ -438,7 +438,7 @@ def load_dataset(manifest_path, baskets_path=None) -> Dataset:
     records = tuple(
         LogRecord(entry.id, load_scan(entry.scan_path), entry.basket) for entry in manifest.entries
     )
-    return Dataset(records, len(manifest.product_names), manifest.product_names)
+    return Dataset(records, manifest.product_names)
 
 
 # ---------------------------------------------------------------------------

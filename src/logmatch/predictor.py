@@ -100,19 +100,17 @@ class LogFeatures:
 
 @dataclass(frozen=True, eq=False)
 class LogRecord:
-    """One dataset row: a scan, its product basket, optional features."""
+    """One dataset row, as its files give it: an id, a scan and the scan's
+    product basket. Values measured from the scan, such as knn features or
+    ICP distances, are kept beside the records by their callers."""
 
     id: str
     scan: PointCloud
     basket: ProductBasket
-    features: LogFeatures | None = None
 
     def __post_init__(self) -> None:
         if not self.id:
             raise InvalidInputError("log id must be a non-empty string")
-
-    def with_features(self, features: LogFeatures) -> "LogRecord":
-        return LogRecord(self.id, self.scan, self.basket, features)
 
 
 @dataclass(frozen=True)
@@ -406,29 +404,32 @@ def _slice_hulls(
 
 
 def knn_feature_predict(
-    train: Sequence[LogRecord], query_features: Sequence[LogFeatures], k: int
+    train: Sequence[LogRecord],
+    train_features: Sequence[LogFeatures],
+    query_features: Sequence[LogFeatures],
+    k: int,
 ) -> list[PredictionOutcome]:
     """k-nearest-neighbour basket predictions in standardized feature space,
     one per query, in query order.
 
-    Features are z-scored with statistics from the training set (constant
-    features are ignored); each prediction is the half-up-rounded mean of
-    the k nearest baskets. Ties at the k-th distance keep the lowest
-    training index. The reported neighbour is the single nearest record and
-    its distance is in standardized feature space, not mm^2.
+    train_features[i] holds the features of train[i], as the columns of a
+    distance array follow train in nn_predict_from_distances. Features are
+    z-scored with statistics from the training features (constant features
+    are ignored); each prediction is the half-up-rounded mean of the k
+    nearest baskets. Ties at the k-th distance keep the lowest training
+    index. The reported neighbour is the single nearest record and its
+    distance is in standardized feature space, not mm^2.
     """
     _check_train(train)
-    if isinstance(query_features, LogFeatures) or not all(
-        isinstance(features, LogFeatures) for features in query_features
-    ):
-        raise InvalidInputError("query_features must be a sequence of LogFeatures")
+    for name, features in (("train_features", train_features), ("query_features", query_features)):
+        if isinstance(features, LogFeatures) or not all(isinstance(f, LogFeatures) for f in features):
+            raise InvalidInputError(f"{name} must be a sequence of LogFeatures")
+    if len(train_features) != len(train):
+        raise InvalidInputError(f"{len(train_features)} train_features for {len(train)} training records")
     if k < 1 or k > len(train):
         raise InvalidInputError(f"k must be in [1, {len(train)}], got {k}")
-    missing = [rec.id for rec in train if rec.features is None]
-    if missing:
-        raise InvalidInputError(f"training records lack features: {missing[:5]}")
 
-    table = np.stack([rec.features.as_array() for rec in train])
+    table = np.stack([features.as_array() for features in train_features])
     mu = table.mean(axis=0)
     sd = table.std(axis=0)
     active = sd > 0.0

@@ -558,3 +558,64 @@ class TestNotUtf8:
         assert code == 2
         assert out == ""
         assert f"{manifest}:4: not UTF-8 text (byte 0x80" in err
+
+
+class TestRegisterFiles:
+    def test_trace_bytes_follow_icp_align(self, tmp_path, capsys):
+        """The trace file is `iteration,mse` and one `k,repr(mse)` line per
+        entry of icp_align's trace on the same scans."""
+        rng = np.random.default_rng(12)
+        model = log_like_cloud(rng, 200)
+        moving = apply_transform(random_transform(rng, math.radians(15), 40.0), model)
+        moving_path, model_path, trace_path = tmp_path / "moving.xyz", tmp_path / "model.xyz", tmp_path / "t.csv"
+        write_scan(moving, moving_path)
+        write_scan(model, model_path)
+        code, _, _ = run_cli(capsys, "register", moving_path, model_path, "--trace", trace_path)
+        assert code == 0
+        _, trace = registration.icp_align(moving, model, registration.IcpConfig(tau=1e-8, max_iterations=50))
+        assert len(trace.iterations) > 1
+        want = "iteration,mse\n" + "".join(f"{entry.index},{entry.mse!r}\n" for entry in trace.iterations)
+        assert trace_path.read_bytes() == want.encode("ascii")
+
+    def test_trace_in_a_missing_directory_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scan.xyz"
+        write_scan(box_cloud(np.random.default_rng(0), 20), path)
+        trace_path = tmp_path / "absent" / "t.csv"
+        code, _, err = run_cli(capsys, "register", path, path, "--trace", trace_path)
+        assert code == 2
+        assert err == f"error: [Errno 2] No such file or directory: {str(trace_path)!r}\n"
+
+    def test_csv_scan_error_names_the_line_after_a_multi_line_cell(self, tmp_path, capsys):
+        scan = tmp_path / "q.csv"
+        scan.write_text('x,y,z\n"1\n2",3,4\nbad,5,6\n')
+        model = tmp_path / "m.xyz"
+        write_scan(box_cloud(np.random.default_rng(0), 20), model)
+        assert run_cli(capsys, "register", scan, model) == (2, "", f"error: {scan}:4: non-numeric value 'bad'\n")
+
+
+class TestOptionErrors:
+    @pytest.mark.parametrize("command", ["predict", "experiment"])
+    def test_jobs_not_an_integer_exits_2(self, tiny_dataset, capsys, command):
+        train, test, _ = tiny_dataset
+        inputs = [train, test] if command == "predict" else [train]
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *map(str, inputs), "--jobs", "abc"])
+        assert excinfo.value.code == 2
+        assert "--jobs: expected an integer, got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, message", [
+        (",", "no predictor selected"),
+        (" , ,", "no predictor selected"),
+        ("icp,bogus", "unknown predictor 'bogus'; expected one of ('icp', 'mean', 'knn')"),
+    ])
+    def test_experiment_predictor_list_is_checked(self, tiny_dataset, capsys, value, message):
+        train, _, _ = tiny_dataset
+        assert run_cli(capsys, "experiment", train, "--predictor", value) == (2, "", f"error: {message}\n")
+
+    def test_knn_on_a_scan_of_zero_extent_names_the_log(self, tiny_dataset, capsys):
+        train, _, root = tiny_dataset
+        flat = PointCloud(np.tile([1.0, 2.0, 3.0], (10, 1)))
+        test = write_dataset_files(root, [("f", flat, ProductBasket((1, 0, 0)))], name="flat")
+        code, out, err = run_cli(capsys, "predict", train, test, "--predictor", "knn", "--k", 1)
+        assert (code, out) == (2, "")
+        assert err == "error: log 'f': scan has zero extent along its principal axis\n"

@@ -20,7 +20,7 @@ def make_dataset(n, width=2, empties=()):
     for i in range(n):
         quantities = (0,) * width if i in empties else (i + 1, 0) + (0,) * (width - 2)
         records.append(LogRecord(f"log{i}", box_cloud(rng, 5), ProductBasket(quantities)))
-    return Dataset(tuple(records), width)
+    return Dataset(tuple(records), tuple(f"p{j}" for j in range(width)))
 
 
 def ids(ds):
@@ -32,7 +32,7 @@ class TestDataset:
         rng = np.random.default_rng(0)
         rec = LogRecord("a", box_cloud(rng, 5), ProductBasket((1,)))
         with pytest.raises(InvalidInputError):
-            Dataset((rec, rec), 1)
+            Dataset((rec, rec), ("p1",))
 
     def test_rejects_ragged_baskets(self):
         rng = np.random.default_rng(1)
@@ -41,13 +41,15 @@ class TestDataset:
             LogRecord("b", box_cloud(rng, 5), ProductBasket((1, 2))),
         )
         with pytest.raises(InvalidInputError):
-            Dataset(records, 1)
+            Dataset(records, ("p1",))
 
-    def test_product_names_length_checked(self):
+    def test_product_names_required(self):
         rng = np.random.default_rng(2)
         rec = LogRecord("a", box_cloud(rng, 5), ProductBasket((1, 2)))
-        with pytest.raises(InvalidInputError):
-            Dataset((rec,), 2, ("only_one",))
+        with pytest.raises(InvalidInputError, match="at least one product name"):
+            Dataset((rec,), ())
+        with pytest.raises(InvalidInputError, match="at least one product name"):
+            Dataset((), ())
 
 
 class TestSplit:
@@ -141,5 +143,5 @@ class TestDropEmpty:
         for i in range(1207):
             quantities = (0, 0) if i in empties else (1 + int(rng.integers(0, 4)), 0)
             records.append(LogRecord(f"log{i}", cloud, ProductBasket(quantities)))
-        ds = Dataset(tuple(records), 2)
+        ds = Dataset(tuple(records), ("p1", "p2"))
         assert len(drop_empty(ds)) == 471

@@ -84,6 +84,16 @@ class TestUnitQuaternion:
         with pytest.raises(InvalidInputError):
             UnitQuaternion(1.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidInputError, match="quaternion components must be finite"):
+            UnitQuaternion(1.0, 0.0, bad, 0.0)
+
+    def test_from_axis_angle_rejects_zero_axis(self):
+        with pytest.raises(InvalidInputError, match="rotation axis must be nonzero"):
+            UnitQuaternion.from_axis_angle([0.0, 0.0, 0.0], 1.0)
+        assert UnitQuaternion.from_axis_angle([0.0, 0.0, 2.0], 0.0) == UnitQuaternion.identity()
+
     def test_rotation_guard_on_bad_norm(self):
         q = UnitQuaternion.identity()
         object.__setattr__(q, "q0", 1.01)
@@ -159,3 +169,7 @@ class TestRigidTransform:
             RigidTransform(UnitQuaternion.identity(), [1.0, 2.0])
         with pytest.raises(InvalidInputError):
             RigidTransform(UnitQuaternion.identity(), [1.0, float("nan"), 0.0])
+
+    def test_rejects_a_rotation_that_is_not_a_quaternion(self):
+        with pytest.raises(InvalidInputError, match="rotation must be a UnitQuaternion"):
+            RigidTransform(np.eye(3))

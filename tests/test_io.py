@@ -97,6 +97,20 @@ class TestCsvScanFormat:
         with pytest.raises(ParseError, match="header"):
             load_scan(path)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ('x,y,z\n"1\n2",3,4\nbad,5,6\n', 4, "non-numeric value 'bad'"),
+        ('x,y,z\n"1\n2",3,4\n5,6\n', 4, "expected 3 columns, got 2"),
+        ('x,y,z\n1,"2\n\n3",4\n\n5,6,7,8\n', 6, "expected 3 columns, got 4"),
+    ])
+    def test_errors_after_a_multi_line_cell_name_the_reader_line(self, tmp_path, text, line, message):
+        """A quoted cell that spans lines does not shift later lines: each
+        row is numbered by the csv reader's line, as in the table reader."""
+        path = tmp_path / "cloud.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError) as excinfo:
+            load_scan(path)
+        assert (excinfo.value.path, excinfo.value.line, excinfo.value.message) == (str(path), line, message)
+
 
 class TestPlyFormat:
     def test_minimal_file(self, tmp_path):
@@ -427,7 +441,7 @@ class TestManifest:
         manifest = write_dataset_files(tmp_path, entries)
         ds = load_dataset(manifest)
         assert tuple(rec.id for rec in ds.records) == ("log0", "log1", "log2", "log3")
-        assert ds.product_count == 2
+        assert len(ds.product_names) == 2
         assert ds.product_names == ("p1", "p2")
         np.testing.assert_array_equal(ds.records[2].scan.xyz, entries[2][1].xyz)
         assert ds.records[3].basket.quantities == (3, 1)

@@ -30,8 +30,8 @@ from logmatch.geometry import RigidTransform
 from synthdata import box_cloud, cone_cloud, cylinder_cloud, log_like_cloud, random_transform
 
 
-def record(log_id, cloud, quantities, features=None):
-    return LogRecord(log_id, cloud, ProductBasket(tuple(quantities)), features)
+def record(log_id, cloud, quantities):
+    return LogRecord(log_id, cloud, ProductBasket(tuple(quantities)))
 
 
 class TestProductBasket:
@@ -46,6 +46,12 @@ class TestProductBasket:
     def test_is_empty(self):
         assert ProductBasket((0, 0)).is_empty()
         assert not ProductBasket((0, 1)).is_empty()
+
+
+class TestLogRecord:
+    def test_rejects_empty_id(self):
+        with pytest.raises(InvalidInputError, match="log id must be a non-empty string"):
+            record("", box_cloud(np.random.default_rng(0), 5), (1,))
 
 
 class TestPredictionOutcome:
@@ -282,6 +288,15 @@ class TestExtractFeatures:
         with pytest.raises(InvalidInputError):
             LogFeatures(1.0, 10.0, 1.0, 2.0, 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="features must be finite"):
+            LogFeatures(1.0, 10.0, 2.0, 1.0, bad)
+
+    def test_identical_points_have_zero_extent(self):
+        with pytest.raises(InvalidInputError, match="scan has zero extent along its principal axis"):
+            extract_features(PointCloud(np.tile([1.0, 2.0, 3.0], (10, 1))))
+
 
 def cylinder(rng):
     return cylinder_cloud(rng, 20000, length=1000.0, radius=100.0)
@@ -453,10 +468,10 @@ def test_features_match_the_per_slice_loop(make, seed):
     assert abs(got.volume - want.volume) <= 1e-12 * want.volume
 
 
-def oracle_knn(train, query_features, k):
+def oracle_knn(train, train_features, query_features, k):
     """The per-query knn predictor: the training table is z-scored again
     for every query."""
-    table = np.stack([rec.features.as_array() for rec in train])
+    table = np.stack([features.as_array() for features in train_features])
     mu = table.mean(axis=0)
     sd = table.std(axis=0)
     active = sd > 0.0
@@ -475,64 +490,68 @@ def oracle_knn(train, query_features, k):
 class TestKnnFeaturePredict:
     @staticmethod
     def featured_train(rng, baskets, spread=0.01):
-        train = []
+        """Training records and their features, one per basket."""
+        train, features = [], []
         for i, basket in enumerate(baskets):
-            feats = LogFeatures(
+            features.append(LogFeatures(
                 volume=1e6 * (1 + i * spread),
                 length=1000.0 + i,
                 wide_end_diameter=200.0 + i,
                 narrow_end_diameter=100.0 + i,
                 taper=0.1 + i * spread,
-            )
-            train.append(record(f"t{i}", box_cloud(rng, 12), basket, feats))
-        return train
+            ))
+            train.append(record(f"t{i}", box_cloud(rng, 12), basket))
+        return train, features
 
     def test_exact_feature_copy_with_k1(self):
         rng = np.random.default_rng(17)
-        train = self.featured_train(rng, [(1, 0), (0, 1), (2, 2)])
-        outcome = knn_feature_predict(train, [train[1].features], k=1)[0]
+        train, features = self.featured_train(rng, [(1, 0), (0, 1), (2, 2)])
+        outcome = knn_feature_predict(train, features, [features[1]], k=1)[0]
         assert outcome.predicted.quantities == (0, 1)
         assert outcome.neighbor_id == "t1"
         assert outcome.distance == 0.0
 
     def test_k_equal_train_size_reduces_to_mean(self):
         rng = np.random.default_rng(18)
-        train = self.featured_train(rng, [(2, 0), (4, 0), (0, 3)])
-        outcome = knn_feature_predict(train, [train[0].features], k=3)[0]
+        train, features = self.featured_train(rng, [(2, 0), (4, 0), (0, 3)])
+        outcome = knn_feature_predict(train, features, [features[0]], k=3)[0]
         assert outcome.predicted == mean_predict(train)
 
     def test_two_cluster_construction(self):
         rng = np.random.default_rng(19)
-        train = []
+        train, features = [], []
         for i in range(3):  # cluster 1: small logs
-            feats = LogFeatures(1e5 + i, 500.0, 120.0, 80.0, 0.08)
-            train.append(record(f"s{i}", box_cloud(rng, 12), (5, 0), feats))
+            features.append(LogFeatures(1e5 + i, 500.0, 120.0, 80.0, 0.08))
+            train.append(record(f"s{i}", box_cloud(rng, 12), (5, 0)))
         for i in range(3):  # cluster 2: large logs
-            feats = LogFeatures(9e6 + i, 2000.0, 500.0, 400.0, 0.05)
-            train.append(record(f"l{i}", box_cloud(rng, 12), (0, 7), feats))
+            features.append(LogFeatures(9e6 + i, 2000.0, 500.0, 400.0, 0.05))
+            train.append(record(f"l{i}", box_cloud(rng, 12), (0, 7)))
         query = LogFeatures(1.1e5, 510.0, 121.0, 81.0, 0.081)
-        outcome = knn_feature_predict(train, [query], k=3)[0]
+        outcome = knn_feature_predict(train, features, [query], k=3)[0]
         assert outcome.predicted.quantities == (5, 0)
 
     def test_k_bounds(self):
         rng = np.random.default_rng(20)
-        train = self.featured_train(rng, [(1, 0), (0, 1)])
+        train, features = self.featured_train(rng, [(1, 0), (0, 1)])
         with pytest.raises(InvalidInputError):
-            knn_feature_predict(train, [train[0].features], k=0)[0]
+            knn_feature_predict(train, features, [features[0]], k=0)[0]
         with pytest.raises(InvalidInputError):
-            knn_feature_predict(train, [train[0].features], k=3)[0]
+            knn_feature_predict(train, features, [features[0]], k=3)[0]
 
-    def test_missing_features_rejected(self):
+    def test_train_features_length_must_match_train(self):
         rng = np.random.default_rng(21)
-        bare = [record("a", box_cloud(rng, 12), (1,)), record("b", box_cloud(rng, 12), (2,))]
-        with pytest.raises(InvalidInputError):
-            knn_feature_predict(bare, [LogFeatures(1.0, 1.0, 1.0, 1.0, 0.0)], k=1)[0]
+        train, features = self.featured_train(rng, [(1, 0), (0, 1), (2, 2)])
+        for wrong in (features[:2], features + [features[0]], []):
+            with pytest.raises(InvalidInputError, match=f"{len(wrong)} train_features for 3"):
+                knn_feature_predict(train, wrong, [features[0]], k=1)
 
     def test_bare_features_rejected(self):
         rng = np.random.default_rng(22)
-        train = self.featured_train(rng, [(1, 0), (0, 1)])
-        with pytest.raises(InvalidInputError, match="sequence of LogFeatures"):
-            knn_feature_predict(train, train[0].features, k=1)
+        train, features = self.featured_train(rng, [(1, 0), (0, 1)])
+        with pytest.raises(InvalidInputError, match="query_features must be a sequence of LogFeatures"):
+            knn_feature_predict(train, features, features[0], k=1)
+        with pytest.raises(InvalidInputError, match="train_features must be a sequence of LogFeatures"):
+            knn_feature_predict(train, features[0], features, k=1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_the_per_query_oracle(self, seed):
@@ -540,22 +559,23 @@ class TestKnnFeaturePredict:
         k-th distance (duplicated training features), a constant feature,
         and queries both on and off the training points."""
         rng = np.random.default_rng(seed)
-        train = []
+        train, features = [], []
         for i in range(12):
             base = i // 3  # each feature vector appears three times
             narrow = 80.0 + 10.0 * base
             # length is constant over the training set
-            feats = LogFeatures(1e6 * (1 + base), 1000.0, narrow + 40.0 + base, narrow, 0.04 + 0.01 * base)
+            features.append(
+                LogFeatures(1e6 * (1 + base), 1000.0, narrow + 40.0 + base, narrow, 0.04 + 0.01 * base))
             basket = tuple(int(q) for q in rng.integers(0, 6, size=3))
-            train.append(record(f"t{i}", box_cloud(rng, 8), basket, feats))
-        queries = [rec.features for rec in train] + [
+            train.append(record(f"t{i}", box_cloud(rng, 8), basket))
+        queries = features + [
             LogFeatures(float(rng.uniform(5e5, 5e6)), float(rng.uniform(500, 1500)), 200.0,
                         float(rng.uniform(50, 150)), float(rng.uniform(0.0, 0.2)))
             for _ in range(6)
         ]
         for k in (1, 2, 3, 4, 12):
-            got = knn_feature_predict(train, queries, k)
-            want = [oracle_knn(train, query, k) for query in queries]
+            got = knn_feature_predict(train, features, queries, k)
+            want = [oracle_knn(train, features, query, k) for query in queries]
             assert len(got) == len(want)
             for a, b in zip(got, want):
                 assert a.predicted == b.predicted

@@ -73,6 +73,15 @@ class TestCrossCovariance:
         with pytest.raises(InvalidInputError):
             cross_covariance(cloud, cloud, identity_pairs(5))
 
+    @pytest.mark.parametrize("target", [-1, 10, 11])
+    @pytest.mark.parametrize("fit", [cross_covariance, compute_registration])
+    def test_rejects_target_index_out_of_range(self, fit, target):
+        cloud = box_cloud(np.random.default_rng(2), 10)
+        idx = np.arange(10)
+        idx[3] = target
+        with pytest.raises(InvalidInputError, match="target index out of range"):
+            fit(cloud, cloud, CorrespondenceSet(idx, np.zeros(10)))
+
 
 class TestQuaternionAlignmentMatrix:
     def test_identity_sigma(self):
@@ -101,6 +110,13 @@ class TestQuaternionAlignmentMatrix:
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidInputError):
             quaternion_alignment_matrix(np.eye(4))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        sigma = np.eye(3)
+        sigma[1, 2] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            quaternion_alignment_matrix(sigma)
 
 
 class TestMaxEigenvector:
@@ -144,6 +160,13 @@ class TestMaxEigenvector:
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidInputError):
             max_eigenvector(np.eye(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(4)
+        m[2, 2] = bad
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            max_eigenvector(m)
 
 
 class TestComputeRegistration:
