@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 internal numerical failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -186,11 +187,14 @@ def cmd_register(args: argparse.Namespace) -> int:
         "iterations": len(trace.iterations),
         "terminal_reason": trace.terminal_reason.value,
     }
-    json.dump(payload, sys.stdout)
-    sys.stdout.write("\n")
-    if args.trace:
-        io_mod._write_rows(args.trace, ("iteration", "mse"),
-                           ((entry.index, entry.mse) for entry in trace.iterations))
+    # The trace output is opened before the result is printed, so a trace
+    # that cannot be written leaves stdout empty.
+    with io_mod._open_out(args.trace) if args.trace else contextlib.nullcontext() as handle:
+        json.dump(payload, sys.stdout)
+        sys.stdout.write("\n")
+        if args.trace:
+            io_mod._write_table(handle, ("iteration", "mse"),
+                                ((entry.index, entry.mse) for entry in trace.iterations))
     return 0
 
 

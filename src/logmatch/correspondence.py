@@ -28,7 +28,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
 from .geometry import PointCloud
@@ -77,6 +76,9 @@ class SpatialIndex:
     __slots__ = ("_points", "_tree")
 
     def __init__(self, model: PointCloud):
+        # Imported here: a process that builds no index never loads the tree.
+        from scipy.spatial import cKDTree
+
         pts = np.array(model.xyz, dtype=np.float64)
         pts.setflags(write=False)
         self._points = pts

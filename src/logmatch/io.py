@@ -467,9 +467,14 @@ def _open_out(path):
 def _write_rows(path, header: Sequence[object], rows) -> None:
     """Write a csv table to path, or to stdout for "-"."""
     with _open_out(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_table(handle, header, rows)
+
+
+def _write_table(handle, header: Sequence[object], rows) -> None:
+    """Write a csv table to an open text handle."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def write_predictions(rows: Sequence[PredictionRow], product_names: Sequence[str], path) -> None:

@@ -10,12 +10,13 @@ a small standardized feature space derived from the scan geometry.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .correspondence import build_index
 from .errors import InvalidInputError
@@ -29,9 +30,19 @@ _VOLUME_SLICES = 100
 # slice's largest squared centroid distance, and with no point outside it
 # by more than _HULL_SLACK of its area (see _slice_hulls). The rounding
 # error of a hull's area grows with its length over its width, so thinner
-# slices take the Qhull path; on log scans almost none is this thin.
+# slices take the exact per-slice path (_hull_corners); on log scans almost
+# none is this thin.
 _FLAT_HULL = 1e-3
 _HULL_SLACK = 1e-13
+# The sign of a float turn determinant l - r is exact when its magnitude
+# exceeds _TURN_BOUND * (|l| + |r|) (Shewchuk's orient2d error bound A);
+# the smallest normal float added to that covers products that underflow.
+_TURN_BOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+_TURN_FLOOR = sys.float_info.min
+# Pool workers are forked where the platform can fork, so that they inherit
+# the parent's imports (the k-d tree's among them); elsewhere they are
+# spawned and import what they use.
+_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 @dataclass(frozen=True)
@@ -180,9 +191,10 @@ def icp_distance_matrix(
     Returns a dense (n, n) array over the n scans with each requested
     distance at [i, j] and NaN everywhere else; a pair listed twice is
     aligned once. The model scans (the j's) are dealt round-robin, in index
-    order, to up to jobs worker processes of one pool. Each worker receives
-    only its models and the moving scans paired with them, and aligns all of
-    its pairs in one pass of the lockstep engine. A pair's distance does not
+    order, to up to jobs worker processes of one pool, forked where the
+    platform can fork and spawned elsewhere. Each worker receives only its
+    models and the moving scans paired with them, and aligns all of its
+    pairs in one pass of the lockstep engine. A pair's distance does not
     depend on the batch or worker that computes it, so neither does the
     array.
     """
@@ -206,7 +218,10 @@ def icp_distance_matrix(
         shares[worker_of[j]].append((i, j))
     tasks = [_share_task(scans, share, cfg) for share in shares]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        if _START_METHOD == "fork":
+            import scipy.spatial  # noqa: F401  (imported once, before the workers fork)
+        context = multiprocessing.get_context(_START_METHOD)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             futures = [pool.submit(_align_share, *task) for task in tasks]
             results = [future.result() for future in futures]
     else:
@@ -273,9 +288,9 @@ def extract_features(scan: PointCloud) -> LogFeatures:
     accumulated over 100 axial slices from the convex-hull area of the
     points projected across the axis. The hulls of all slices are found in
     one batched pass (_slice_hulls). A slice that pass cannot certify, such
-    as a degenerate one, gets Qhull's area, or the circle of the slice's
-    largest radial offset when it has fewer than 3 points or Qhull finds
-    them degenerate.
+    as a sliver-thin one, gets the area of its exact hull (_hull_corners),
+    or the circle of the slice's largest radial offset when that hull has
+    fewer than 3 corners.
     """
     if len(scan) < _FEATURE_MIN_POINTS:
         raise InvalidInputError(f"need at least {_FEATURE_MIN_POINTS} points, got {len(scan)}")
@@ -313,23 +328,92 @@ def _slice_areas(plane: np.ndarray, bins: np.ndarray, radial: np.ndarray, slices
     bins[k] at radial offset radial[k]. An empty slice has area 0.
 
     _slice_hulls solves all slices at once. A slice it does not certify
-    gets the per-slice answer: Qhull's area of its points, or the circle of
-    its largest radial offset when it has fewer than 3 points or Qhull finds
-    them degenerate.
+    gets its exact hull from _hull_corners, and that hull's shoelace area
+    in centroid-relative coordinates; a slice whose exact hull has fewer
+    than 3 corners (all its points collinear or coincident, or fewer than
+    3 of them) gets the circle of its largest radial offset instead.
     """
     counts = np.bincount(bins, minlength=slices)
     _, areas, certified = _slice_hulls(plane, bins, slices)
     largest = np.zeros(slices)
     np.maximum.at(largest, bins, radial)
     for i in np.flatnonzero((counts > 0) & ~certified).tolist():
-        area = None
-        if counts[i] >= 3:
-            try:
-                area = float(ConvexHull(plane[bins == i]).volume)
-            except QhullError:
-                pass
-        areas[i] = math.pi * float(largest[i]) ** 2 if area is None else area
+        points = plane[bins == i]
+        corners = _hull_corners(points)
+        if len(corners) < 3:
+            areas[i] = math.pi * float(largest[i]) ** 2
+            continue
+        dx, dy = (points[corners] - points.mean(axis=0)).T
+        dx_next, dy_next = np.roll(dx, -1), np.roll(dy, -1)
+        areas[i] = 0.5 * math.fsum((dx * dy_next - dx_next * dy).tolist())
     return areas
+
+
+def _hull_corners(points: np.ndarray) -> np.ndarray:
+    """Row indices of the corners of the convex hull of an (m, 2) array,
+    counter-clockwise from its lexicographically smallest point. A point on
+    an edge is not a corner, so collinear or coincident points give at most 2.
+
+    Andrew's monotone chain over the unique points in lexicographic order.
+    The lower chain skips the points surely above the chord from the first
+    point to the last, and the upper chain those surely below it. Every turn
+    is decided exactly: by its float determinant when that clears
+    _TURN_BOUND, else in integers (_as_integers).
+    """
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    ordered = points[order]
+    unique = np.ones(len(order), dtype=bool)
+    unique[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    order = order[unique]
+    m = len(order)
+    if m < 3:
+        return order
+    x, y = points[order, 0], points[order, 1]
+    # Each point's turn from the chord, positive above it, and its bound.
+    chord_left = (x[-1] - x[0]) * (y - y[0])
+    chord_right = (y[-1] - y[0]) * (x - x[0])
+    side = (chord_left - chord_right)[1:-1]
+    slack = (_TURN_BOUND * (np.abs(chord_left) + np.abs(chord_right)) + _TURN_FLOOR)[1:-1]
+    inner = np.arange(1, m - 1)
+    lower = [0, *inner[~(side > slack)].tolist(), m - 1]
+    upper = [m - 1, *inner[~(side < -slack)][::-1].tolist(), 0]
+    xs, ys = x.tolist(), y.tolist()
+    exact: list[list[int]] = []  # integer xs and ys, made at the first close call
+
+    def chain(seq: list[int]) -> list[int]:
+        # Keep only strict left turns; the chain's last point starts the next.
+        out: list[int] = []
+        for b in seq:
+            bx, by = xs[b], ys[b]
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                ox, oy = xs[o], ys[o]
+                left = (xs[a] - ox) * (by - oy)
+                right = (ys[a] - oy) * (bx - ox)
+                turn = left - right
+                bound = _TURN_BOUND * (abs(left) + abs(right)) + _TURN_FLOOR
+                if turn > bound:
+                    break
+                if not turn < -bound:  # too close to call in floats (or not finite)
+                    if not exact:
+                        exact.extend((_as_integers(xs), _as_integers(ys)))
+                    ix, iy = exact
+                    if (ix[a] - ix[o]) * (iy[b] - iy[o]) - (iy[a] - iy[o]) * (ix[b] - ix[o]) > 0:
+                        break
+                out.pop()
+            out.append(b)
+        return out[:-1]
+
+    return order[chain(lower) + chain(upper)]
+
+
+def _as_integers(values: list[float]) -> list[int]:
+    """The floats times one common power of two, as exact integers. Turn
+    determinants are bilinear in x and y differences, so scaling each axis
+    keeps their signs."""
+    ratios = [value.as_integer_ratio() for value in values]
+    shift = max(den.bit_length() for _, den in ratios)
+    return [num << (shift - den.bit_length()) for num, den in ratios]
 
 
 def _slice_hulls(

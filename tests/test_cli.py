@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -581,8 +583,9 @@ class TestRegisterFiles:
         path = tmp_path / "scan.xyz"
         write_scan(box_cloud(np.random.default_rng(0), 20), path)
         trace_path = tmp_path / "absent" / "t.csv"
-        code, _, err = run_cli(capsys, "register", path, path, "--trace", trace_path)
+        code, out, err = run_cli(capsys, "register", path, path, "--trace", trace_path)
         assert code == 2
+        assert out == ""
         assert err == f"error: [Errno 2] No such file or directory: {str(trace_path)!r}\n"
 
     def test_csv_scan_error_names_the_line_after_a_multi_line_cell(self, tmp_path, capsys):
@@ -619,3 +622,58 @@ class TestOptionErrors:
         code, out, err = run_cli(capsys, "predict", train, test, "--predictor", "knn", "--k", 1)
         assert (code, out) == (2, "")
         assert err == "error: log 'f': scan has zero extent along its principal axis\n"
+
+
+# Runs CLI commands in order in one fresh interpreter, and records whether
+# scipy and scipy.spatial are loaded after `import logmatch` and after each
+# command.
+IMPORT_PROBE = """\
+import json
+import sys
+
+import logmatch
+from logmatch.cli import main
+
+
+def loaded():
+    return [name in sys.modules for name in ("scipy", "scipy.spatial")]
+
+
+seen = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        raise SystemExit(f"{argv} failed")
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def scipy_loaded_after(commands):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(predictor.__file__))}
+    argvs = json.dumps([[str(a) for a in argv] for argv in commands])
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", IMPORT_PROBE, argvs],
+                          env=env, capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestScipyStaysOut:
+    """Only a command that builds a k-d tree imports scipy."""
+
+    def test_commands_without_icp_never_import_scipy(self, tiny_dataset):
+        train, test, root = tiny_dataset
+        predictions = root / "knn.csv"
+        seen = scipy_loaded_after([
+            ["experiment", train, "--predictor", "knn,mean", "--k", 1, "--runs", 2,
+             "--output", root / "experiment.csv"],
+            ["predict", train, test, "--predictor", "knn", "--k", 1, "--output", predictions],
+            ["evaluate", predictions, root / "test.baskets.csv", "--output", root / "report.csv"],
+            ["split", train, "--runs", 2, "--output", root / "split.csv"],
+        ])
+        assert seen == [[False, False]] * 5
+
+    def test_icp_imports_the_k_d_tree(self, tiny_dataset):
+        train, test, root = tiny_dataset
+        seen = scipy_loaded_after([
+            ["predict", train, test, "--predictor", "icp", "--jobs", 2, "--output", root / "icp.csv"],
+        ])
+        assert seen == [[False, False], [True, True]]

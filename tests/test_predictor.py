@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -28,6 +32,27 @@ from logmatch import (
 from logmatch import predictor
 from logmatch.geometry import RigidTransform
 from synthdata import box_cloud, cone_cloud, cylinder_cloud, log_like_cloud, random_transform
+
+SPAWN_CALLER = """\
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from logmatch import PointCloud, icp_distance_matrix, predictor
+
+
+def main(root):
+    predictor._START_METHOD = "spawn"
+    scans = [PointCloud(xyz) for xyz in np.load(root / "scans.npy")]
+    pairs = [(i, j) for i in range(len(scans)) for j in range(len(scans)) if i != j]
+    distances = icp_distance_matrix(scans, pairs, jobs=2)
+    (root / "distances.bin").write_bytes(distances.tobytes())
+
+
+if __name__ == "__main__":
+    main(Path(sys.argv[1]))
+"""
 
 
 def record(log_id, cloud, quantities):
@@ -196,10 +221,11 @@ class TestDistanceMatrix:
         built = []
 
         class InlinePool:
-            """Records the pool size it is asked for and runs each share here."""
+            """Records the pool size and start method it is asked for and
+            runs each share here."""
 
-            def __init__(self, max_workers):
-                built.append(max_workers)
+            def __init__(self, max_workers, mp_context):
+                built.append((max_workers, mp_context.get_start_method()))
 
             def __enter__(self):
                 return self
@@ -214,7 +240,36 @@ class TestDistanceMatrix:
 
         monkeypatch.setattr(predictor, "ProcessPoolExecutor", InlinePool)
         assert icp_distance_matrix(scans, pairs, jobs=10_000).tobytes() == serial.tobytes()
-        assert built == [3]
+        assert built == [(3, predictor._START_METHOD)]
+
+    def test_workers_fork_where_the_platform_can(self):
+        methods = multiprocessing.get_all_start_methods()
+        assert predictor._START_METHOD == ("fork" if "fork" in methods else "spawn")
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_same_bytes_under_every_start_method(self, monkeypatch, method):
+        rng = np.random.default_rng(21)
+        scans = [log_like_cloud(rng, 16 + 5 * i) for i in range(4)]
+        pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+        serial = icp_distance_matrix(scans, pairs, jobs=1)
+        monkeypatch.setattr(predictor, "_START_METHOD", method)
+        assert icp_distance_matrix(scans, pairs, jobs=2).tobytes() == serial.tobytes()
+
+    def test_library_caller_under_spawn(self, tmp_path):
+        """A script that calls icp_distance_matrix from its guarded main, with
+        workers spawned, as on a platform that cannot fork: the spawned
+        workers re-import the script as a module and skip its main."""
+        rng = np.random.default_rng(22)
+        scans = [log_like_cloud(rng, 24) for _ in range(4)]
+        pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+        np.save(tmp_path / "scans.npy", np.stack([scan.xyz for scan in scans]))
+        script = tmp_path / "caller.py"
+        script.write_text(SPAWN_CALLER, encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(predictor.__file__))}
+        subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(script), str(tmp_path)],
+                       env=env, check=True, timeout=300)
+        want = icp_distance_matrix(scans, pairs, jobs=1)
+        assert (tmp_path / "distances.bin").read_bytes() == want.tobytes()
 
     def test_no_pairs_give_all_nan(self):
         scans = [box_cloud(np.random.default_rng(18), 5)]
@@ -303,7 +358,8 @@ def cylinder(rng):
 
 
 # ---------------------------------------------------------------------------
-# batched slice hulls against the per-slice Qhull loop they replace
+# slice hulls against the per-slice Qhull loop they replace, and against the
+# exact rational hull
 
 
 def oracle_slice_area(points, radial):
@@ -406,8 +462,11 @@ def slices(draw):
 def test_batched_slice_areas_match_the_oracle(parts, data):
     """Every slice of a batch: a certified slice has the exact hull's area
     within 1e-12 relative (and Qhull's when centred), and on exact lattice
-    data exactly the hull's corners; any other slice, including every
-    degenerate one, has the per-slice oracle's area bit for bit."""
+    data exactly the hull's corners. Any other slice, including every
+    degenerate one, has exactly the exact hull's corners; it gets the circle
+    when that hull has fewer than 3 corners, and otherwise the exact area
+    within a few ulps of its largest squared centroid distance, and Qhull's
+    within 1e-10 relative where Qhull measures it."""
     plane = np.concatenate([pts for _, pts, _, _ in parts])
     bins = np.concatenate([np.full(len(pts), i) for i, (_, pts, _, _) in enumerate(parts)])
     shuffle = np.array(data.draw(st.permutations(range(len(bins)))), dtype=np.int64)
@@ -419,20 +478,87 @@ def test_batched_slice_areas_match_the_oracle(parts, data):
     assert areas[-1] == 0.0 and not certified[-1]
     for i, (kind, _, exact, centred) in enumerate(parts):
         mask = bins == i
+        hull, area = exact_hull(plane[mask])
         oracle, circled = oracle_slice_area(plane[mask], radial[mask])
         if kind in ("collinear", "coincident"):
             assert not certified[i]
         if not certified[i]:
-            assert areas[i] == oracle
+            assert_fallback_area(plane[mask], radial[mask], areas[i], hull, area, oracle, circled)
             continue
         assert not circled
         assert areas[i] == batched[i]
-        hull, area = exact_hull(plane[mask])
         assert abs(areas[i] - area) <= 1e-12 * area
         if centred:
             assert abs(areas[i] - oracle) <= 1e-12 * oracle
         if exact:
             assert {tuple(p) for p in plane[corners[bins[corners] == i]].tolist()} == hull
+
+
+def assert_fallback_area(points, radial, got, hull, area, oracle, circled):
+    """One uncertified slice against the exact rational hull and Qhull."""
+    corners = predictor._hull_corners(points)
+    assert {tuple(p) for p in points[corners].tolist()} == hull
+    if len(hull) < 3:
+        assert got == math.pi * float(radial.max()) ** 2
+        return
+    reach = float((((points - points.mean(axis=0)) ** 2).sum(axis=1)).max())
+    assert abs(got - area) <= 4 * math.ulp(reach)
+    if not circled:
+        assert abs(got - oracle) <= 1e-10 * oracle
+
+
+def test_hull_corners_decide_near_collinear_turns_exactly():
+    """Points a few ulps off the line y = x, where float turns can take the
+    wrong sign, give exactly the rational hull's corners, in counter-clockwise
+    order from the lexicographically smallest."""
+    ulp = 2.0**-53
+    grid = [(0.5 + i * ulp, 0.5 + j * ulp) for i in range(0, 64, 3) for j in range(0, 64, 5)]
+    points = np.array(grid + [(12.0, 12.0), (24.0, 24.0), (24.0, 24.0 + 32 * ulp)])
+    corners = predictor._hull_corners(points)
+    hull, area = exact_hull(points)
+    assert area > 0.0
+    assert {tuple(p) for p in points[corners].tolist()} == hull
+    ordered = [tuple(p) for p in points[corners].tolist()]
+    assert ordered[0] == min(ordered)
+    turns = [
+        (Fraction(b[0]) - Fraction(a[0])) * (Fraction(c[1]) - Fraction(a[1]))
+        - (Fraction(b[1]) - Fraction(a[1])) * (Fraction(c[0]) - Fraction(a[0]))
+        for a, b, c in zip(ordered, ordered[1:] + ordered[:1], ordered[2:] + ordered[:2])
+    ]
+    assert all(turn > 0 for turn in turns)
+
+
+def test_hull_corners_of_degenerate_points():
+    """Coincident points give one corner, collinear points their two ends."""
+    assert predictor._hull_corners(np.array([[1.0, 2.0]] * 5)).tolist() == [0]
+    line = np.array([[3.0, 3.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [0.0, 0.0]])
+    assert predictor._hull_corners(line).tolist() == [4, 0]
+    assert predictor._hull_corners(np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.5]])).tolist() == [1, 0]
+
+
+def board(rng, n, thickness):
+    """A planar board scan: n points filling a 1000 x 200 x thickness box."""
+    return PointCloud(np.column_stack([
+        rng.uniform(-500.0, 500.0, n), rng.uniform(-100.0, 100.0, n), rng.uniform(0.0, thickness, n)]))
+
+
+def test_planar_board_takes_the_exact_path_in_every_slice():
+    """A board too thin for the batched pass to certify any slice: every
+    slice takes the exact per-slice hull, and the features are finite and
+    match the per-slice Qhull loop."""
+    scan = board(np.random.default_rng(41), 20000, 0.02)
+    pts = scan.xyz - scan.xyz.mean(axis=0)
+    _, vectors = np.linalg.eigh(pts.T @ pts / len(pts))
+    along = pts @ vectors[:, 2]
+    thickness = (along.max() - along.min()) / 100
+    bins = np.clip(((along - along.min()) / thickness).astype(np.int64), 0, 99)
+    plane = np.column_stack([pts @ vectors[:, 0], pts @ vectors[:, 1]])
+    _, _, certified = predictor._slice_hulls(plane, bins, 100)
+    assert not certified.any()
+    got, want = extract_features(scan), oracle_features(scan)
+    assert np.isfinite(got.as_array()).all()
+    assert got.as_array()[1:].tobytes() == want.as_array()[1:].tobytes()
+    assert abs(got.volume - want.volume) <= 1e-10 * want.volume
 
 
 def test_duplicated_float_slices_are_certified():
