@@ -54,11 +54,9 @@ from .registration import (
     RegistrationResult,
     TerminalReason,
     compute_registration,
-    cross_covariance,
     icp_align,
     icp_distance,
     max_eigenvector,
-    quaternion_alignment_matrix,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +90,6 @@ __all__ = [
     "augmented_hamming_distance",
     "build_index",
     "compute_registration",
-    "cross_covariance",
     "drop_empty",
     "evaluate",
     "extract_features",
@@ -109,7 +106,6 @@ __all__ = [
     "nn_predict_from_distances",
     "prediction_score",
     "production_score",
-    "quaternion_alignment_matrix",
     "quaternion_to_rotation",
     "split",
     "split_indices",

@@ -26,14 +26,6 @@ from .registration import IcpConfig, _align_pairs
 _FEATURE_MIN_POINTS = 10
 _END_SLAB_FRACTION = 0.05
 _VOLUME_SLICES = 100
-# A batched slice hull is certified only above this area, relative to the
-# slice's largest squared centroid distance, and with no point outside it
-# by more than _HULL_SLACK of its area (see _slice_hulls). The rounding
-# error of a hull's area grows with its length over its width, so thinner
-# slices take the exact per-slice path (_hull_corners); on log scans almost
-# none is this thin.
-_FLAT_HULL = 1e-3
-_HULL_SLACK = 1e-13
 # The sign of a float turn determinant l - r is exact when its magnitude
 # exceeds _TURN_BOUND * (|l| + |r|) (Shewchuk's orient2d error bound A);
 # the smallest normal float added to that covers products that underflow.
@@ -286,11 +278,11 @@ def extract_features(scan: PointCloud) -> LogFeatures:
     Length is the extent along the axis; each end diameter is twice the
     largest radial offset within the 5%-length slab at that end; volume is
     accumulated over 100 axial slices from the convex-hull area of the
-    points projected across the axis. The hulls of all slices are found in
-    one batched pass (_slice_hulls). A slice that pass cannot certify, such
-    as a sliver-thin one, gets the area of its exact hull (_hull_corners),
-    or the circle of the slice's largest radial offset when that hull has
-    fewer than 3 corners.
+    points projected across the axis. The exact hulls of all slices are
+    found in one batched pass (_slice_hulls). A slice of fewer than 3
+    distinct points gets the circle of its largest radial offset instead,
+    and a slice of collinear points the area 0, so a planar scan has a
+    volume near 0 in every pose.
     """
     if len(scan) < _FEATURE_MIN_POINTS:
         raise InvalidInputError(f"need at least {_FEATURE_MIN_POINTS} points, got {len(scan)}")
@@ -327,84 +319,94 @@ def _slice_areas(plane: np.ndarray, bins: np.ndarray, radial: np.ndarray, slices
     """Convex-hull area of each slice's points: plane[k] lies in slice
     bins[k] at radial offset radial[k]. An empty slice has area 0.
 
-    _slice_hulls solves all slices at once. A slice it does not certify
-    gets its exact hull from _hull_corners, and that hull's shoelace area
-    in centroid-relative coordinates; a slice whose exact hull has fewer
-    than 3 corners (all its points collinear or coincident, or fewer than
-    3 of them) gets the circle of its largest radial offset instead.
+    A slice of fewer than 3 distinct points gets the circle of its largest
+    radial offset. Any other slice gets the area of its exact hull
+    (_slice_hulls): the shoelace sum over its corners in centroid-relative
+    coordinates, which is 0 when all its points are collinear.
     """
-    counts = np.bincount(bins, minlength=slices)
-    _, areas, certified = _slice_hulls(plane, bins, slices)
+    hull, distinct = _slice_hulls(plane, bins, slices)
+    at = bins[hull]
+    div = np.maximum(np.bincount(bins, minlength=slices), 1)
+    dx = plane[hull, 0] - (np.bincount(bins, weights=plane[:, 0], minlength=slices) / div)[at]
+    dy = plane[hull, 1] - (np.bincount(bins, weights=plane[:, 1], minlength=slices) / div)[at]
+    # Each corner's successor within its slice, cyclically.
+    corners = np.bincount(at, minlength=slices)
+    head = (np.cumsum(corners) - corners)[at]
+    pos = np.arange(len(hull))
+    succ = np.where(pos == head + corners[at] - 1, head, pos + 1)
+    areas = 0.5 * np.bincount(at, weights=dx * dy[succ] - dx[succ] * dy, minlength=slices)
     largest = np.zeros(slices)
     np.maximum.at(largest, bins, radial)
-    for i in np.flatnonzero((counts > 0) & ~certified).tolist():
-        points = plane[bins == i]
-        corners = _hull_corners(points)
-        if len(corners) < 3:
-            areas[i] = math.pi * float(largest[i]) ** 2
-            continue
-        dx, dy = (points[corners] - points.mean(axis=0)).T
-        dx_next, dy_next = np.roll(dx, -1), np.roll(dy, -1)
-        areas[i] = 0.5 * math.fsum((dx * dy_next - dx_next * dy).tolist())
-    return areas
+    return np.where(distinct < 3, math.pi * largest * largest, areas)
 
 
-def _hull_corners(points: np.ndarray) -> np.ndarray:
-    """Row indices of the corners of the convex hull of an (m, 2) array,
-    counter-clockwise from its lexicographically smallest point. A point on
-    an edge is not a corner, so collinear or coincident points give at most 2.
+def _slice_hulls(plane: np.ndarray, bins: np.ndarray, slices: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact convex hulls of the points of every slice in one pass, after
+    Andrew's monotone chain. Returns the corner indices into plane, grouped
+    by slice and counter-clockwise within it from the slice's
+    lexicographically smallest point, and each slice's count of distinct
+    points. A point on an edge is not a corner, so collinear or coincident
+    points give at most 2; of equal points the lowest index stands for all.
 
-    Andrew's monotone chain over the unique points in lexicographic order.
-    The lower chain skips the points surely above the chord from the first
-    point to the last, and the upper chain those surely below it. Every turn
-    is decided exactly: by its float determinant when that clears
-    _TURN_BOUND, else in integers (_as_integers).
+    The distinct points of a slice, in lexicographic order, run from its
+    first point F to its last L. Those strictly left of the chord from F to
+    L make the upper chain, run back from L to F, and the rest the lower
+    chain, run forward from F to L. Every vertex but a chain's ends, which
+    are hull corners, is dropped, all at once, while its turn is not
+    strictly left. Each chain then turns left at every vertex, and every
+    point dropped from it lies on its outer side: it is that side's half
+    of the hull. Every turn and chord side is decided exactly (_turn_signs).
     """
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    ordered = points[order]
-    unique = np.ones(len(order), dtype=bool)
-    unique[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    order = order[unique]
-    m = len(order)
-    if m < 3:
-        return order
-    x, y = points[order, 0], points[order, 1]
-    # Each point's turn from the chord, positive above it, and its bound.
-    chord_left = (x[-1] - x[0]) * (y - y[0])
-    chord_right = (y[-1] - y[0]) * (x - x[0])
-    side = (chord_left - chord_right)[1:-1]
-    slack = (_TURN_BOUND * (np.abs(chord_left) + np.abs(chord_right)) + _TURN_FLOOR)[1:-1]
-    inner = np.arange(1, m - 1)
-    lower = [0, *inner[~(side > slack)].tolist(), m - 1]
-    upper = [m - 1, *inner[~(side < -slack)][::-1].tolist(), 0]
-    xs, ys = x.tolist(), y.tolist()
-    exact: list[list[int]] = []  # integer xs and ys, made at the first close call
+    x, y = plane[:, 0], plane[:, 1]
+    order = np.lexsort((y, x, bins))
+    group, xs, ys = bins[order], x[order], y[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (group[1:] != group[:-1]) | (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    order, group = order[new], group[new]
+    distinct = np.bincount(group, minlength=slices)
+    head = (np.cumsum(distinct) - distinct)[group]
+    tail = head + distinct[group] - 1
+    pos = np.arange(len(order))
+    inner = (pos > head) & (pos < tail)
+    upper = np.zeros(len(order), dtype=bool)
+    upper[inner] = _turn_signs(x, y, order[head[inner]], order[tail[inner]], order[inner]) > 0
+    # All lower chains forward, then all upper chains back; F and L bound both.
+    in_upper = ~inner | upper
+    chains = np.concatenate([order[~upper], order[in_upper][::-1]])
+    ends = np.concatenate([~inner[~upper], ~inner[in_upper][::-1]])
+    split = len(order) - int(upper.sum())
+    test = np.flatnonzero(~ends)
+    while len(test):
+        drop = test[_turn_signs(x, y, chains[test - 1], chains[test], chains[test + 1]) <= 0]
+        # Only the vertices beside a dropped one have new turns.
+        kept = np.ones(len(chains), dtype=bool)
+        kept[drop] = False
+        beside = np.zeros(len(chains), dtype=bool)
+        beside[drop - 1] = beside[drop + 1] = True
+        beside &= kept & ~ends
+        chains, ends, split = chains[kept], ends[kept], split - int((drop < split).sum())
+        test = np.flatnonzero(beside[kept])
+    # Each slice's lower chain, then the inner corners of its upper chain.
+    hull = np.concatenate([chains[:split], chains[split:][~ends[split:]]])
+    return hull[np.argsort(bins[hull], kind="stable")], distinct
 
-    def chain(seq: list[int]) -> list[int]:
-        # Keep only strict left turns; the chain's last point starts the next.
-        out: list[int] = []
-        for b in seq:
-            bx, by = xs[b], ys[b]
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                ox, oy = xs[o], ys[o]
-                left = (xs[a] - ox) * (by - oy)
-                right = (ys[a] - oy) * (bx - ox)
-                turn = left - right
-                bound = _TURN_BOUND * (abs(left) + abs(right)) + _TURN_FLOOR
-                if turn > bound:
-                    break
-                if not turn < -bound:  # too close to call in floats (or not finite)
-                    if not exact:
-                        exact.extend((_as_integers(xs), _as_integers(ys)))
-                    ix, iy = exact
-                    if (ix[a] - ix[o]) * (iy[b] - iy[o]) - (iy[a] - iy[o]) * (ix[b] - ix[o]) > 0:
-                        break
-                out.pop()
-            out.append(b)
-        return out[:-1]
 
-    return order[chain(lower) + chain(upper)]
+def _turn_signs(x: np.ndarray, y: np.ndarray, o: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact sign (1, 0 or -1) of the turn from o through a to b for each
+    triple of point indices, positive when b lies left of the line from o
+    through a. The float determinant decides when it clears _TURN_BOUND;
+    the rest are decided in integers (_as_integers)."""
+    left = (x[a] - x[o]) * (y[b] - y[o])
+    right = (y[a] - y[o]) * (x[b] - x[o])
+    turn = left - right
+    bound = _TURN_BOUND * (np.abs(left) + np.abs(right)) + _TURN_FLOOR
+    sign = np.where(turn > bound, 1, np.where(turn < -bound, -1, 0))
+    for k in np.flatnonzero(sign == 0).tolist():  # too close to call in floats, or overflowed
+        triple = [o[k], a[k], b[k]]
+        (xo, xa, xb), (yo, ya, yb) = _as_integers(x[triple].tolist()), _as_integers(y[triple].tolist())
+        det = (xa - xo) * (yb - yo) - (ya - yo) * (xb - xo)
+        sign[k] = (det > 0) - (det < 0)
+    return sign
 
 
 def _as_integers(values: list[float]) -> list[int]:
@@ -414,77 +416,6 @@ def _as_integers(values: list[float]) -> list[int]:
     ratios = [value.as_integer_ratio() for value in values]
     shift = max(den.bit_length() for _, den in ratios)
     return [num << (shift - den.bit_length()) for num, den in ratios]
-
-
-def _slice_hulls(
-    plane: np.ndarray, bins: np.ndarray, slices: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Convex hulls of the points of every slice in one pass, after Graham's
-    angular-sort scan. Returns the corner indices into plane, grouped by
-    slice and counter-clockwise within it; each slice's area; and whether
-    each slice's hull is certified.
-
-    The points of each slice are sorted by angle around the slice centroid,
-    and only the farthest point at each exact angle is kept. Then every kept
-    point whose turn from its predecessor to its successor (cyclically,
-    within its slice) is not strictly left is dropped, all at once, until
-    none is. The centroid of a slice of positive area is interior to its
-    hull, so with exact angles what remains is the hull's corners, in
-    order; the area is their shoelace sum in centroid-relative coordinates.
-
-    Rounded angles can misorder points that share a ray from the centroid,
-    so the result is checked, not trusted. A slice is certified when it
-    keeps at least 3 corners, its area exceeds _FLAT_HULL times its largest
-    squared centroid distance, the centroid lies strictly inside every
-    edge, and no point lies outside the edge of its angular sector by more
-    than _HULL_SLACK of the slice's area (in twice-triangle-area units). A
-    convex polygon of the slice's own points that contains them all is
-    their hull.
-    """
-    counts = np.bincount(bins, minlength=slices)
-    x, y = plane[:, 0], plane[:, 1]
-    div = np.maximum(counts, 1)
-    dx = x - (np.bincount(bins, weights=x, minlength=slices) / div)[bins]
-    dy = y - (np.bincount(bins, weights=y, minlength=slices) / div)[bins]
-    angle = np.arctan2(dy, dx)
-    angle[angle == -np.pi] = np.pi  # one angle for the direction (-1, 0)
-    dist2 = dx * dx + dy * dy
-    order = np.lexsort((-dist2, angle, bins))
-    kept = np.ones(len(order), dtype=bool)
-    kept[1:] = (bins[order[1:]] != bins[order[:-1]]) | (angle[order[1:]] != angle[order[:-1]])
-    while True:
-        hull = order[kept]
-        corners = np.bincount(bins[hull], minlength=slices)
-        head = (np.cumsum(corners) - corners)[bins[hull]]
-        tail = head + corners[bins[hull]] - 1
-        pos = np.arange(len(hull))
-        prev = hull[np.where(pos == head, tail, pos - 1)]
-        succ = hull[np.where(pos == tail, head, pos + 1)]
-        # Turns in the plane's own coordinates, where exact collinearity
-        # (lattice data) stays exact.
-        turn = (x[hull] - x[prev]) * (y[succ] - y[hull]) - (y[hull] - y[prev]) * (x[succ] - x[hull])
-        if (turn > 0.0).all():
-            break
-        kept[np.flatnonzero(kept)[turn <= 0.0]] = False
-
-    fan = dx[hull] * dy[succ] - dx[succ] * dy[hull]
-    areas = 0.5 * np.bincount(bins[hull], weights=fan, minlength=slices)
-    reach = np.zeros(slices)
-    np.maximum.at(reach, bins, dist2)
-    certified = (corners >= 3) & (areas > _FLAT_HULL * reach)
-    certified &= np.bincount(bins[hull], weights=fan <= 0.0, minlength=slices) == 0
-    # The sector edge of each point in sorted order starts at the last
-    # corner at or before it in its slice, else at the slice's last corner.
-    in_order = bins[order]
-    first = (np.cumsum(corners) - corners)[in_order]
-    edge = np.cumsum(kept) - 1
-    edge = np.where(edge < first, first + corners[in_order] - 1, edge)
-    has_edge = corners[in_order] > 0
-    p, a, b = order[has_edge], hull[edge[has_edge]], succ[edge[has_edge]]
-    side = (x[b] - x[a]) * (y[p] - y[a]) - (y[b] - y[a]) * (x[p] - x[a])
-    outside = side < -_HULL_SLACK * areas[bins[p]]
-    certified &= np.bincount(bins[p], weights=outside, minlength=slices) == 0
-    return hull, areas, certified
 
 
 def knn_feature_predict(

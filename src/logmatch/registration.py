@@ -120,44 +120,14 @@ class IcpTrace:
         return np.array([entry.mse for entry in self.iterations], dtype=np.float64)
 
 
-def cross_covariance(moving: PointCloud, model: PointCloud, pairs: CorrespondenceSet) -> np.ndarray:
-    """Cross-covariance of the paired points, (1/n) sum (p - mu_p)(x - mu_x)^T.
-
-    mu_p is the centroid of the moving points, mu_x the centroid of their
-    matched model points counted with multiplicity.
-    """
-    _check_pairs(moving, model, pairs)
-    stack = _Stack([moving.xyz])
-    sigma, _ = _cross_covariances(stack, _columns([model.xyz[pairs.target_indices]]))
-    return sigma[0]
-
-
-def _check_pairs(moving: PointCloud, model: PointCloud, pairs: CorrespondenceSet) -> None:
-    if len(pairs) != len(moving):
-        raise InvalidInputError(
-            f"correspondences must cover the moving cloud: {len(pairs)} pairs for {len(moving)} points"
-        )
-    if pairs.target_indices.max() >= len(model) or pairs.target_indices.min() < 0:
-        raise InvalidInputError("correspondence target index out of range for the model cloud")
-
-
-def quaternion_alignment_matrix(sigma: np.ndarray) -> np.ndarray:
-    """Symmetric 4x4 matrix whose top eigenvector is the optimal rotation.
+def _alignment_matrices(sigma: np.ndarray) -> np.ndarray:
+    """Symmetric 4x4 matrices whose top eigenvectors are the optimal
+    rotations, one per cross-covariance of a (B, 3, 3) stack: (B, 4, 4).
 
     Layout: top-left scalar trace(sigma); first row and column completed by
     the vector (A12, A20, A01) of the antisymmetric part A = sigma - sigma^T
     (0-based indices); lower-right 3x3 block sigma + sigma^T - trace(sigma) I.
     """
-    s = np.asarray(sigma, dtype=np.float64)
-    if s.shape != (3, 3):
-        raise InvalidInputError(f"expected a 3x3 matrix, got shape {s.shape}")
-    if not np.isfinite(s).all():
-        raise InvalidInputError("cross-covariance contains non-finite entries")
-    return _alignment_matrices(s[None])[0]
-
-
-def _alignment_matrices(sigma: np.ndarray) -> np.ndarray:
-    """quaternion_alignment_matrix over a (B, 3, 3) stack: (B, 4, 4)."""
     trace = sigma[:, 0, 0] + sigma[:, 1, 1] + sigma[:, 2, 2]
     delta = np.stack(
         [sigma[:, 1, 2] - sigma[:, 2, 1], sigma[:, 2, 0] - sigma[:, 0, 2], sigma[:, 0, 1] - sigma[:, 1, 0]],
@@ -463,7 +433,12 @@ def compute_registration(
     leaves the rotation underdetermined; whichever maximizing eigenvector
     the solver finds is accepted.
     """
-    _check_pairs(moving, model, pairs)
+    if len(pairs) != len(moving):
+        raise InvalidInputError(
+            f"correspondences must cover the moving cloud: {len(pairs)} pairs for {len(moving)} points"
+        )
+    if pairs.target_indices.max() >= len(model) or pairs.target_indices.min() < 0:
+        raise InvalidInputError("correspondence target index out of range for the model cloud")
     stack = _Stack([moving.xyz])
     matched = _columns([model.xyz[pairs.target_indices]])
     quats, rot, trans = _fit(stack, matched)

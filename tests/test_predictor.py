@@ -401,7 +401,8 @@ def oracle_features(scan):
 
 def exact_hull(points):
     """Corners and area of the convex hull of float points, in exact
-    rational arithmetic (monotone chain; collinear points are not corners)."""
+    rational arithmetic (monotone chain; collinear points are not corners).
+    The corners run counter-clockwise from the lexicographically smallest."""
     pts = sorted({(Fraction(x), Fraction(y)) for x, y in points.tolist()})
 
     def cross(o, a, b):
@@ -417,7 +418,13 @@ def exact_hull(points):
 
     corners = chain(pts) + chain(reversed(pts)) if len(pts) > 2 else pts
     twice = sum(a[0] * b[1] - b[0] * a[1] for a, b in zip(corners[-1:] + corners[:-1], corners))
-    return {(float(x), float(y)) for x, y in corners}, float(twice / 2)
+    return [(float(x), float(y)) for x, y in corners], float(twice / 2)
+
+
+def single_slice_hull(points):
+    """_slice_hulls of points as one slice: the corner indices into points."""
+    hull, _ = predictor._slice_hulls(points, np.zeros(len(points), dtype=np.int64), 1)
+    return hull
 
 
 SLICE_KINDS = ("lattice", "run", "collinear", "coincident", "duplicates", "floats")
@@ -453,58 +460,57 @@ def slices(draw):
         pts = rng.normal(size=(n, 2))
     offset = np.array([draw(st.sampled_from([0, 1, -7, 1000, -10000, 10000])) for _ in range(2)])
     scale = draw(st.sampled_from([1e-3, 0.37, 1.0, 3.0, 1e4]))
-    exact = kind not in ("duplicates", "floats") and scale == 1.0
-    return kind, (pts + offset) * scale, exact, not offset.any()
+    return kind, (pts + offset) * scale, not offset.any()
 
 
 @settings(max_examples=200, deadline=None)
 @given(parts=st.lists(slices(), min_size=1, max_size=4), data=st.data())
 def test_batched_slice_areas_match_the_oracle(parts, data):
-    """Every slice of a batch: a certified slice has the exact hull's area
-    within 1e-12 relative (and Qhull's when centred), and on exact lattice
-    data exactly the hull's corners. Any other slice, including every
-    degenerate one, has exactly the exact hull's corners; it gets the circle
-    when that hull has fewer than 3 corners, and otherwise the exact area
-    within a few ulps of its largest squared centroid distance, and Qhull's
-    within 1e-10 relative where Qhull measures it."""
-    plane = np.concatenate([pts for _, pts, _, _ in parts])
-    bins = np.concatenate([np.full(len(pts), i) for i, (_, pts, _, _) in enumerate(parts)])
+    """Every slice of a batch has exactly the exact hull's corners, in its
+    order, and the same corners and area, to the bit, when it runs alone.
+    A slice of fewer than 3 distinct points gets the circle, and one of 3 or
+    more exactly collinear points the area 0. A slice whose area exceeds
+    1e-3 of its largest squared centroid distance (its reach) has the exact
+    hull's area within 1e-12 relative (and Qhull's when centred); a thinner
+    one has it within 4 ulps of its reach, and Qhull's within 1e-10
+    relative where Qhull measures it."""
+    plane = np.concatenate([pts for _, pts, _ in parts])
+    bins = np.concatenate([np.full(len(pts), i) for i, (_, pts, _) in enumerate(parts)])
     shuffle = np.array(data.draw(st.permutations(range(len(bins)))), dtype=np.int64)
     plane, bins = plane[shuffle], bins[shuffle]
     radial = np.random.default_rng(len(bins)).uniform(0.5, 2.0, len(bins))
     slices_total = len(parts) + 1  # the last slice stays empty
     areas = predictor._slice_areas(plane, bins, radial, slices_total)
-    corners, batched, certified = predictor._slice_hulls(plane, bins, slices_total)
-    assert areas[-1] == 0.0 and not certified[-1]
-    for i, (kind, _, exact, centred) in enumerate(parts):
+    corners, distinct = predictor._slice_hulls(plane, bins, slices_total)
+    assert areas[-1] == 0.0 and distinct[-1] == 0
+    for i, (_, _, centred) in enumerate(parts):
         mask = bins == i
-        hull, area = exact_hull(plane[mask])
-        oracle, circled = oracle_slice_area(plane[mask], radial[mask])
-        if kind in ("collinear", "coincident"):
-            assert not certified[i]
-        if not certified[i]:
-            assert_fallback_area(plane[mask], radial[mask], areas[i], hull, area, oracle, circled)
+        points = plane[mask]
+        hull, area = exact_hull(points)
+        got = [tuple(p) for p in plane[corners[bins[corners] == i]].tolist()]
+        assert got == hull
+        assert distinct[i] == len({tuple(p) for p in points.tolist()})
+        alone = predictor._slice_areas(points, np.zeros(len(points), dtype=np.int64), radial[mask], 1)
+        assert [tuple(p) for p in points[single_slice_hull(points)].tolist()] == got
+        assert alone.tobytes() == areas[i:i + 1].tobytes()
+        if distinct[i] < 3:
+            r = float(radial[mask].max())
+            assert areas[i] == math.pi * r * r
             continue
-        assert not circled
-        assert areas[i] == batched[i]
-        assert abs(areas[i] - area) <= 1e-12 * area
-        if centred:
-            assert abs(areas[i] - oracle) <= 1e-12 * oracle
-        if exact:
-            assert {tuple(p) for p in plane[corners[bins[corners] == i]].tolist()} == hull
-
-
-def assert_fallback_area(points, radial, got, hull, area, oracle, circled):
-    """One uncertified slice against the exact rational hull and Qhull."""
-    corners = predictor._hull_corners(points)
-    assert {tuple(p) for p in points[corners].tolist()} == hull
-    if len(hull) < 3:
-        assert got == math.pi * float(radial.max()) ** 2
-        return
-    reach = float((((points - points.mean(axis=0)) ** 2).sum(axis=1)).max())
-    assert abs(got - area) <= 4 * math.ulp(reach)
-    if not circled:
-        assert abs(got - oracle) <= 1e-10 * oracle
+        if len(hull) < 3:  # 3 or more distinct points, all collinear
+            assert areas[i] == 0.0
+            continue
+        oracle, circled = oracle_slice_area(points, radial[mask])
+        reach = float((((points - points.mean(axis=0)) ** 2).sum(axis=1)).max())
+        if area > 1e-3 * reach:
+            assert not circled
+            assert abs(areas[i] - area) <= 1e-12 * area
+            if centred:
+                assert abs(areas[i] - oracle) <= 1e-12 * oracle
+        else:
+            assert abs(areas[i] - area) <= 4 * math.ulp(reach)
+            if not circled:
+                assert abs(areas[i] - oracle) <= 1e-10 * oracle
 
 
 def test_hull_corners_decide_near_collinear_turns_exactly():
@@ -514,11 +520,10 @@ def test_hull_corners_decide_near_collinear_turns_exactly():
     ulp = 2.0**-53
     grid = [(0.5 + i * ulp, 0.5 + j * ulp) for i in range(0, 64, 3) for j in range(0, 64, 5)]
     points = np.array(grid + [(12.0, 12.0), (24.0, 24.0), (24.0, 24.0 + 32 * ulp)])
-    corners = predictor._hull_corners(points)
+    ordered = [tuple(p) for p in points[single_slice_hull(points)].tolist()]
     hull, area = exact_hull(points)
     assert area > 0.0
-    assert {tuple(p) for p in points[corners].tolist()} == hull
-    ordered = [tuple(p) for p in points[corners].tolist()]
+    assert ordered == hull
     assert ordered[0] == min(ordered)
     turns = [
         (Fraction(b[0]) - Fraction(a[0])) * (Fraction(c[1]) - Fraction(a[1]))
@@ -529,11 +534,12 @@ def test_hull_corners_decide_near_collinear_turns_exactly():
 
 
 def test_hull_corners_of_degenerate_points():
-    """Coincident points give one corner, collinear points their two ends."""
-    assert predictor._hull_corners(np.array([[1.0, 2.0]] * 5)).tolist() == [0]
+    """Coincident points give one corner, collinear points their two ends;
+    of equal points the lowest index stands for all."""
+    assert single_slice_hull(np.array([[1.0, 2.0]] * 5)).tolist() == [0]
     line = np.array([[3.0, 3.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0], [0.0, 0.0]])
-    assert predictor._hull_corners(line).tolist() == [4, 0]
-    assert predictor._hull_corners(np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.5]])).tolist() == [1, 0]
+    assert single_slice_hull(line).tolist() == [4, 0]
+    assert single_slice_hull(np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.5]])).tolist() == [1, 0]
 
 
 def board(rng, n, thickness):
@@ -543,27 +549,31 @@ def board(rng, n, thickness):
 
 
 def test_planar_board_takes_the_exact_path_in_every_slice():
-    """A board too thin for the batched pass to certify any slice: every
-    slice takes the exact per-slice hull, and the features are finite and
-    match the per-slice Qhull loop."""
+    """A board thin enough that every slice is a sliver: the features are
+    finite and match the per-slice Qhull loop."""
     scan = board(np.random.default_rng(41), 20000, 0.02)
-    pts = scan.xyz - scan.xyz.mean(axis=0)
-    _, vectors = np.linalg.eigh(pts.T @ pts / len(pts))
-    along = pts @ vectors[:, 2]
-    thickness = (along.max() - along.min()) / 100
-    bins = np.clip(((along - along.min()) / thickness).astype(np.int64), 0, 99)
-    plane = np.column_stack([pts @ vectors[:, 0], pts @ vectors[:, 1]])
-    _, _, certified = predictor._slice_hulls(plane, bins, 100)
-    assert not certified.any()
     got, want = extract_features(scan), oracle_features(scan)
     assert np.isfinite(got.as_array()).all()
     assert got.as_array()[1:].tobytes() == want.as_array()[1:].tobytes()
     assert abs(got.volume - want.volume) <= 1e-10 * want.volume
 
 
+@pytest.mark.parametrize("turned", [False, True], ids=["flat", "rotated"])
+def test_planar_sheet_has_no_volume_in_any_pose(turned):
+    """Points on a flat 1000 x 200 mm sheet: every slice is collinear, or a
+    rounding sliver once the sheet is turned, so the volume is near 0 either
+    way instead of summing circles in one pose only."""
+    scan = board(np.random.default_rng(43), 20000, 0.0)
+    if turned:
+        scan = apply_transform(random_transform(np.random.default_rng(44), math.pi, 100.0), scan)
+    features = extract_features(scan)
+    assert 0.0 <= features.volume < 1e-3
+    assert features.length == pytest.approx(1000.0, rel=0.01)
+
+
 def test_duplicated_float_slices_are_certified():
-    """Exact duplicates share an angle and are kept once, so random slices
-    full of them never need the Qhull path."""
+    """Exact duplicates are kept once, so random slices full of them have
+    the exact hull's area."""
     rng = np.random.default_rng(31)
     plane, bins = [], []
     for i in range(200):
@@ -571,8 +581,7 @@ def test_duplicated_float_slices_are_certified():
         plane.append(base[rng.integers(0, len(base), int(rng.integers(3, 200)))])
         bins.append(np.full(len(plane[-1]), i))
     plane, bins = np.concatenate(plane), np.concatenate(bins)
-    _, areas, certified = predictor._slice_hulls(plane, bins, 200)
-    assert certified.all()
+    areas = predictor._slice_areas(plane, bins, np.zeros(len(bins)), 200)
     for i in range(200):
         _, area = exact_hull(plane[bins == i])
         assert abs(areas[i] - area) <= 1e-12 * area
