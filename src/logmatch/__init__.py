@@ -13,7 +13,7 @@ from .correspondence import (
     build_index,
     match_correspondences,
 )
-from .dataset import Dataset, SplitSpec, drop_empty, split, split_indices
+from .dataset import Dataset, SplitSpec, drop_empty, split_indices
 from .errors import InvalidInputError, LogmatchError, NumericalError, ParseError
 from .geometry import (
     PointCloud,
@@ -107,7 +107,6 @@ __all__ = [
     "prediction_score",
     "production_score",
     "quaternion_to_rotation",
-    "split",
     "split_indices",
     "zero_one",
 ]

@@ -80,18 +80,6 @@ def split_indices(n: int, spec: SplitSpec, run_index: int) -> tuple[np.ndarray, 
     return order[:n_train], order[n_train:]
 
 
-def split(ds: Dataset, spec: SplitSpec, run_index: int) -> tuple[Dataset, Dataset]:
-    """Deterministic shuffled partition for one run.
-
-    The two parts are disjoint and jointly exhaustive; records appear in
-    shuffled order within each part.
-    """
-    train_idx, test_idx = split_indices(len(ds), spec, run_index)
-    train = tuple(ds.records[i] for i in train_idx)
-    test = tuple(ds.records[i] for i in test_idx)
-    return Dataset(train, ds.product_names), Dataset(test, ds.product_names)
-
-
 def drop_empty(ds: Dataset) -> Dataset:
     """Remove records whose basket is all-zero (logs yielding only chips)."""
     kept = tuple(rec for rec in ds.records if not rec.basket.is_empty())

@@ -13,18 +13,18 @@ registration is an absolute transform of the original moving points, not an
 increment on the previous iteration.
 
 One engine runs every alignment. It moves a batch of (moving, model) pairs
-forward in lockstep. Each iteration first checks every stacked point's
-neighbour certificate: the point keeps the nearest model points of its last
-tree query, and the triangle inequality can prove that the nearest of them
-is still the exact, unique nearest model point. The points without a
-certificate go to one exact nearest-neighbour query per model. Either way a
-point gets the match, and the squared distance, that a fresh query gives.
-The iteration then forms every pair's centroids and cross-covariance as
-segment sums over its own points, and solves all 4x4 eigenproblems with one
-call of LAPACK's symmetric eigensolver (numpy.linalg.eigh) over the stack,
-which factors each matrix on its own. Nothing a pair computes reads another
-pair's data, so its result is bit-identical alone or in any batch. The
-single-pair functions are batches of one.
+forward in lockstep, each stacked moving point a column of (3, N) arrays.
+Each iteration asks the exact matcher of the correspondence module for
+every stacked point's nearest model point and squared distance. The matcher
+owns the k-d trees and the neighbour certificates that let it skip most
+tree queries; whatever it skips, a point gets the match, and the squared
+distance, that a fresh query gives. The iteration then forms every pair's
+centroids and cross-covariance as segment sums over its own points, and
+solves all 4x4 eigenproblems with one call of LAPACK's symmetric
+eigensolver (numpy.linalg.eigh) over the stack, which factors each matrix
+on its own. Nothing a pair computes reads another pair's data, so its
+result is bit-identical alone or in any batch. The single-pair functions
+are batches of one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .correspondence import _TIE_SLACK, CorrespondenceSet, SpatialIndex, _squared_distances, build_index
+from .correspondence import CorrespondenceSet, SpatialIndex, _NeighbourCache, build_index
 from .errors import InvalidInputError, NumericalError
 from .geometry import PointCloud, RigidTransform, UnitQuaternion, _rotation_matrix
 
@@ -171,15 +171,20 @@ def max_eigenvector(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return float(values[0]), vectors[0]
 
 
-# Stacked moving points per lockstep batch. The engine holds about 230 bytes
-# per stacked point, so this bounds its working set near 7.5 MB; a pair with
-# more points runs in a batch of its own.
+# Stacked moving points per lockstep batch. The engine peaks while it places
+# the stack, with seven (3, N) float arrays alive (points, centred points,
+# matches, the matcher's anchors and up to three placements: 168 bytes per
+# stacked point) and 36 to 48 bytes of bounds, pool ids, squared distances
+# and temporaries. About 210 bytes per stacked point bound the working set
+# near 7 MB, plus the matcher's one copy of the used model points; a pair
+# with more points runs in a batch of its own.
 _BATCH_POINTS = 1 << 15
 
 
 def _columns(clouds: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack (n_i, 3) clouds end to end as a (3, sum n_i) array of columns."""
-    return np.concatenate([np.asarray(c, dtype=np.float64).T for c in clouds], axis=1)
+    """Stack (n_i, 3) clouds end to end as a C-ordered (3, sum n_i) array of
+    columns, so each axis is one contiguous row."""
+    return np.concatenate([np.asarray(c, dtype=np.float64) for c in clouds]).T.copy()
 
 
 class _Stack:
@@ -202,8 +207,10 @@ class _Stack:
     def keep(self, mask: np.ndarray) -> np.ndarray:
         """Drop the pairs where mask is False; returns the kept point rows."""
         rows = np.repeat(mask, self.counts)
-        self.points = self.points[:, rows]
-        self.centred = self.centred[:, rows]
+        # np.compress keeps each axis a contiguous row; indexing the columns
+        # with a mask would return the rows interleaved (Fortran order).
+        self.points = np.compress(rows, self.points, axis=1)
+        self.centred = np.compress(rows, self.centred, axis=1)
         self.centroids = self.centroids[:, mask]
         self.counts = self.counts[mask]
         self._update_starts()
@@ -213,163 +220,6 @@ class _Stack:
 def _segment_means(columns: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-pair means of every row of a (k, N) array: (k, B)."""
     return np.add.reduceat(columns, starts, axis=1) / counts
-
-
-# Model points each stacked point keeps from its last k-d tree query. With 4,
-# 72% of predict-mixed's point-queries are certified; 2 certifies about half
-# and runs slower, while 5 to 8 certify up to 83% and run no faster.
-_CACHE_NEIGHBOURS = 4
-# False sends every stacked point to the tree at every iteration; tests use
-# it to compare the engine with and without certificates.
-_CERTIFY = True
-# Rounding margins of the certificate, derived in _NeighbourCache.
-_REL_MARGIN = 1e-12
-_ABS_MARGIN = 1e-13
-_UNIQUE = (1.0 + _TIE_SLACK) ** 2
-
-
-class _NeighbourCache:
-    """Each stacked point's last exact k-d tree query, and the certificate
-    that tells when that query still holds at the point's new placement.
-
-    After a tree query at placement p0, a point keeps p0, the pool ids of
-    its K = _CACHE_NEIGHBOURS nearest model points, and a lower bound L on
-    the distance from p0 to every model point it does not keep: the K-th
-    tree distance dK less the rounding margins below. At a later placement
-    p, let m = |p - p0| and u the least distance from p to a kept point.
-    Every other model point lies at least L - m from p (triangle
-    inequality). So if u + m < L, and no other kept point is within the tie
-    slack of u, the kept point at u is the exact, unique nearest model
-    point: the one a fresh query returns, with no tie for the lowest-index
-    rule to break. Elkan (ICML 2003) bounds moving k-means centres the same
-    way. The rows follow _Stack.keep.
-
-    Rounding margins. u, m and every tree distance are distances between
-    two stored points: a correctly rounded difference per axis, squared,
-    summed and square-rooted, so within about 4 units of 2**-53 of the
-    exact distance, relative. The tree's pruning adds a few such units per
-    level, relative to the squared distances on its search path. All of
-    these, and the rounding of the sum u + m, are relative to at most dK,
-    so L = dK (1 - _REL_MARGIN) - ... absorbs them with about 4,500 units
-    to spare; what is left over keeps the kept point at u ahead of every
-    other model point by far more than the rounding of a fresh query. But
-    a value that the tree derives from a coordinate c rather than from a
-    difference, such as a node's split plane (a rounded midpoint), is
-    resolved only to an ulp of c, about 2.2e-16 c, however small the
-    distance. At c = 1e4 and a distance of 1e-3 that is already 2e-9 of
-    the distance, beyond a relative margin of 1e-12. So L also gives up
-    _ABS_MARGIN (about 450 ulps) per unit of the largest coordinate
-    magnitude of p0 and of the model. A model of K points or fewer is kept
-    whole, and its L is infinite.
-    """
-
-    def __init__(self, models: Sequence[SpatialIndex], used: list[int], points: int):
-        self.models = models
-        sizes = [len(models[j]) for j in used]
-        self.offsets = dict(zip(used, np.cumsum([0] + sizes).tolist()))
-        self.scales = {j: float(np.abs(models[j].points).max()) for j in used}
-        # The used models' points end to end. The last row, at infinity,
-        # stands in for the missing neighbours of a model of fewer than K.
-        self.rows = np.concatenate([models[j].points for j in used] + [np.full((1, 3), np.inf)])
-        self.columns = np.ascontiguousarray(self.rows.T)
-        self.anchors = np.empty((3, points))
-        # The narrowest integer type that holds every pool id.
-        self.ids = np.empty((_CACHE_NEIGHBOURS, points), dtype=np.min_scalar_type(len(self.rows)))
-        self.limits = np.empty(points)
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep the entries of the stacked point rows that _Stack.keep kept."""
-        self.anchors = self.anchors[:, rows]
-        self.ids = self.ids[:, rows]
-        self.limits = self.limits[rows]
-
-    def match(
-        self, placed: np.ndarray, starts: np.ndarray, model_of: np.ndarray, certify: bool, matched: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fill matched (3, N) with the exact nearest model point of every
-        stacked point placed at placed (N, 3), pairs starting at starts and
-        sorted by model_of. Uncertified points, or all of them unless
-        certify, go to their model's tree, one query per model. Returns the
-        squared distances (N,) and the points each pair sent to a tree (B,).
-        """
-        points = len(placed)
-        if certify:
-            certified, nearest = self._certify(placed)
-            miss = np.flatnonzero(~certified)
-        else:
-            nearest, miss = np.empty(points, dtype=self.ids.dtype), np.arange(points)
-        cuts = np.searchsorted(miss, np.append(starts, points)).tolist()
-        firsts = np.flatnonzero(np.diff(model_of, prepend=-1)).tolist()
-        for first, end in zip(firsts, firsts[1:] + [len(model_of)]):
-            rows = miss[cuts[first]:cuts[end]]
-            if rows.size:
-                nearest[rows] = self._query(int(model_of[first]), rows, placed[rows])
-        targets = self.rows[nearest]
-        np.copyto(matched, targets.T)
-        return _squared_distances(placed, targets), np.diff(cuts)
-
-    def _certify(self, placed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The certified mask (N,) of the placements (N, 3) and the pool id
-        of each certified point's nearest model point (arbitrary elsewhere).
-        One pass over the stack, one kept candidate at a time, with (N,)
-        temporaries."""
-        axes = [placed[:, a] for a in range(3)]
-        gap = np.empty(len(placed))
-        best = self._squared_gaps(self.ids[0], axes, np.empty(len(placed)), gap)
-        best_id = self.ids[0].copy()
-        second = np.full(len(placed), np.inf)
-        candidate = np.empty(len(placed))
-        for c in range(1, _CACHE_NEIGHBOURS):
-            self._squared_gaps(self.ids[c], axes, candidate, gap)
-            closer = candidate < best
-            np.minimum(second, candidate, out=second)
-            np.copyto(second, best, where=closer)
-            np.copyto(best, candidate, where=closer)
-            np.copyto(best_id, self.ids[c], where=closer)
-        unique = second > best * _UNIQUE
-        moved = candidate
-        np.subtract(axes[0], self.anchors[0], out=moved)
-        moved *= moved
-        for a in (1, 2):
-            np.subtract(axes[a], self.anchors[a], out=gap)
-            gap *= gap
-            moved += gap
-        np.sqrt(best, out=best)
-        best += np.sqrt(moved, out=moved)
-        certified = best < self.limits
-        certified &= unique
-        return certified, best_id
-
-    def _squared_gaps(
-        self, candidates: np.ndarray, axes: list[np.ndarray], out: np.ndarray, scratch: np.ndarray
-    ) -> np.ndarray:
-        """Squared distance from each placement, given as its three axis
-        columns, to its candidate pool row, written into out."""
-        np.take(self.columns[0], candidates, out=out, mode="clip")
-        out -= axes[0]
-        out *= out
-        for a in (1, 2):
-            np.take(self.columns[a], candidates, out=scratch, mode="clip")
-            scratch -= axes[a]
-            scratch *= scratch
-            out += scratch
-        return out
-
-    def _query(self, j: int, rows: np.ndarray, placed: np.ndarray) -> np.ndarray:
-        """Send the stacked points at rows, placed at placed (m, 3), to the
-        tree of models[j], keep each row's query, and return the pool id of
-        each row's nearest model point."""
-        index, k, offset = self.models[j], _CACHE_NEIGHBOURS, self.offsets[j]
-        nearest, dist, nbr = index._nearest(placed, k)
-        self.anchors[:, rows] = placed.T
-        if len(index) <= k:
-            self.ids[:, rows] = np.where(nbr < len(index), nbr + offset, len(self.rows) - 1).T
-            self.limits[rows] = np.inf
-        else:
-            self.ids[:, rows] = (nbr + offset).T
-            scale = np.abs(placed).max(axis=1) + self.scales[j]
-            self.limits[rows] = dist[:, k - 1] * (1.0 - _REL_MARGIN) - _ABS_MARGIN * scale
-        return nearest + offset
 
 
 def _cross_covariances(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,24 +249,23 @@ def _fit(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 
 
 def _place(stack: _Stack, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """R p + T for every stacked point under its pair's transform: (N, 3)."""
+    """R p + T for every stacked point under its pair's transform: (3, N)."""
     p, counts = stack.points, stack.counts
-    placed = np.empty((p.shape[1], 3), dtype=np.float64)
-    for a in range(3):
-        col = p[0] * np.repeat(rot[:, a, 0], counts)
+    placed = np.empty_like(p)
+    for a, col in enumerate(placed):
+        np.multiply(p[0], np.repeat(rot[:, a, 0], counts), out=col)
         col += p[1] * np.repeat(rot[:, a, 1], counts)
         col += p[2] * np.repeat(rot[:, a, 2], counts)
         col += np.repeat(trans[:, a], counts)
-        placed[:, a] = col
     return placed
 
 
 def _mean_residuals(stack: _Stack, matched: np.ndarray, placed: np.ndarray) -> np.ndarray:
     """Per-pair mean of ||x - placed||^2 over the stacked points: (B,)."""
-    d = matched[0] - placed[:, 0]
+    d = matched[0] - placed[0]
     sq = d * d
     for a in (1, 2):
-        d = matched[a] - placed[:, a]
+        d = matched[a] - placed[a]
         sq += d * d
     return np.add.reduceat(sq, stack.starts) / stack.counts
 
@@ -474,13 +323,12 @@ def _align_pairs(
     """Align moving[i] onto models[j] for every (i, j) in pairs, in lockstep.
 
     Pairs are grouped by model and cut into batches of at most
-    _BATCH_POINTS stacked points. Within a batch, every iteration checks
-    each stacked point's neighbour certificate (_NeighbourCache), makes one
-    query per model over the placements of its uncertified points, fits
-    all pairs at once, and retires each pair as soon as it converges or
-    reaches cfg.max_iterations. Every per-pair quantity is computed from
-    that pair's own points, so each result is bit-identical to aligning the
-    pair alone, whatever batch or order it runs in.
+    _BATCH_POINTS stacked points. Within a batch, every iteration matches
+    each stacked point exactly (_NeighbourCache), fits all pairs at once,
+    and retires each pair as soon as it converges or reaches
+    cfg.max_iterations. Every per-pair quantity is computed from that
+    pair's own points, so each result is bit-identical to aligning the pair
+    alone, whatever batch or order it runs in.
     """
     n = len(pairs)
     out = _Alignments(
@@ -526,7 +374,7 @@ def _lockstep(
     current = _place(stack, rot0, trans)
     if cfg.pre_align:
         centres = np.array([models[j].points.mean(axis=0) for j in model_of.tolist()])
-        placed_centres = _segment_means(np.ascontiguousarray(current.T), stack.starts, stack.counts)
+        placed_centres = _segment_means(current, stack.starts, stack.counts)
         trans = trans + (centres - placed_centres.T)
         current = _place(stack, rot0, trans)
     quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(batch), 1))
@@ -536,7 +384,7 @@ def _lockstep(
     cache = _NeighbourCache(models, np.unique(model_of).tolist(), stack.points.shape[1])
 
     for iteration in range(1, cfg.max_iterations + 1):
-        squared, sent = cache.match(current, stack.starts, model_of, _CERTIFY and iteration > 1, matched)
+        squared, sent = cache.match(current, stack.starts, model_of, iteration > 1, matched)
         queried += sent
         incumbent_error = np.add.reduceat(squared, stack.starts) / stack.counts
 
@@ -553,7 +401,7 @@ def _lockstep(
             current = placed
         else:
             rows = np.repeat(accept, stack.counts)
-            current[rows] = placed[rows]
+            current[:, rows] = placed[:, rows]
         if out.history is not None:
             for k, e, q, t in zip(ids.tolist(), error.tolist(), quats, trans):
                 out.history[k].append((e, q.copy(), t.copy()))
@@ -575,7 +423,7 @@ def _lockstep(
             return
         rows = stack.keep(keep)
         cache.keep(rows)
-        current = current[rows]
+        current = np.compress(rows, current, axis=1)
         matched = np.empty_like(stack.points)
         ids, model_of = ids[keep], model_of[keep]
         quats, trans, previous, queried = quats[keep], trans[keep], previous[keep], queried[keep]

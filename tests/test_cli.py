@@ -10,7 +10,7 @@ import pytest
 
 from logmatch import PointCloud, ProductBasket, SplitSpec, apply_transform, predictor, registration
 from logmatch.cli import _build_parser, main
-from logmatch.dataset import split, split_indices
+from logmatch.dataset import split_indices
 from logmatch.io import load_dataset, load_predictions, write_predictions, write_scan, PredictionRow
 from synthdata import box_cloud, jittered_copy, log_like_cloud, random_transform, write_dataset_files
 
@@ -355,10 +355,11 @@ class TestAlignOnce:
         expected = []
         tie_broken_by_training_order = False
         for run in range(3):
-            train, test = split(ds, spec, run)
-            outcomes = predictor.icp_nn_predict_batch(train.records, [rec.scan for rec in test.records])
+            train_idx, test_idx = split_indices(len(ds), spec, run)
+            train = [ds.records[i] for i in train_idx]
+            outcomes = predictor.icp_nn_predict_batch(train, [ds.records[i].scan for i in test_idx])
             expected.append([(o.neighbor_id, o.distance) for o in outcomes])
-            ids = [rec.id for rec in train.records]
+            ids = [rec.id for rec in train]
             for o in outcomes:
                 twins = [i for i in ids if i.startswith(o.neighbor_id[:2] + "twin")]
                 if o.neighbor_id in twins and o.neighbor_id != min(twins):

@@ -8,9 +8,12 @@ from logmatch import (
     CorrespondenceSet,
     InvalidInputError,
     PointCloud,
+    UnitQuaternion,
     build_index,
     match_correspondences,
+    quaternion_to_rotation,
 )
+from logmatch.correspondence import _CACHE_NEIGHBOURS, _NeighbourCache
 from synthdata import box_cloud
 
 
@@ -189,3 +192,121 @@ class TestValidation:
         index = build_index(PointCloud([[0.0, 0.0, 0.0]]))
         with pytest.raises(InvalidInputError):
             index.query_batch(np.zeros((3, 2)))
+
+
+class TestNeighbourCertificates:
+    def test_a_tie_among_kept_points_is_not_certified(self):
+        # From (0.5, 0, 0) the model points 0 and 1 tie, and the tree lists
+        # point 1 first; the lowest-index rule wants point 0.
+        model = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 3.0, 0.0], [0.5, -3.0, 0.0],
+                          [0.5, 0.0, 3.0], [0.5, 0.0, -3.0]])
+        index = build_index(PointCloud(model))
+        placed = np.array([[0.5, 0.0, 0.0]])
+        cache = _NeighbourCache([index], [0], 1)
+        tree_round(cache, placed, certify=False)
+        certified, _ = certificate(cache, placed)
+        assert not certified[0]
+        matched, _, sent = tree_round(cache, placed, certify=True)
+        assert sent == 1
+        np.testing.assert_array_equal(matched[:, 0], model[0])
+
+
+def tree_round(cache, placed, certify):
+    """One matching round of a single-model cache over the placements (m, 3)."""
+    matched = np.empty((3, len(placed)))
+    squared, sent = cache.match(np.ascontiguousarray(placed.T), np.array([0]), np.array([0]), certify, matched)
+    return matched, squared, int(sent[0])
+
+
+def certificate(cache, placed):
+    """The cache's certificate at the placements (m, 3): (certified mask,
+    pool id of each certified point's nearest model point)."""
+    return cache._certify(np.ascontiguousarray(placed.T), np.empty((3, len(placed))))
+
+
+@st.composite
+def certificate_case(draw):
+    """A model on an integer lattice, first placements on the half-integer
+    lattice around it, and a rigid step of the placements: a rotation and a
+    translation along a lattice direction, from none through 1e-9 up to
+    several lattice spacings. Half-integer steps keep the exact ties of the
+    lattice; everything is then scaled and offset."""
+    k = _CACHE_NEIGHBOURS
+    n_model = draw(st.one_of(st.sampled_from([1, 2, k - 1, k, k + 1]), st.integers(1, 300)))
+    extent = draw(st.integers(1, 4))
+    n_query = draw(st.integers(1, 40))
+    model = draw(arrays(np.int64, (n_model, 3), elements=st.integers(-extent, extent)))
+    halves = draw(arrays(np.int64, (n_query, 3), elements=st.integers(-2 * extent - 2, 2 * extent + 2)))
+    direction = np.array(draw(st.tuples(*[st.integers(-2, 2)] * 3)), dtype=np.float64)
+    step = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+                          st.floats(-9.0, 0.5).map(lambda e: 10.0 ** e)))
+    angle = draw(st.one_of(st.just(0.0), st.floats(-9.0, -0.5).map(lambda e: 10.0 ** e)))
+    axis = np.array(draw(st.tuples(*[st.integers(-3, 3)] * 3)), dtype=np.float64)
+    scale = draw(st.floats(1e-3, 1e4))
+    offset = np.array(draw(st.tuples(*[st.floats(-1e4, 1e4)] * 3)))
+    first = halves / 2.0
+    if angle and axis.any():
+        rot = quaternion_to_rotation(UnitQuaternion.from_axis_angle(axis, angle))
+        moved = first @ rot.T + step * direction
+    else:
+        moved = first + step * direction
+    return model * scale + offset, first * scale + offset, moved * scale + offset
+
+
+class TestCertificateProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(certificate_case())
+    def test_certified_matches_equal_a_fresh_query(self, case):
+        model, first, moved = case
+        index = build_index(PointCloud(model))
+        cache = _NeighbourCache([index], [0], len(first))
+        tree_round(cache, first, certify=False)
+        # Every model point that is not kept lies beyond the kept bound, by
+        # more than the rounding of a float distance (about 4e-16, relative).
+        for r, p0 in enumerate(first):
+            d = model - p0
+            distance = np.sqrt((d * d).sum(axis=1))
+            outside = np.setdiff1d(np.arange(len(model)), cache.ids[:, r])
+            assert (distance[outside] * (1.0 - 1e-15) >= cache.limits[r]).all()
+        certified, nearest = certificate(cache, moved)
+        idx, sq = index.query_batch(moved)
+        np.testing.assert_array_equal(nearest[certified], idx[certified])
+        matched, squared, sent = tree_round(cache, moved, certify=True)
+        assert squared.tobytes() == sq.tobytes()
+        assert matched.tobytes() == np.ascontiguousarray(model[idx].T).tobytes()
+        assert sent == len(moved) - certified.sum()
+
+
+class TestMultiModelMatcher:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_point_matches_its_own_model(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        clouds = [box_cloud(rng, n) for n in (1, 60, _CACHE_NEIGHBOURS, 300)]
+        models = [build_index(c) for c in clouds]
+        # Model 1 is not used, so the pool offsets of models 2 and 3 skip it.
+        used = [0, 2, 3]
+        model_of = np.array([0, 0, 2, 3, 3])
+        sizes = np.array([5, 1, 17, 40, 23])
+        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        owner = np.repeat(model_of, sizes)
+        first = rng.uniform(0.0, 1000.0, (sizes.sum(), 3))
+        step = quaternion_to_rotation(UnitQuaternion.from_axis_angle(rng.normal(size=3), 1e-3))
+        moved = first @ step.T + rng.uniform(-0.5, 0.5, 3)
+        cache = _NeighbourCache(models, used, len(first))
+        certified = np.zeros(len(first), dtype=bool)
+        for placed, again in ((first, False), (moved, True)):
+            if again:
+                certified, _ = certificate(cache, placed)
+            matched = np.empty((3, len(placed)))
+            squared, sent = cache.match(np.ascontiguousarray(placed.T), starts, model_of, again, matched)
+            for j in used:
+                rows = owner == j
+                idx, sq = models[j].query_batch(placed[rows])
+                assert matched[:, rows].tobytes() == np.ascontiguousarray(clouds[j].xyz[idx].T).tobytes()
+                assert squared[rows].tobytes() == sq.tobytes()
+            np.testing.assert_array_equal(sent, np.add.reduceat((~certified).astype(np.int64), starts))
+        # The certified round reached every model, and the 1-point model's
+        # missing neighbours point at the sentinel column at infinity.
+        assert all(certified[owner == j].any() for j in used)
+        assert (cache.ids[1:, owner == 0] == cache.pool.shape[1] - 1).all()
+        assert np.isinf(cache.pool[:, -1]).all()

@@ -8,7 +8,6 @@ from logmatch import (
     ProductBasket,
     SplitSpec,
     drop_empty,
-    split,
     split_indices,
 )
 from synthdata import box_cloud
@@ -54,23 +53,20 @@ class TestDataset:
 
 class TestSplit:
     def test_sixty_forty_sizes(self):
-        ds = make_dataset(10)
-        train, test = split(ds, SplitSpec(train_fraction=0.6, seed=1, runs=1), 0)
+        train, test = split_indices(10, SplitSpec(train_fraction=0.6, seed=1, runs=1), 0)
         assert (len(train), len(test)) == (6, 4)
 
     def test_exact_fraction_floor(self):
         # 5 x 0.6 must floor to 3 despite 0.6 being inexact in binary
-        ds = make_dataset(5)
-        train, test = split(ds, SplitSpec(train_fraction=0.6, seed=1, runs=1), 0)
+        train, test = split_indices(5, SplitSpec(train_fraction=0.6, seed=1, runs=1), 0)
         assert (len(train), len(test)) == (3, 2)
 
     def test_deterministic_for_fixed_seed(self):
-        ds = make_dataset(50)
         spec = SplitSpec(seed=7, runs=3)
-        first = split(ds, spec, 2)
-        second = split(ds, spec, 2)
-        assert ids(first[0]) == ids(second[0])
-        assert ids(first[1]) == ids(second[1])
+        first = split_indices(50, spec, 2)
+        second = split_indices(50, spec, 2)
+        assert first[0].tolist() == second[0].tolist()
+        assert first[1].tolist() == second[1].tolist()
 
     def test_fixed_seed_regression(self):
         # frozen at first run: PCG64 seeded with (42, run)
@@ -88,23 +84,21 @@ class TestSplit:
         assert train0.tolist() != train1.tolist()
 
     def test_partition_property(self):
-        ds = make_dataset(37)
         for run in range(5):
-            train, test = split(ds, SplitSpec(train_fraction=0.31, seed=9, runs=5), run)
-            train_ids = set(ids(train))
-            test_ids = set(ids(test))
+            train, test = split_indices(37, SplitSpec(train_fraction=0.31, seed=9, runs=5), run)
+            train_ids = set(train.tolist())
+            test_ids = set(test.tolist())
+            assert len(train_ids) == len(train) and len(test_ids) == len(test)
             assert not train_ids & test_ids
-            assert train_ids | test_ids == set(ids(ds))
+            assert train_ids | test_ids == set(range(37))
 
     def test_run_index_bounds(self):
-        ds = make_dataset(10)
         with pytest.raises(InvalidInputError):
-            split(ds, SplitSpec(runs=3), 3)
+            split_indices(10, SplitSpec(runs=3), 3)
 
     def test_too_small_dataset(self):
-        ds = make_dataset(1)
         with pytest.raises(InvalidInputError):
-            split(ds, SplitSpec(), 0)
+            split_indices(1, SplitSpec(), 0)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidInputError):

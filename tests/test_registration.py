@@ -2,11 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from logmatch import registration
+from logmatch import correspondence, registration
 from logmatch.registration import (
     _Stack,
     _align_pairs,
@@ -516,7 +513,7 @@ class TestNeighbourCertificates:
     def test_certificates_change_no_result(self, cfg, monkeypatch):
         moving, models, pairs = engine_case(np.random.default_rng(32))
         cached = arrangements(moving, models, pairs, cfg, monkeypatch)
-        monkeypatch.setattr(registration, "_CERTIFY", False)
+        monkeypatch.setattr(correspondence, "_CERTIFY", False)
         uncached = arrangements(moving, models, pairs, cfg, monkeypatch)
         reference = uncached[0]
         for results in cached + uncached:
@@ -533,89 +530,14 @@ class TestNeighbourCertificates:
                      entry.transform.translation.tobytes()) for entry in trace.iterations]
 
         cached = list(traces())
-        monkeypatch.setattr(registration, "_CERTIFY", False)
+        monkeypatch.setattr(correspondence, "_CERTIFY", False)
         assert list(traces()) == cached
 
     def test_most_points_skip_the_tree(self, monkeypatch):
         moving, models, pairs = engine_case(np.random.default_rng(32))
         cached = _align_pairs(moving, models, pairs, IcpConfig())
-        monkeypatch.setattr(registration, "_CERTIFY", False)
+        monkeypatch.setattr(correspondence, "_CERTIFY", False)
         uncached = _align_pairs(moving, models, pairs, IcpConfig())
         every_point = [run * len(moving[i]) for run, (i, _) in zip(uncached.iterations, pairs)]
         np.testing.assert_array_equal(uncached.queried, every_point)
         assert cached.queried.sum() <= 0.6 * uncached.queried.sum()
-
-    def test_a_tie_among_kept_points_is_not_certified(self):
-        # From (0.5, 0, 0) the model points 0 and 1 tie, and the tree lists
-        # point 1 first; the lowest-index rule wants point 0.
-        model = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, 3.0, 0.0], [0.5, -3.0, 0.0],
-                          [0.5, 0.0, 3.0], [0.5, 0.0, -3.0]])
-        index = build_index(PointCloud(model))
-        placed = np.array([[0.5, 0.0, 0.0]])
-        cache = registration._NeighbourCache([index], [0], 1)
-        tree_round(cache, placed, certify=False)
-        certified, _ = cache._certify(placed)
-        assert not certified[0]
-        matched, _, sent = tree_round(cache, placed, certify=True)
-        assert sent == 1
-        np.testing.assert_array_equal(matched[:, 0], model[0])
-
-
-def tree_round(cache, placed, certify):
-    """One matching round of a single-model cache over the placements."""
-    matched = np.empty((3, len(placed)))
-    squared, sent = cache.match(placed, np.array([0]), np.array([0]), certify, matched)
-    return matched, squared, int(sent[0])
-
-
-@st.composite
-def certificate_case(draw):
-    """A model on an integer lattice, first placements on the half-integer
-    lattice around it, and a rigid step of the placements: a rotation and a
-    translation along a lattice direction, from none through 1e-9 up to
-    several lattice spacings. Half-integer steps keep the exact ties of the
-    lattice; everything is then scaled and offset."""
-    k = registration._CACHE_NEIGHBOURS
-    n_model = draw(st.one_of(st.sampled_from([1, 2, k - 1, k, k + 1]), st.integers(1, 300)))
-    extent = draw(st.integers(1, 4))
-    n_query = draw(st.integers(1, 40))
-    model = draw(arrays(np.int64, (n_model, 3), elements=st.integers(-extent, extent)))
-    halves = draw(arrays(np.int64, (n_query, 3), elements=st.integers(-2 * extent - 2, 2 * extent + 2)))
-    direction = np.array(draw(st.tuples(*[st.integers(-2, 2)] * 3)), dtype=np.float64)
-    step = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
-                          st.floats(-9.0, 0.5).map(lambda e: 10.0 ** e)))
-    angle = draw(st.one_of(st.just(0.0), st.floats(-9.0, -0.5).map(lambda e: 10.0 ** e)))
-    axis = np.array(draw(st.tuples(*[st.integers(-3, 3)] * 3)), dtype=np.float64)
-    scale = draw(st.floats(1e-3, 1e4))
-    offset = np.array(draw(st.tuples(*[st.floats(-1e4, 1e4)] * 3)))
-    first = halves / 2.0
-    if angle and axis.any():
-        rot = quaternion_to_rotation(UnitQuaternion.from_axis_angle(axis, angle))
-        moved = first @ rot.T + step * direction
-    else:
-        moved = first + step * direction
-    return model * scale + offset, first * scale + offset, moved * scale + offset
-
-
-class TestCertificateProperty:
-    @settings(max_examples=300, deadline=None)
-    @given(certificate_case())
-    def test_certified_matches_equal_a_fresh_query(self, case):
-        model, first, moved = case
-        index = build_index(PointCloud(model))
-        cache = registration._NeighbourCache([index], [0], len(first))
-        tree_round(cache, first, certify=False)
-        # Every model point that is not kept lies beyond the kept bound, by
-        # more than the rounding of a float distance (about 4e-16, relative).
-        for r, p0 in enumerate(first):
-            d = model - p0
-            distance = np.sqrt((d * d).sum(axis=1))
-            outside = np.setdiff1d(np.arange(len(model)), cache.ids[:, r])
-            assert (distance[outside] * (1.0 - 1e-15) >= cache.limits[r]).all()
-        certified, nearest = cache._certify(moved)
-        idx, sq = index.query_batch(moved)
-        np.testing.assert_array_equal(nearest[certified], idx[certified])
-        matched, squared, sent = tree_round(cache, moved, certify=True)
-        assert squared.tobytes() == sq.tobytes()
-        assert matched.tobytes() == np.ascontiguousarray(model[idx].T).tobytes()
-        assert sent == len(moved) - certified.sum()
