@@ -17,8 +17,12 @@ margins that depend on how the tree computes distances all sit beside the
 tree. The matcher reuses queries across iterations: each moving point keeps
 its few nearest tree neighbours, and goes back to the tree only when the
 triangle inequality cannot prove that its match is unchanged. Fresh
-matches, certified matches and query_batch report their squared distances
-through one evaluation (_squared_distances), so all three agree bit for bit.
+matches, certified matches and query_batch all report squared distances
+through geometry._squared_distances, as the ICP fit's residuals do.
+
+When the tree's distance to a neighbour the model has overflows to
+infinity, neither the tie re-rank nor a certificate built on that distance
+can be trusted, and the query raises NumericalError.
 
 Matching is directional (each moving point gets its closest model point) and
 many-to-one matches are allowed, which is how two clouds of different sizes
@@ -33,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
-from .geometry import PointCloud
+from .errors import InvalidInputError, NumericalError
+from .geometry import PointCloud, _squared_distances
 
 # Relative gap between the two nearest tree distances under which a query
 # is re-ranked exactly. The tree's distances differ from the linear scan's
@@ -116,9 +120,14 @@ class SpatialIndex:
 
         The tree orders neighbours at equal distance as it likes, and reports
         a missing neighbour of a model with fewer than k points at an
-        infinite distance with index len(self).
+        infinite distance with index len(self). Raises NumericalError when a
+        neighbour the model has lies at a distance that overflows.
         """
         dist, nbr = self._tree.query(pts, k=k)
+        # Each row's distances are sorted, so the last neighbour the model
+        # has is the first to overflow.
+        if np.isinf(dist[:, min(k, len(self)) - 1]).any():
+            raise NumericalError("a nearest-neighbour distance overflows the float range")
         idx = nbr[:, 0].astype(np.int64)
         # A one-point model reports an infinite second distance: never a tie.
         close = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_SLACK))
@@ -134,21 +143,6 @@ class SpatialIndex:
             best = order[first]
             idx[rows[best]] = cand[best]
         return idx, dist, nbr
-
-
-def _squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Squared distance between each column of a (3, m) array and the same
-    column of b, summed axis by axis in order, into out (m,) when given.
-    Every exact match reports its squared distance through this one
-    evaluation."""
-    out = np.subtract(a[0], b[0], out=out)
-    out *= out
-    gap = np.empty_like(out)
-    for axis in (1, 2):
-        np.subtract(a[axis], b[axis], out=gap)
-        gap *= gap
-        out += gap
-    return out
 
 
 # Model points each stacked point keeps from its last k-d tree query. With 4,

@@ -4,6 +4,10 @@ Everything here is an immutable value: point clouds, unit quaternions and
 rigid (rotation + translation) transforms. Coordinates are double-precision
 millimetres. All operations are pure functions, so values can be shared
 freely between concurrent tasks.
+
+It also owns the one squared-distance evaluation, _squared_distances, of
+the exact matcher's distances and the ICP fit's residuals alike, so the
+errors that the engine compares are sums of the same rounded terms.
 """
 
 from __future__ import annotations
@@ -163,6 +167,20 @@ class RigidTransform:
     def matrix(self) -> np.ndarray:
         """The 3x3 rotation matrix of this transform."""
         return quaternion_to_rotation(self.rotation)
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distance between each column of a (3, m) array and the same
+    column of b, summed axis by axis in order, into out (m,) when given.
+    Every squared distance of a match or a residual is this evaluation."""
+    out = np.subtract(a[0], b[0], out=out)
+    out *= out
+    gap = np.empty_like(out)
+    for axis in (1, 2):
+        np.subtract(a[axis], b[axis], out=gap)
+        gap *= gap
+        out += gap
+    return out
 
 
 def apply_transform(t: RigidTransform, cloud: PointCloud) -> PointCloud:

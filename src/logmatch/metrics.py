@@ -148,21 +148,14 @@ def prediction_score(pair: ScoredPair, cfg: MetricConfig | None = None) -> float
 def production_score(pair: ScoredPair, cfg: MetricConfig | None = None) -> float:
     """Average capped ratio of real over predicted quantities.
 
-    Per product: min(1, max(y, eps) / max(yhat, eps)). Empty pairs score 1.
+    Per product: min(1, max(y, eps) / max(yhat, eps)), the prediction score
+    of the pair with its baskets swapped. Empty pairs score 1.
     """
-    cfg = cfg or MetricConfig()
-    if len(pair) == 0:
-        return 1.0
-    eps = cfg.epsilon
-    total = 0.0
-    for y, yhat in zip(pair.real.quantities, pair.predicted.quantities):
-        total += min(1.0, max(y, eps) / max(yhat, eps))
-    return total / len(pair)
+    return prediction_score(ScoredPair(pair.predicted, pair.real), cfg)
 
 
 def area_score(pair: ScoredPair, cfg: MetricConfig | None = None) -> float:
     """prediction_score x production_score of the same pair."""
-    cfg = cfg or MetricConfig()
     return prediction_score(pair, cfg) * production_score(pair, cfg)
 
 

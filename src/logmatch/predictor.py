@@ -271,6 +271,9 @@ def nn_predict_from_distances(
     ]
 
 
+# What overflows for a scan near the float range is refused as not finite,
+# before the eigensolve or by LogFeatures; its warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def extract_features(scan: PointCloud) -> LogFeatures:
     """Measure shape descriptors of a scan, independent of its pose.
 
@@ -282,13 +285,16 @@ def extract_features(scan: PointCloud) -> LogFeatures:
     found in one batched pass (_slice_hulls). A slice of fewer than 3
     distinct points gets the circle of its largest radial offset instead,
     and a slice of collinear points the area 0, so a planar scan has a
-    volume near 0 in every pose.
+    volume near 0 in every pose. A scan too large for its features to be
+    finite floats raises InvalidInputError.
     """
     if len(scan) < _FEATURE_MIN_POINTS:
         raise InvalidInputError(f"need at least {_FEATURE_MIN_POINTS} points, got {len(scan)}")
     pts = scan.xyz
     centered = pts - pts.mean(axis=0)
     cov = centered.T @ centered / len(scan)
+    if not np.isfinite(cov).all():
+        raise InvalidInputError("scan is too large to measure: its covariance overflows")
     _, vectors = np.linalg.eigh(cov)
     axis = vectors[:, 2]
     along = centered @ axis
@@ -455,8 +461,7 @@ def knn_feature_predict(
         z_query = (features.as_array()[active] - mu) / sd
         dist = np.sqrt(((z_train - z_query) ** 2).sum(axis=1))
         order = np.argsort(dist, kind="stable")
-        stacked = np.stack([train[i].basket.as_array() for i in order[:k]])
-        predicted = ProductBasket(tuple(_round_half_up(stacked.mean(axis=0)).tolist()))
+        predicted = mean_predict([train[i] for i in order[:k]])
         nearest = int(order[0])
         outcomes.append(PredictionOutcome(predicted, train[nearest].id, float(dist[nearest])))
     return outcomes

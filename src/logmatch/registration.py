@@ -4,27 +4,31 @@ Given fixed correspondences, the least-squares rotation is recovered in
 closed form: build the cross-covariance of the paired (centered) points,
 assemble a symmetric 4x4 matrix from it, and take the unit eigenvector of
 the largest eigenvalue as the rotation quaternion. The translation then
-maps the moving centroid onto the matched-model centroid. Iterating
-matching and registration yields ICP, whose mean-square error is
-non-increasing and converges to a local minimum.
-
-Conventions: the moving cloud P is aligned onto the model cloud X; every
-registration is an absolute transform of the original moving points, not an
-increment on the previous iteration.
+maps the moving centroid onto the matched-model centroid. Conventions: the
+moving cloud P is aligned onto the model cloud X; every registration is an
+absolute transform of the original moving points, not an increment on the
+previous iteration.
 
 One engine runs every alignment. It moves a batch of (moving, model) pairs
 forward in lockstep, each stacked moving point a column of (3, N) arrays.
-Each iteration asks the exact matcher of the correspondence module for
-every stacked point's nearest model point and squared distance. The matcher
-owns the k-d trees and the neighbour certificates that let it skip most
-tree queries; whatever it skips, a point gets the match, and the squared
-distance, that a fresh query gives. The iteration then forms every pair's
-centroids and cross-covariance as segment sums over its own points, and
-solves all 4x4 eigenproblems with one call of LAPACK's symmetric
-eigensolver (numpy.linalg.eigh) over the stack, which factors each matrix
-on its own. Nothing a pair computes reads another pair's data, so its
-result is bit-identical alone or in any batch. The single-pair functions
-are batches of one.
+Each iteration takes every stacked point's exact nearest model point and
+squared distance from the matcher of the correspondence module, which
+skips most k-d tree queries but returns what a fresh query gives. One fit
+step (_fit), shared with compute_registration, then fits every pair from
+segment sums over its own points, with one call of LAPACK's symmetric
+eigensolver (numpy.linalg.eigh) that factors each 4x4 matrix on its own,
+places the pair's points and returns its mean squared residual. Nothing a
+pair computes reads another pair's data, so its result is bit-identical
+alone or in any batch; the single-pair functions are batches of one.
+
+Iterating matching and fitting yields ICP, whose recorded mean-square error
+never increases, exactly and not within a tolerance, until it converges to
+a local minimum. Residuals and the matcher's distances are one evaluation
+(geometry._squared_distances), averaged per pair by one segment mean. So
+at the placement an iteration ends with, the next iteration's exact
+matches are each no farther than the ones its error was measured with, a
+sum of no larger terms in the same order is no larger, and each iteration
+keeps the smaller of the fitted and the incumbent error.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import numpy as np
 
 from .correspondence import CorrespondenceSet, SpatialIndex, _NeighbourCache, build_index
 from .errors import InvalidInputError, NumericalError
-from .geometry import PointCloud, RigidTransform, UnitQuaternion, _rotation_matrix
+from .geometry import PointCloud, RigidTransform, UnitQuaternion, _rotation_matrix, _squared_distances
 
 _SYMMETRY_TOL = 1e-9
 
@@ -171,13 +175,14 @@ def max_eigenvector(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return float(values[0]), vectors[0]
 
 
-# Stacked moving points per lockstep batch. The engine peaks while it places
-# the stack, with seven (3, N) float arrays alive (points, centred points,
-# matches, the matcher's anchors and up to three placements: 168 bytes per
-# stacked point) and 36 to 48 bytes of bounds, pool ids, squared distances
-# and temporaries. About 210 bytes per stacked point bound the working set
-# near 7 MB, plus the matcher's one copy of the used model points; a pair
-# with more points runs in a batch of its own.
+# Stacked moving points per lockstep batch. The engine peaks in the first
+# iteration, when every stacked point goes to the tree: five (3, N) float
+# arrays (points, centred points, matches, the matcher's anchors and the
+# placement: 120 bytes per stacked point), the tree's rows (24), its 4
+# distances and indices per row (64) and their temporaries. About 270 bytes
+# per stacked point (tracemalloc) bound the working set near 9 MB, plus the
+# matcher's one copy of the used model points; a pair with more points runs
+# in a batch of its own.
 _BATCH_POINTS = 1 << 15
 
 
@@ -197,12 +202,9 @@ class _Stack:
     def __init__(self, clouds: Sequence[np.ndarray]):
         self.points = _columns(clouds)
         self.counts = np.array([len(c) for c in clouds], dtype=np.intp)
-        self._update_starts()
+        self.starts = np.cumsum(self.counts) - self.counts
         self.centroids = _segment_means(self.points, self.starts, self.counts)
         self.centred = self.points - np.repeat(self.centroids, self.counts, axis=1)
-
-    def _update_starts(self) -> None:
-        self.starts = np.concatenate([[0], np.cumsum(self.counts)[:-1]]).astype(np.intp)
 
     def keep(self, mask: np.ndarray) -> np.ndarray:
         """Drop the pairs where mask is False; returns the kept point rows."""
@@ -213,13 +215,13 @@ class _Stack:
         self.centred = np.compress(rows, self.centred, axis=1)
         self.centroids = self.centroids[:, mask]
         self.counts = self.counts[mask]
-        self._update_starts()
+        self.starts = np.cumsum(self.counts) - self.counts
         return rows
 
 
 def _segment_means(columns: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-pair means of every row of a (k, N) array: (k, B)."""
-    return np.add.reduceat(columns, starts, axis=1) / counts
+    """Per-pair means of the rows of a (k, N) array, (k, B), or of an (N,) row, (B,)."""
+    return np.add.reduceat(columns, starts, axis=-1) / counts
 
 
 def _cross_covariances(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -232,20 +234,22 @@ def _cross_covariances(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, 
     for b in range(3):
         xc = matched[b] - np.repeat(mu_x[b], counts)
         for a in range(3):
-            sigma[:, a, b] = np.add.reduceat(stack.centred[a] * xc, starts)
-    return sigma / counts[:, None, None], mu_x
+            sigma[:, a, b] = _segment_means(stack.centred[a] * xc, starts, counts)
+    return sigma, mu_x
 
 
-def _fit(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _fit(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form least-squares rigid fit of every pair of the stack onto
-    its matched model columns: (unit quaternions (B, 4), rotations
-    (B, 3, 3), translations (B, 3))."""
+    its matched model columns (3, N): (unit quaternions (B, 4), translations
+    (B, 3), placed points (3, N), mean squared residuals (B,))."""
     sigma, mu_x = _cross_covariances(stack, matched)
     _, quats = _max_eigenpairs(_alignment_matrices(sigma))
     rot = _rotation_matrix(*quats.T).transpose(2, 0, 1)
     mu_p = stack.centroids
     trans = (mu_x - (rot[:, :, 0].T * mu_p[0] + rot[:, :, 1].T * mu_p[1] + rot[:, :, 2].T * mu_p[2])).T
-    return quats, rot, trans
+    placed = _place(stack, rot, trans)
+    error = _segment_means(_squared_distances(matched, placed), stack.starts, stack.counts)
+    return quats, trans, placed, error
 
 
 def _place(stack: _Stack, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
@@ -258,16 +262,6 @@ def _place(stack: _Stack, rot: np.ndarray, trans: np.ndarray) -> np.ndarray:
         col += p[2] * np.repeat(rot[:, a, 2], counts)
         col += np.repeat(trans[:, a], counts)
     return placed
-
-
-def _mean_residuals(stack: _Stack, matched: np.ndarray, placed: np.ndarray) -> np.ndarray:
-    """Per-pair mean of ||x - placed||^2 over the stacked points: (B,)."""
-    d = matched[0] - placed[0]
-    sq = d * d
-    for a in (1, 2):
-        d = matched[a] - placed[a]
-        sq += d * d
-    return np.add.reduceat(sq, stack.starts) / stack.counts
 
 
 def compute_registration(
@@ -288,10 +282,8 @@ def compute_registration(
         )
     if pairs.target_indices.max() >= len(model) or pairs.target_indices.min() < 0:
         raise InvalidInputError("correspondence target index out of range for the model cloud")
-    stack = _Stack([moving.xyz])
     matched = _columns([model.xyz[pairs.target_indices]])
-    quats, rot, trans = _fit(stack, matched)
-    error = _mean_residuals(stack, matched, _place(stack, rot, trans))
+    quats, trans, _, error = _fit(_Stack([moving.xyz]), matched)
     return RegistrationResult(RigidTransform(UnitQuaternion(*quats[0]), trans[0]), float(error[0]))
 
 
@@ -369,14 +361,11 @@ def _lockstep(
     model_of = np.array([pairs[k][1] for k in batch], dtype=np.intp)
     stack = _Stack([strided[pairs[k][0]] for k in batch])
 
-    rot0 = np.broadcast_to(np.eye(3), (len(batch), 3, 3))
     trans = np.zeros((len(batch), 3))
-    current = _place(stack, rot0, trans)
     if cfg.pre_align:
         centres = np.array([models[j].points.mean(axis=0) for j in model_of.tolist()])
-        placed_centres = _segment_means(current, stack.starts, stack.counts)
-        trans = trans + (centres - placed_centres.T)
-        current = _place(stack, rot0, trans)
+        trans += centres - stack.centroids.T
+    current = _place(stack, np.broadcast_to(np.eye(3), (len(batch), 3, 3)), trans)
     quats = np.tile([1.0, 0.0, 0.0, 0.0], (len(batch), 1))
     previous = np.full(len(batch), np.inf)
     queried = np.zeros(len(batch), dtype=np.int64)
@@ -386,11 +375,9 @@ def _lockstep(
     for iteration in range(1, cfg.max_iterations + 1):
         squared, sent = cache.match(current, stack.starts, model_of, iteration > 1, matched)
         queried += sent
-        incumbent_error = np.add.reduceat(squared, stack.starts) / stack.counts
+        incumbent_error = _segment_means(squared, stack.starts, stack.counts)
 
-        fit_quats, rot, fit_trans = _fit(stack, matched)
-        placed = _place(stack, rot, fit_trans)
-        fitted_error = _mean_residuals(stack, matched, placed)
+        fit_quats, fit_trans, placed, fitted_error = _fit(stack, matched)
         # The closed form cannot worsen the objective; keep the incumbent
         # transform when rounding at the convergence plateau says otherwise.
         accept = fitted_error <= incumbent_error

@@ -678,3 +678,52 @@ class TestScipyStaysOut:
             ["predict", train, test, "--predictor", "icp", "--jobs", 2, "--output", root / "icp.csv"],
         ])
         assert seen == [[False, False], [True, True]]
+
+
+class TestHugeScans:
+    """Scans so large that squared distances or covariances overflow the
+    float range end in one error line, never in a traceback."""
+
+    @staticmethod
+    def normal_clouds(scale, *sizes):
+        rng = np.random.default_rng(61)
+        return [PointCloud(rng.standard_normal((n, 3)) * scale) for n in sizes]
+
+    @staticmethod
+    def assert_numerical_failure(code, out, err):
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
+        assert "overflows" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_register(self, tmp_path, capsys, scale):
+        paths = [tmp_path / "a.xyz", tmp_path / "b.xyz"]
+        for cloud, path in zip(self.normal_clouds(scale, 300, 400), paths):
+            write_scan(cloud, path)
+        self.assert_numerical_failure(*run_cli(capsys, "register", *paths))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1e300])
+    def test_predict_icp(self, tmp_path, capsys, scale, jobs):
+        clouds = self.normal_clouds(scale, 300, 400, 350)
+        train = write_dataset_files(tmp_path, [(f"t{i}", clouds[i], ProductBasket((i,))) for i in range(2)],
+                                    name="train")
+        test = write_dataset_files(tmp_path, [("q", clouds[2], ProductBasket((0,)))], name="test")
+        out_path = tmp_path / "pred.csv"
+        self.assert_numerical_failure(*run_cli(capsys, "predict", train, test, "--predictor", "icp",
+                                               "--jobs", jobs, "--output", out_path))
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_predict_knn_names_the_log(self, tiny_dataset, capsys, scale):
+        train, _, root = tiny_dataset
+        huge = PointCloud(np.random.default_rng(62).standard_normal((60, 3)) * np.array([10.0, 1.0, 1.0]) * scale)
+        test = write_dataset_files(root, [("huge", huge, ProductBasket((0, 0, 0)))], name="huge")
+        out_path = root / "pred.csv"
+        code, out, err = run_cli(capsys, "predict", train, test, "--predictor", "knn", "--k", 1,
+                                 "--output", out_path)
+        assert code == 2
+        assert out == "" and "Traceback" not in err
+        assert "'huge'" in err and "too large to measure" in err
+        assert not out_path.exists()

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from logmatch import (
     CorrespondenceSet,
     InvalidInputError,
+    NumericalError,
     PointCloud,
     UnitQuaternion,
     build_index,
@@ -209,6 +210,39 @@ class TestNeighbourCertificates:
         matched, _, sent = tree_round(cache, placed, certify=True)
         assert sent == 1
         np.testing.assert_array_equal(matched[:, 0], model[0])
+
+
+class TestOverflow:
+    # Five model points, four within 1.4e154 of the origin: the fourth
+    # nearest distance from the origin squares past the float range.
+    BIG = 1.4e154
+    MODEL = np.array([[0.0, 0.0, 0.0], [0.0, BIG, 0.0], [0.0, -BIG, 0.0], [0.0, 0.0, BIG], [1.5e154, 0.0, 0.0]])
+
+    def test_an_overflowing_kept_distance_raises(self):
+        # An infinite kept distance would certify any later match, such as
+        # the kept origin from (1e154, 0, 0), where point 4 is nearer.
+        cache = _NeighbourCache([build_index(PointCloud(self.MODEL))], [0], 1)
+        with pytest.raises(NumericalError, match="overflows"):
+            tree_round(cache, np.zeros((1, 3)), certify=False)
+
+    def test_an_overflowing_second_distance_raises(self):
+        index = build_index(PointCloud(self.MODEL[[0, 4]]))
+        with pytest.raises(NumericalError, match="overflows"):
+            index.query_batch(np.zeros((1, 3)))
+        with pytest.raises(NumericalError, match="overflows"):
+            match_correspondences(index, PointCloud(np.zeros((1, 3))))
+
+    @pytest.mark.parametrize("size", [1, _CACHE_NEIGHBOURS - 1, _CACHE_NEIGHBOURS])
+    def test_missing_neighbours_of_a_small_model_are_no_overflow(self, size):
+        # The tree reports the neighbours a model lacks at an infinite distance.
+        index = build_index(PointCloud(self.MODEL[:size] / self.BIG))
+        cache = _NeighbourCache([index], [0], 1)
+        placed = np.array([[0.5, 0.0, 0.0]])
+        _, squared, sent = tree_round(cache, placed, certify=False)
+        assert sent == 1 and squared[0] == 0.25
+        assert np.isinf(cache.limits[0])
+        idx, sq = index.query_batch(placed)
+        assert idx[0] == 0 and sq[0] == 0.25
 
 
 def tree_round(cache, placed, certify):

@@ -163,6 +163,14 @@ class TestInvariants:
         )
 
     @settings(max_examples=200)
+    @given(basket_pairs(), st.floats(1e-9, 1.0))
+    def test_production_score_is_the_per_product_mean(self, scored, epsilon):
+        total = 0.0
+        for y, yhat in zip(scored.real.quantities, scored.predicted.quantities):
+            total += min(1.0, max(y, epsilon) / max(yhat, epsilon))
+        assert production_score(scored, MetricConfig(epsilon=epsilon)) == total / len(scored)
+
+    @settings(max_examples=200)
     @given(basket_pairs(max_value=6))
     def test_disabling_filter_only_inflates_ratio_scores(self, scored):
         filtered = filter_pairs(scored)

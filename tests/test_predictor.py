@@ -348,6 +348,14 @@ class TestExtractFeatures:
         with pytest.raises(InvalidInputError, match="features must be finite"):
             LogFeatures(1.0, 10.0, 2.0, 1.0, bad)
 
+    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+    def test_huge_scan_rejected_without_warnings(self, scale):
+        # At 1e150 the volume overflows, above that the covariance.
+        rng = np.random.default_rng(23)
+        cloud = PointCloud(rng.standard_normal((60, 3)) * np.array([10.0, 1.0, 1.0]) * scale)
+        with pytest.raises(InvalidInputError, match="must be finite|too large to measure"):
+            extract_features(cloud)
+
     def test_identical_points_have_zero_extent(self):
         with pytest.raises(InvalidInputError, match="scan has zero extent along its principal axis"):
             extract_features(PointCloud(np.tile([1.0, 2.0, 3.0], (10, 1))))
