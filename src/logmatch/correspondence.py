@@ -20,9 +20,9 @@ triangle inequality cannot prove that its match is unchanged. Fresh
 matches, certified matches and query_batch all report squared distances
 through geometry._squared_distances, as the ICP fit's residuals do.
 
-When the tree's distance to a neighbour the model has overflows to
-infinity, neither the tie re-rank nor a certificate built on that distance
-can be trusted, and the query raises NumericalError.
+When the tree's nearest distance, or the matcher's K-th kept distance,
+overflows to infinity, the tie re-rank or the certificate built on it
+cannot be trusted, and the query raises NumericalError.
 
 Matching is directional (each moving point gets its closest model point) and
 many-to-one matches are allowed, which is how two clouds of different sizes
@@ -120,20 +120,18 @@ class SpatialIndex:
 
         The tree orders neighbours at equal distance as it likes, and reports
         a missing neighbour of a model with fewer than k points at an
-        infinite distance with index len(self). Raises NumericalError when a
-        neighbour the model has lies at a distance that overflows.
+        infinite distance with index len(self). Raises NumericalError when
+        the nearest distance, or the tie ball around it, overflows.
         """
         dist, nbr = self._tree.query(pts, k=k)
-        # Each row's distances are sorted, so the last neighbour the model
-        # has is the first to overflow.
-        if np.isinf(dist[:, min(k, len(self)) - 1]).any():
+        reach = dist[:, 0] * (1.0 + _TIE_SLACK)
+        if np.isinf(reach).any():
             raise NumericalError("a nearest-neighbour distance overflows the float range")
         idx = nbr[:, 0].astype(np.int64)
         # A one-point model reports an infinite second distance: never a tie.
-        close = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + _TIE_SLACK))
+        close = np.flatnonzero(dist[:, 1] <= reach)
         if close.size:
-            radii = dist[close, 0] * (1.0 + _TIE_SLACK)
-            found = self._tree.query_ball_point(pts[close], radii)
+            found = self._tree.query_ball_point(pts[close], reach[close])
             rows = np.repeat(close, [len(c) for c in found])
             cand = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64, count=rows.size)
             sq = _squared_distances(self._points[cand].T, pts[rows].T)
@@ -284,6 +282,9 @@ class _NeighbourCache:
             self.ids[:, rows] = np.where(nbr < len(index), nbr + offset, self.pool.shape[1] - 1).T
             self.limits[rows] = np.inf
         else:
+            # An infinite K-th distance would certify any later match.
+            if np.isinf(dist[:, k - 1]).any():
+                raise NumericalError("a kept neighbour's distance overflows the float range")
             self.ids[:, rows] = (nbr + offset).T
             scale = np.abs(xyz).max(axis=1) + self.scales[j]
             self.limits[rows] = dist[:, k - 1] * (1.0 - _REL_MARGIN) - _ABS_MARGIN * scale

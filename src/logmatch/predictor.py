@@ -271,9 +271,6 @@ def nn_predict_from_distances(
     ]
 
 
-# What overflows for a scan near the float range is refused as not finite,
-# before the eigensolve or by LogFeatures; its warnings would only repeat it.
-@np.errstate(over="ignore", invalid="ignore")
 def extract_features(scan: PointCloud) -> LogFeatures:
     """Measure shape descriptors of a scan, independent of its pose.
 
@@ -292,7 +289,10 @@ def extract_features(scan: PointCloud) -> LogFeatures:
         raise InvalidInputError(f"need at least {_FEATURE_MIN_POINTS} points, got {len(scan)}")
     pts = scan.xyz
     centered = pts - pts.mean(axis=0)
-    cov = centered.T @ centered / len(scan)
+    # The covariance of a scan near the float range overflows; it is refused
+    # as not finite before the eigensolve, and its warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = centered.T @ centered / len(scan)
     if not np.isfinite(cov).all():
         raise InvalidInputError("scan is too large to measure: its covariance overflows")
     _, vectors = np.linalg.eigh(cov)

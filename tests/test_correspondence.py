@@ -225,12 +225,18 @@ class TestOverflow:
         with pytest.raises(NumericalError, match="overflows"):
             tree_round(cache, np.zeros((1, 3)), certify=False)
 
-    def test_an_overflowing_second_distance_raises(self):
+    def test_an_overflowing_second_distance_keeps_the_exact_match(self):
         index = build_index(PointCloud(self.MODEL[[0, 4]]))
+        idx, sq = index.query_batch(np.zeros((1, 3)))
+        assert idx[0] == 0 and sq[0] == 0.0
+        pairs = match_correspondences(index, PointCloud(np.zeros((1, 3))))
+        assert pairs.target_indices[0] == 0 and pairs.squared_distances[0] == 0.0
+
+    def test_an_overflowing_nearest_distance_raises(self):
+        # No finite ball around the origin holds a candidate for the re-rank.
+        index = build_index(PointCloud(self.MODEL[[1, 4]]))
         with pytest.raises(NumericalError, match="overflows"):
             index.query_batch(np.zeros((1, 3)))
-        with pytest.raises(NumericalError, match="overflows"):
-            match_correspondences(index, PointCloud(np.zeros((1, 3))))
 
     @pytest.mark.parametrize("size", [1, _CACHE_NEIGHBOURS - 1, _CACHE_NEIGHBOURS])
     def test_missing_neighbours_of_a_small_model_are_no_overflow(self, size):

@@ -480,10 +480,10 @@ def test_batched_slice_areas_match_the_oracle(parts, data):
     more exactly collinear points the area 0. A slice whose area exceeds
     1e-3 of its largest squared centroid distance (its reach) has the exact
     hull's area within 1e-12 relative (and Qhull's when centred); a thinner
-    one has it within 4 ulps of its reach, and Qhull's within 1e-10
-    relative where Qhull measures it and the slice is centred: off centre,
-    Qhull's own rounding grows with the distance from the origin and alone
-    can exceed 1e-10 of a thin slice's area."""
+    one has it within 4 ulps of its reach, and where Qhull measures it,
+    within 1e-10 relative of the exact hull's (and of Qhull's when centred:
+    off centre, Qhull's own rounding grows with the distance from the
+    origin and alone can exceed 1e-10 of a thin slice's area)."""
     plane = np.concatenate([pts for _, pts, _ in parts])
     bins = np.concatenate([np.full(len(pts), i) for i, (_, pts, _) in enumerate(parts)])
     shuffle = np.array(data.draw(st.permutations(range(len(bins)))), dtype=np.int64)
@@ -519,6 +519,8 @@ def test_batched_slice_areas_match_the_oracle(parts, data):
                 assert abs(areas[i] - oracle) <= 1e-12 * oracle
         else:
             assert abs(areas[i] - area) <= 4 * math.ulp(reach)
+            if not circled:
+                assert abs(areas[i] - area) <= 1e-10 * area
             if centred and not circled:
                 assert abs(areas[i] - oracle) <= 1e-10 * oracle
 

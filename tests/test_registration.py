@@ -275,7 +275,7 @@ class TestIcpAlign:
             result, trace = icp_align(a, b)
             assert trace.terminal_reason in (TerminalReason.CONVERGED, TerminalReason.MAX_ITERATIONS)
             errors = trace.errors()
-            assert (np.diff(errors) <= 1e-12).all()
+            assert (np.diff(errors) <= 0.0).all()
             assert result.mse == errors[-1]
 
     def test_registration_equivariance(self):
@@ -478,20 +478,6 @@ class TestLockstepEngine:
             assert outcome(backwards, n - 1 - k) == alone[k]
             assert outcome(chunked, k) == alone[k]
 
-    @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
-    def test_recorded_errors_never_increase(self, cfg):
-        # Exactly, with no slack: the matcher's distances and the fit's
-        # residuals are one evaluation, averaged one way.
-        for seed in range(3):
-            for offset in (0.0, 1e5):
-                moving, models, pairs = engine_case(np.random.default_rng(35 + seed))
-                moving = [cloud + offset for cloud in moving]
-                models = [build_index(PointCloud(index.points + offset)) for index in models]
-                run = _align_pairs(moving, models, pairs, cfg, record=True)
-                for history in run.history:
-                    errors = [e for e, _, _ in history]
-                    assert all(later <= earlier for earlier, later in zip(errors, errors[1:]))
-
     def test_icp_align_is_a_batch_of_one(self):
         moving, models, pairs = engine_case(np.random.default_rng(33))
         run = _align_pairs(moving, models, pairs, IcpConfig())
@@ -532,6 +518,11 @@ class TestNeighbourCertificates:
         reference = uncached[0]
         for results in cached + uncached:
             assert results == reference
+        # Exactly, with no slack: the matcher's distances and the fit's
+        # residuals are one evaluation, averaged one way.
+        for _, history in reference:
+            errors = [e for e, _, _ in history]
+            assert all(later <= earlier for earlier, later in zip(errors, errors[1:]))
 
     def test_icp_align_traces_do_not_change(self, monkeypatch):
         moving, models, pairs = engine_case(np.random.default_rng(34))
