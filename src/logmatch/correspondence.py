@@ -5,24 +5,33 @@ The index is exact, never approximate: for every query it returns the same
 distance resolved to the lowest model index. That determinism is what makes
 distance rankings reproducible bit-for-bit across runs and platforms.
 
-Every model, from a single point up, is served by one k-d tree. The tree
-evaluates distances in its own operation order, so a query whose two
-nearest tree candidates lie within a relative 1e-9 of each other is re-ranked
-over every model point in a slightly inflated ball by the squared distances
-a linear scan computes.
+The index has two kernels, chosen by the model's size. A model of at most
+_SCAN_MAX points is answered by that linear scan itself: every squared
+distance is geometry._squared_distances, and successive argmin passes take
+the nearest points in order, the lowest index first among equal distances.
+So the scan needs no tie slack and no tree, and a process that matches only
+such models never imports scipy. A larger model gets a k-d tree, which
+costs less per query point there. The tree evaluates distances in its own
+operation order, so a query whose two nearest tree candidates lie within a
+relative 1e-9 of each other is re-ranked over every model point in a
+slightly inflated ball by the squared distances a linear scan computes.
+_SCAN_MAX is the largest model size, on a sweep of recorded engine query
+streams, at which the scan's cost per query point stayed within 1.1 times
+the tree's.
 
 This module also owns the ICP engine's matcher (_NeighbourCache), so the
-tie slack, the way the tree reports a missing neighbour and the rounding
-margins that depend on how the tree computes distances all sit beside the
-tree. The matcher reuses queries across iterations: each moving point keeps
-its few nearest tree neighbours, and goes back to the tree only when the
-triangle inequality cannot prove that its match is unchanged. Fresh
-matches, certified matches and query_batch all report squared distances
-through geometry._squared_distances, as the ICP fit's residuals do.
+tie slack, the way the kernels report a missing neighbour and the rounding
+margins that depend on how they compute distances all sit beside them. The
+matcher reuses queries across iterations: each moving point keeps its few
+nearest model points, and goes back to the index only when the triangle
+inequality cannot prove that its match is unchanged. Fresh matches,
+certified matches and query_batch all report squared distances through
+geometry._squared_distances, as the ICP fit's residuals do.
 
-When the tree's nearest distance, or the matcher's K-th kept distance,
-overflows to infinity, the tie re-rank or the certificate built on it
-cannot be trusted, and the query raises NumericalError.
+When the nearest distance, or the distance to the matcher's first
+neighbour not kept, overflows to infinity, the tie re-rank or the
+certificate built on it cannot be trusted, and the query raises
+NumericalError.
 
 Matching is directional (each moving point gets its closest model point) and
 many-to-one matches are allowed, which is how two clouds of different sizes
@@ -40,10 +49,16 @@ import numpy as np
 from .errors import InvalidInputError, NumericalError
 from .geometry import PointCloud, _squared_distances
 
+# Models of at most this many points are matched by the linear scan, larger
+# ones by a k-d tree (see the module docstring for the sweep behind it).
+_SCAN_MAX = 64
+# Squared distances per block of the scan: rows of queries times model points.
+_SCAN_CELLS = 1 << 14
 # Relative gap between the two nearest tree distances under which a query
 # is re-ranked exactly. The tree's distances differ from the linear scan's
 # by a few units in the last place, far inside this slack.
 _TIE_SLACK = 1e-9
+_NEAREST_OVERFLOWS = "a nearest-neighbour distance overflows the float range"
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,21 +91,26 @@ class CorrespondenceSet:
 
 
 class SpatialIndex:
-    """Immutable exact nearest-neighbour structure over a model cloud.
+    """Immutable exact nearest-neighbour structure over a model cloud: a
+    linear scan for a model of at most _SCAN_MAX points, else a k-d tree.
 
     Safe for concurrent queries once built. Use :func:`build_index`.
     """
 
-    __slots__ = ("_points", "_tree")
+    __slots__ = ("_points", "_columns", "_tree")
 
     def __init__(self, model: PointCloud):
-        # Imported here: a process that builds no index never loads the tree.
-        from scipy.spatial import cKDTree
-
         pts = np.array(model.xyz, dtype=np.float64)
         pts.setflags(write=False)
         self._points = pts
-        self._tree = cKDTree(pts)
+        if len(pts) <= _SCAN_MAX:
+            self._columns = np.ascontiguousarray(pts.T)
+            self._tree = None
+        else:
+            # Imported here: a process that builds no tree never loads scipy.
+            from scipy.spatial import cKDTree
+
+            self._tree = cKDTree(pts)
 
     def __len__(self) -> int:
         return self._points.shape[0]
@@ -115,18 +135,21 @@ class SpatialIndex:
 
     def _nearest(self, pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Exact nearest model index of each row of a float64 (m, 3) array,
-        with the tree's k >= 2 nearest neighbours of each row: (indices (m,),
-        tree distances (m, k), neighbour indices (m, k)).
+        with the k >= 2 nearest neighbours of each row: (indices (m,),
+        distances (m, k), neighbour indices (m, k)).
 
-        The tree orders neighbours at equal distance as it likes, and reports
-        a missing neighbour of a model with fewer than k points at an
+        The tree orders neighbours at equal distance as it likes; the scan
+        lists them by index. A neighbour that a model of fewer than k points
+        lacks, or whose squared distance overflows, is reported at an
         infinite distance with index len(self). Raises NumericalError when
         the nearest distance, or the tie ball around it, overflows.
         """
+        if self._tree is None:
+            return self._scan(pts, k)
         dist, nbr = self._tree.query(pts, k=k)
         reach = dist[:, 0] * (1.0 + _TIE_SLACK)
         if np.isinf(reach).any():
-            raise NumericalError("a nearest-neighbour distance overflows the float range")
+            raise NumericalError(_NEAREST_OVERFLOWS)
         idx = nbr[:, 0].astype(np.int64)
         # A one-point model reports an infinite second distance: never a tie.
         close = np.flatnonzero(dist[:, 1] <= reach)
@@ -142,12 +165,45 @@ class SpatialIndex:
             idx[rows[best]] = cand[best]
         return idx, dist, nbr
 
+    def _scan(self, pts: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """_nearest by a linear scan over blocks of rows: each block's squared
+        distances to every model point, then k argmin passes, each taking
+        the first (lowest-index) least distance of a row and striking it
+        out."""
+        n, m = len(self), len(pts)
+        sq = np.empty((k, m))
+        sq[n:] = np.inf
+        nbr = np.empty((k, m), dtype=np.int64)
+        rows = max(1, _SCAN_CELLS // n)
+        block = np.empty((min(rows, m), n))
+        # Far model points may square past the float range; only an
+        # overflowing nearest distance matters, and it raises below.
+        with np.errstate(over="ignore"):
+            for lo in range(0, m, rows):
+                hi = min(lo + rows, m)
+                dist = block[:hi - lo]
+                _squared_distances(self._columns[:, None, :], pts[lo:hi].T[:, :, None], dist)
+                flat = dist.reshape(-1)
+                starts = np.arange(0, flat.size, n)
+                for c in range(min(k, n)):
+                    near = dist.argmin(axis=1, out=nbr[c, lo:hi])
+                    at = np.add(near, starts)
+                    flat.take(at, out=sq[c, lo:hi])
+                    flat[at] = np.inf
+        missing = np.isinf(sq)
+        if missing[0].any():
+            raise NumericalError(_NEAREST_OVERFLOWS)
+        nbr[missing] = n
+        return nbr[0], np.sqrt(sq.T), nbr.T
 
-# Model points each stacked point keeps from its last k-d tree query. With 4,
-# 72% of predict-mixed's point-queries are certified; 2 certifies about half
-# and runs slower, while 5 to 8 certify up to 83% and run no faster.
+
+# Model points each stacked point keeps from its last index query; the
+# distance of the next one bounds all the others. With 4, 73% of
+# predict-mixed's point-queries at seed 0 are certified. When the 4th
+# distance was the bound, 2 certified about half and ran slower, while 5 to
+# 8 certified up to 83% and ran no faster.
 _CACHE_NEIGHBOURS = 4
-# False sends every stacked point to the tree at every round; tests use it
+# False sends every stacked point to the index at every round; tests use it
 # to compare the engine with and without certificates.
 _CERTIFY = True
 # Rounding margins of the certificate, derived in _NeighbourCache.
@@ -158,13 +214,14 @@ _UNIQUE = (1.0 + _TIE_SLACK) ** 2
 
 class _NeighbourCache:
     """Exact nearest-model-point matcher of the ICP engine: each stacked
-    point's last exact k-d tree query, and the certificate that tells when
+    point's last exact index query, and the certificate that tells when
     that query still holds at the point's new placement.
 
-    After a tree query at placement p0, a point keeps p0, the pool ids of
-    its K = _CACHE_NEIGHBOURS nearest model points, and a lower bound L on
-    the distance from p0 to every model point it does not keep: the K-th
-    tree distance dK less the rounding margins below. At a later placement
+    An index query at placement p0 asks for the K + 1 nearest model points,
+    K = _CACHE_NEIGHBOURS. The point keeps p0, the pool ids of the K
+    nearest, and a lower bound L on the distance from p0 to every model
+    point it does not keep: the distance d of the (K + 1)-th, the nearest
+    point not kept, less the rounding margins below. At a later placement
     p, let m = |p - p0| and u the least distance from p to a kept point.
     Every other model point lies at least L - m from p (triangle
     inequality). So if u + m < L, and no other kept point is within the tie
@@ -174,23 +231,23 @@ class _NeighbourCache:
     way. The stacked points are columns of (3, N) arrays, as in the engine,
     and follow its stack when it drops pairs (keep).
 
-    Rounding margins. u, m and every tree distance are distances between
+    Rounding margins. u, m and every index distance are distances between
     two stored points: a correctly rounded difference per axis, squared,
     summed and square-rooted, so within about 4 units of 2**-53 of the
-    exact distance, relative. The tree's pruning adds a few such units per
-    level, relative to the squared distances on its search path. All of
-    these, and the rounding of the sum u + m, are relative to at most dK,
-    so L = dK (1 - _REL_MARGIN) - ... absorbs them with about 4,500 units
-    to spare; what is left over keeps the kept point at u ahead of every
-    other model point by far more than the rounding of a fresh query. But
-    a value that the tree derives from a coordinate c rather than from a
-    difference, such as a node's split plane (a rounded midpoint), is
-    resolved only to an ulp of c, about 2.2e-16 c, however small the
-    distance. At c = 1e4 and a distance of 1e-3 that is already 2e-9 of
-    the distance, beyond a relative margin of 1e-12. So L also gives up
-    _ABS_MARGIN (about 450 ulps) per unit of the largest coordinate
-    magnitude of p0 and of the model. A model of K points or fewer is kept
-    whole, and its L is infinite.
+    exact distance, relative. The scan adds nothing to that; the tree's
+    pruning adds a few such units per level, relative to the squared
+    distances on its search path. All of these, and the rounding of the
+    sum u + m, are relative to at most d, so L = d (1 - _REL_MARGIN) - ...
+    absorbs them with about 4,500 units to spare; what is left over keeps
+    the kept point at u ahead of every other model point by far more than
+    the rounding of a fresh query. But a value that the tree derives from a
+    coordinate c rather than from a difference, such as a node's split
+    plane (a rounded midpoint), is resolved only to an ulp of c, about
+    2.2e-16 c, however small the distance. At c = 1e4 and a distance of
+    1e-3 that is already 2e-9 of the distance, beyond a relative margin of
+    1e-12. So L also gives up _ABS_MARGIN (about 450 ulps) per unit of the
+    largest coordinate magnitude of p0 and of the model. A model of K points
+    or fewer is kept whole, and its L is infinite.
     """
 
     def __init__(self, models: Sequence[SpatialIndex], used: list[int], points: int):
@@ -220,9 +277,9 @@ class _NeighbourCache:
         """Fill matched (3, N) with the exact nearest model point of every
         stacked point placed at placed (3, N), pairs starting at starts and
         sorted by model_of. Uncertified points, or all of them unless
-        certify and _CERTIFY, go to their model's tree, one query per model.
+        certify and _CERTIFY, go to their model's index, one query per model.
         Returns the squared distances (N,) and the points each pair sent to
-        a tree (B,).
+        an index (B,).
         """
         points = placed.shape[1]
         if certify and _CERTIFY:
@@ -235,7 +292,7 @@ class _NeighbourCache:
         for first, end in zip(firsts, firsts[1:] + [len(model_of)]):
             rows = miss[cuts[first]:cuts[end]]
             if rows.size:
-                # The tree is the one consumer of row-major points.
+                # The index is the one consumer of row-major points.
                 nearest[rows] = self._query(int(model_of[first]), rows, placed.T[rows])
         return self._gather(nearest, placed, matched), np.diff(cuts)
 
@@ -273,21 +330,21 @@ class _NeighbourCache:
 
     def _query(self, j: int, rows: np.ndarray, xyz: np.ndarray) -> np.ndarray:
         """Send the stacked points at rows, placed at the rows of xyz (m, 3),
-        to the tree of models[j], keep each row's query, and return the pool
+        to the index models[j], keep each row's query, and return the pool
         id of each row's nearest model point."""
         index, k, offset = self.models[j], _CACHE_NEIGHBOURS, self.offsets[j]
-        nearest, dist, nbr = index._nearest(xyz, k)
+        nearest, dist, nbr = index._nearest(xyz, k + 1)
         self.anchors[:, rows] = xyz.T
         if len(index) <= k:
-            self.ids[:, rows] = np.where(nbr < len(index), nbr + offset, self.pool.shape[1] - 1).T
+            self.ids[:, rows] = np.where(nbr[:, :k] < len(index), nbr[:, :k] + offset, self.pool.shape[1] - 1).T
             self.limits[rows] = np.inf
         else:
-            # An infinite K-th distance would certify any later match.
-            if np.isinf(dist[:, k - 1]).any():
-                raise NumericalError("a kept neighbour's distance overflows the float range")
-            self.ids[:, rows] = (nbr + offset).T
+            # An infinite bound would certify any later match.
+            if np.isinf(dist[:, k]).any():
+                raise NumericalError("the distance to a neighbour not kept overflows the float range")
+            self.ids[:, rows] = (nbr[:, :k] + offset).T
             scale = np.abs(xyz).max(axis=1) + self.scales[j]
-            self.limits[rows] = dist[:, k - 1] * (1.0 - _REL_MARGIN) - _ABS_MARGIN * scale
+            self.limits[rows] = dist[:, k] * (1.0 - _REL_MARGIN) - _ABS_MARGIN * scale
         return nearest + offset
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .correspondence import build_index
+from .correspondence import _SCAN_MAX, build_index
 from .errors import InvalidInputError
 from .geometry import PointCloud
 from .registration import IcpConfig, _align_pairs
@@ -32,8 +32,9 @@ _VOLUME_SLICES = 100
 _TURN_BOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _TURN_FLOOR = sys.float_info.min
 # Pool workers are forked where the platform can fork, so that they inherit
-# the parent's imports (the k-d tree's among them); elsewhere they are
-# spawned and import what they use.
+# the parent's imports (scipy's k-d tree among them, when a model is too
+# large for the linear scan); elsewhere they are spawned and import what
+# they use.
 _START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
@@ -210,7 +211,7 @@ def icp_distance_matrix(
         shares[worker_of[j]].append((i, j))
     tasks = [_share_task(scans, share, cfg) for share in shares]
     if workers > 1:
-        if _START_METHOD == "fork":
+        if _START_METHOD == "fork" and any(len(scans[j]) > _SCAN_MAX for j in models):
             import scipy.spatial  # noqa: F401  (imported once, before the workers fork)
         context = multiprocessing.get_context(_START_METHOD)
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:

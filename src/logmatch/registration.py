@@ -13,7 +13,7 @@ One engine runs every alignment. It moves a batch of (moving, model) pairs
 forward in lockstep, each stacked moving point a column of (3, N) arrays.
 Each iteration takes every stacked point's exact nearest model point and
 squared distance from the matcher of the correspondence module, which
-skips most k-d tree queries but returns what a fresh query gives. One fit
+skips most index queries but returns what a fresh query gives. One fit
 step (_fit), shared with compute_registration, then fits every pair from
 segment sums over its own points, with one call of LAPACK's symmetric
 eigensolver (numpy.linalg.eigh) that factors each 4x4 matrix on its own,
@@ -114,7 +114,7 @@ class IcpTrace:
             raise InvalidInputError("trace must contain at least one iteration")
         previous = None
         for entry in self.iterations:
-            if previous is not None and entry.mse > previous + 1e-12:
+            if previous is not None and entry.mse > previous:
                 raise NumericalError(
                     f"mean-square error increased at iteration {entry.index}: {previous!r} -> {entry.mse!r}"
                 )
@@ -176,13 +176,14 @@ def max_eigenvector(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 # Stacked moving points per lockstep batch. The engine peaks in the first
-# iteration, when every stacked point goes to the tree: five (3, N) float
+# iteration, when every stacked point goes to its index: five (3, N) float
 # arrays (points, centred points, matches, the matcher's anchors and the
-# placement: 120 bytes per stacked point), the tree's rows (24), its 4
-# distances and indices per row (64) and their temporaries. About 270 bytes
-# per stacked point (tracemalloc) bound the working set near 9 MB, plus the
-# matcher's one copy of the used model points; a pair with more points runs
-# in a batch of its own.
+# placement: 120 bytes per stacked point), the index's rows (24), its 5
+# distances and indices per row (80) and their temporaries. At most about
+# 270 bytes per stacked point (tracemalloc: 215 with trees, 250 with scans
+# of 48-point models) bound the working set near 9 MB, plus the matcher's
+# one copy of the used model points; a pair with more points runs in a
+# batch of its own.
 _BATCH_POINTS = 1 << 15
 
 
@@ -220,8 +221,13 @@ class _Stack:
 
 
 def _segment_means(columns: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-pair means of the rows of a (k, N) array, (k, B), or of an (N,) row, (B,)."""
-    return np.add.reduceat(columns, starts, axis=-1) / counts
+    """Per-pair means of the rows of a (k, N) array, (k, B), or of an (N,) row, (B,).
+    Raises NumericalError when a pair's sum overflows the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.add.reduceat(columns, starts, axis=-1)
+    if not np.isfinite(sums).all():
+        raise NumericalError("a per-pair sum overflows the float range")
+    return sums / counts
 
 
 def _cross_covariances(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +240,10 @@ def _cross_covariances(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, 
     for b in range(3):
         xc = matched[b] - np.repeat(mu_x[b], counts)
         for a in range(3):
-            sigma[:, a, b] = _segment_means(stack.centred[a] * xc, starts, counts)
+            # A product past the float range makes its pair's sum raise.
+            with np.errstate(over="ignore"):
+                product = stack.centred[a] * xc
+            sigma[:, a, b] = _segment_means(product, starts, counts)
     return sigma, mu_x
 
 
@@ -248,7 +257,10 @@ def _fit(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     mu_p = stack.centroids
     trans = (mu_x - (rot[:, :, 0].T * mu_p[0] + rot[:, :, 1].T * mu_p[1] + rot[:, :, 2].T * mu_p[2])).T
     placed = _place(stack, rot, trans)
-    error = _segment_means(_squared_distances(matched, placed), stack.starts, stack.counts)
+    # A residual past the float range makes its pair's mean raise.
+    with np.errstate(over="ignore"):
+        residuals = _squared_distances(matched, placed)
+    error = _segment_means(residuals, stack.starts, stack.counts)
     return quats, trans, placed, error
 
 
@@ -291,7 +303,7 @@ def compute_registration(
 class _Alignments:
     """Per-pair outcome of the engine, in the order the pairs were given.
 
-    queried counts the moving points each pair sent to the k-d tree, over
+    queried counts the moving points each pair sent to the index, over
     all its iterations. history, when recorded, holds for each pair its
     (mse, quaternion, translation) after every iteration.
     """

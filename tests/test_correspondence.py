@@ -14,7 +14,8 @@ from logmatch import (
     match_correspondences,
     quaternion_to_rotation,
 )
-from logmatch.correspondence import _CACHE_NEIGHBOURS, _NeighbourCache
+from logmatch import correspondence
+from logmatch.correspondence import _CACHE_NEIGHBOURS, _SCAN_MAX, _NeighbourCache
 from synthdata import box_cloud
 
 
@@ -108,6 +109,19 @@ class TestExactness:
         np.testing.assert_array_equal(idx, oracle_idx)
         np.testing.assert_array_equal(sq, oracle_sq)
 
+    def test_scan_blocks_change_no_result(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        model = box_cloud(rng, 50)
+        queries = box_cloud(rng, 100).xyz
+        whole = build_index(model)._nearest(queries, _CACHE_NEIGHBOURS + 1)
+        # Blocks of 3 rows, the last one short.
+        monkeypatch.setattr(correspondence, "_SCAN_CELLS", 3 * 50)
+        blocked = build_index(model)._nearest(queries, _CACHE_NEIGHBOURS + 1)
+        for a, b in zip(whole, blocked):
+            assert a.tobytes() == b.tobytes()
+        oracle_idx, _ = linear_scan(model.xyz, queries)
+        np.testing.assert_array_equal(blocked[0], oracle_idx)
+
     def test_engineered_ties_on_tree_path(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(0, 1000, (400, 3))
@@ -151,7 +165,8 @@ def lattice_case(draw):
     around it, scaled and offset; cell centres and edge midpoints are
     multi-way exact ties before scaling and near-ties after it."""
     extent = draw(st.integers(1, 4))
-    n_model = draw(st.integers(1, 300))
+    # Sizes on both sides of _SCAN_MAX: scanned models and k-d trees.
+    n_model = draw(st.one_of(st.sampled_from([_SCAN_MAX, _SCAN_MAX + 1]), st.integers(1, 300)))
     n_query = draw(st.integers(1, 40))
     model = draw(arrays(np.int64, (n_model, 3), elements=st.integers(-extent, extent)))
     halves = draw(arrays(np.int64, (n_query, 3), elements=st.integers(-2 * extent - 2, 2 * extent + 2)))
@@ -163,7 +178,7 @@ def lattice_case(draw):
 class TestExactnessProperty:
     @settings(max_examples=300, deadline=None)
     @given(lattice_case())
-    def test_tree_equals_linear_scan_on_tie_lattices(self, case):
+    def test_index_equals_linear_scan_on_tie_lattices(self, case):
         model, queries = case
         idx, sq = build_index(PointCloud(model)).query_batch(queries)
         oracle_idx, oracle_sq = linear_scan(model, queries)
@@ -204,26 +219,28 @@ class TestNeighbourCertificates:
         index = build_index(PointCloud(model))
         placed = np.array([[0.5, 0.0, 0.0]])
         cache = _NeighbourCache([index], [0], 1)
-        tree_round(cache, placed, certify=False)
+        match_round(cache, placed, certify=False)
         certified, _ = certificate(cache, placed)
         assert not certified[0]
-        matched, _, sent = tree_round(cache, placed, certify=True)
+        matched, _, sent = match_round(cache, placed, certify=True)
         assert sent == 1
         np.testing.assert_array_equal(matched[:, 0], model[0])
 
 
 class TestOverflow:
-    # Five model points, four within 1.4e154 of the origin: the fourth
-    # nearest distance from the origin squares past the float range.
+    # Five model points, four of them 1.4e154 or more from the origin: every
+    # distance from the origin but the first squares past the float range.
     BIG = 1.4e154
     MODEL = np.array([[0.0, 0.0, 0.0], [0.0, BIG, 0.0], [0.0, -BIG, 0.0], [0.0, 0.0, BIG], [1.5e154, 0.0, 0.0]])
 
     def test_an_overflowing_kept_distance_raises(self):
-        # An infinite kept distance would certify any later match, such as
-        # the kept origin from (1e154, 0, 0), where point 4 is nearer.
+        # The matcher keeps four points, so its bound is the distance of
+        # point 4, the first not kept. An infinite bound would certify any
+        # later match, such as the kept origin from (1e154, 0, 0), where
+        # point 4 is nearer.
         cache = _NeighbourCache([build_index(PointCloud(self.MODEL))], [0], 1)
         with pytest.raises(NumericalError, match="overflows"):
-            tree_round(cache, np.zeros((1, 3)), certify=False)
+            match_round(cache, np.zeros((1, 3)), certify=False)
 
     def test_an_overflowing_second_distance_keeps_the_exact_match(self):
         index = build_index(PointCloud(self.MODEL[[0, 4]]))
@@ -231,6 +248,12 @@ class TestOverflow:
         assert idx[0] == 0 and sq[0] == 0.0
         pairs = match_correspondences(index, PointCloud(np.zeros((1, 3))))
         assert pairs.target_indices[0] == 0 and pairs.squared_distances[0] == 0.0
+
+    def test_an_overflowing_neighbour_is_reported_missing(self):
+        idx, dist, nbr = build_index(PointCloud(self.MODEL[[0, 4]]))._nearest(np.zeros((1, 3)), 3)
+        assert idx[0] == 0
+        np.testing.assert_array_equal(dist, [[0.0, np.inf, np.inf]])
+        np.testing.assert_array_equal(nbr, [[0, 2, 2]])
 
     def test_an_overflowing_nearest_distance_raises(self):
         # No finite ball around the origin holds a candidate for the re-rank.
@@ -240,18 +263,26 @@ class TestOverflow:
 
     @pytest.mark.parametrize("size", [1, _CACHE_NEIGHBOURS - 1, _CACHE_NEIGHBOURS])
     def test_missing_neighbours_of_a_small_model_are_no_overflow(self, size):
-        # The tree reports the neighbours a model lacks at an infinite distance.
+        # The index reports the neighbours a model lacks at an infinite distance.
         index = build_index(PointCloud(self.MODEL[:size] / self.BIG))
         cache = _NeighbourCache([index], [0], 1)
         placed = np.array([[0.5, 0.0, 0.0]])
-        _, squared, sent = tree_round(cache, placed, certify=False)
+        _, squared, sent = match_round(cache, placed, certify=False)
         assert sent == 1 and squared[0] == 0.25
         assert np.isinf(cache.limits[0])
         idx, sq = index.query_batch(placed)
         assert idx[0] == 0 and sq[0] == 0.25
 
 
-def tree_round(cache, placed, certify):
+class TestOverflowOnTrees(TestOverflow):
+    """The same small models, each in a k-d tree instead of the scan."""
+
+    @pytest.fixture(autouse=True)
+    def trees(self, monkeypatch):
+        monkeypatch.setattr(correspondence, "_SCAN_MAX", 0)
+
+
+def match_round(cache, placed, certify):
     """One matching round of a single-model cache over the placements (m, 3)."""
     matched = np.empty((3, len(placed)))
     squared, sent = cache.match(np.ascontiguousarray(placed.T), np.array([0]), np.array([0]), certify, matched)
@@ -300,7 +331,7 @@ class TestCertificateProperty:
         model, first, moved = case
         index = build_index(PointCloud(model))
         cache = _NeighbourCache([index], [0], len(first))
-        tree_round(cache, first, certify=False)
+        match_round(cache, first, certify=False)
         # Every model point that is not kept lies beyond the kept bound, by
         # more than the rounding of a float distance (about 4e-16, relative).
         for r, p0 in enumerate(first):
@@ -311,7 +342,7 @@ class TestCertificateProperty:
         certified, nearest = certificate(cache, moved)
         idx, sq = index.query_batch(moved)
         np.testing.assert_array_equal(nearest[certified], idx[certified])
-        matched, squared, sent = tree_round(cache, moved, certify=True)
+        matched, squared, sent = match_round(cache, moved, certify=True)
         assert squared.tobytes() == sq.tobytes()
         assert matched.tobytes() == np.ascontiguousarray(model[idx].T).tobytes()
         assert sent == len(moved) - certified.sum()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from logmatch import correspondence, registration
+from logmatch.correspondence import _CACHE_NEIGHBOURS, _SCAN_MAX
 from logmatch.registration import (
     _Stack,
     _align_pairs,
@@ -372,12 +373,14 @@ class TestConfigAndTrace:
 
     def test_trace_rejects_increasing_errors(self):
         identity = RigidTransform.identity()
-        entries = (
-            IcpIteration(0, 1.0, identity),
-            IcpIteration(1, 2.0, identity),
-        )
-        with pytest.raises(NumericalError):
-            IcpTrace(entries, TerminalReason.MAX_ITERATIONS)
+        # Any increase, down to one unit in the last place.
+        for later in (2.0, np.nextafter(1.0, 2.0)):
+            entries = (
+                IcpIteration(0, 1.0, identity),
+                IcpIteration(1, later, identity),
+            )
+            with pytest.raises(NumericalError):
+                IcpTrace(entries, TerminalReason.MAX_ITERATIONS)
 
     def test_trace_requires_entries(self):
         with pytest.raises(InvalidInputError):
@@ -546,3 +549,32 @@ class TestNeighbourCertificates:
         every_point = [run * len(moving[i]) for run, (i, _) in zip(uncached.iterations, pairs)]
         np.testing.assert_array_equal(uncached.queried, every_point)
         assert cached.queried.sum() <= 0.6 * uncached.queried.sum()
+
+
+def small_engine_case(rng):
+    """Moving clouds of 1 to 120 points and model clouds of 1 to _SCAN_MAX
+    points, including rigid copies that converge and unrelated pairs."""
+    models = [box_cloud(rng, n) for n in (1, _CACHE_NEIGHBOURS, 40, _SCAN_MAX)]
+    moving = [box_cloud(rng, n) for n in (1, 7, 60, 120)]
+    moving.append(apply_transform(random_transform(rng, math.radians(20), 50.0), models[2]))
+    moving.append(PointCloud(models[3].xyz + rng.normal(0.0, 1.0, models[3].xyz.shape)))
+    pairs = [(i, j) for i in range(len(moving)) for j in range(len(models))]
+    return [c.xyz for c in moving], models, pairs
+
+
+class TestScanKernel:
+    @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
+    def test_trees_change_no_result(self, cfg, monkeypatch):
+        # The scan matches these models; with _SCAN_MAX at 0 k-d trees do.
+        # Only the points each pair sends to its index may differ.
+        moving, clouds, pairs = small_engine_case(np.random.default_rng(35))
+        scanned = [build_index(c) for c in clouds]
+        monkeypatch.setattr(correspondence, "_SCAN_MAX", 0)
+        trees = [build_index(c) for c in clouds]
+        assert all(index._tree is None for index in scanned)
+        assert all(index._tree is not None for index in trees)
+        scan_run = _align_pairs(moving, scanned, pairs, cfg, record=True)
+        tree_run = _align_pairs(moving, trees, pairs, cfg, record=True)
+        assert len({int(it) for it in scan_run.iterations}) > 1
+        for k in range(len(pairs)):
+            assert recorded(scan_run, k) == recorded(tree_run, k)
