@@ -28,11 +28,6 @@ inequality cannot prove that its match is unchanged. Fresh matches,
 certified matches and query_batch all report squared distances through
 geometry._squared_distances, as the ICP fit's residuals do.
 
-When the nearest distance, or the distance to the matcher's first
-neighbour not kept, overflows to infinity, the tie re-rank or the
-certificate built on it cannot be trusted, and the query raises
-NumericalError.
-
 Matching is directional (each moving point gets its closest model point) and
 many-to-one matches are allowed, which is how two clouds of different sizes
 can be compared at all.
@@ -46,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError
 from .geometry import PointCloud, _squared_distances
 
 # Models of at most this many points are matched by the linear scan, larger
@@ -58,7 +53,6 @@ _SCAN_CELLS = 1 << 14
 # is re-ranked exactly. The tree's distances differ from the linear scan's
 # by a few units in the last place, far inside this slack.
 _TIE_SLACK = 1e-9
-_NEAREST_OVERFLOWS = "a nearest-neighbour distance overflows the float range"
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +119,9 @@ class SpatialIndex:
 
         Returns (target_indices, squared_distances). Ties go to the lowest
         model index; squared distances are recomputed from the matched pair
-        so they are bit-identical to a direct evaluation.
+        so they are bit-identical to a direct evaluation. Rows are not
+        checked: their distances are finite within 3*sqrt(3)*geometry.B of
+        the origin, the reach of ICP placements.
         """
         pts = np.asarray(xyz, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
@@ -140,16 +136,14 @@ class SpatialIndex:
 
         The tree orders neighbours at equal distance as it likes; the scan
         lists them by index. A neighbour that a model of fewer than k points
-        lacks, or whose squared distance overflows, is reported at an
-        infinite distance with index len(self). Raises NumericalError when
-        the nearest distance, or the tie ball around it, overflows.
+        lacks is reported at an infinite distance with index len(self).
+        Every other distance is finite for the rows ICP places from clouds
+        within geometry.B, as that bound's derivation shows.
         """
         if self._tree is None:
             return self._scan(pts, k)
         dist, nbr = self._tree.query(pts, k=k)
         reach = dist[:, 0] * (1.0 + _TIE_SLACK)
-        if np.isinf(reach).any():
-            raise NumericalError(_NEAREST_OVERFLOWS)
         idx = nbr[:, 0].astype(np.int64)
         # A one-point model reports an infinite second distance: never a tie.
         close = np.flatnonzero(dist[:, 1] <= reach)
@@ -174,26 +168,20 @@ class SpatialIndex:
         sq = np.empty((k, m))
         sq[n:] = np.inf
         nbr = np.empty((k, m), dtype=np.int64)
+        nbr[n:] = n
         rows = max(1, _SCAN_CELLS // n)
         block = np.empty((min(rows, m), n))
-        # Far model points may square past the float range; only an
-        # overflowing nearest distance matters, and it raises below.
-        with np.errstate(over="ignore"):
-            for lo in range(0, m, rows):
-                hi = min(lo + rows, m)
-                dist = block[:hi - lo]
-                _squared_distances(self._columns[:, None, :], pts[lo:hi].T[:, :, None], dist)
-                flat = dist.reshape(-1)
-                starts = np.arange(0, flat.size, n)
-                for c in range(min(k, n)):
-                    near = dist.argmin(axis=1, out=nbr[c, lo:hi])
-                    at = np.add(near, starts)
-                    flat.take(at, out=sq[c, lo:hi])
-                    flat[at] = np.inf
-        missing = np.isinf(sq)
-        if missing[0].any():
-            raise NumericalError(_NEAREST_OVERFLOWS)
-        nbr[missing] = n
+        for lo in range(0, m, rows):
+            hi = min(lo + rows, m)
+            dist = block[:hi - lo]
+            _squared_distances(self._columns[:, None, :], pts[lo:hi].T[:, :, None], dist)
+            flat = dist.reshape(-1)
+            starts = np.arange(0, flat.size, n)
+            for c in range(min(k, n)):
+                near = dist.argmin(axis=1, out=nbr[c, lo:hi])
+                at = np.add(near, starts)
+                flat.take(at, out=sq[c, lo:hi])
+                flat[at] = np.inf
         return nbr[0], np.sqrt(sq.T), nbr.T
 
 
@@ -339,9 +327,6 @@ class _NeighbourCache:
             self.ids[:, rows] = np.where(nbr[:, :k] < len(index), nbr[:, :k] + offset, self.pool.shape[1] - 1).T
             self.limits[rows] = np.inf
         else:
-            # An infinite bound would certify any later match.
-            if np.isinf(dist[:, k]).any():
-                raise NumericalError("the distance to a neighbour not kept overflows the float range")
             self.ids[:, rows] = (nbr[:, :k] + offset).T
             scale = np.abs(xyz).max(axis=1) + self.scales[j]
             self.limits[rows] = dist[:, k] * (1.0 - _REL_MARGIN) - _ABS_MARGIN * scale

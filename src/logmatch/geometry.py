@@ -23,11 +23,27 @@ from .errors import InvalidInputError
 _UNIT_SUMSQ_TOL = 1e-9
 # Looser guard applied when a quaternion is turned into a matrix.
 _ROTATION_NORM_TOL = 1e-6
+# The largest |coordinate| (mm) a PointCloud accepts, chosen so that no ICP
+# quantity or knn feature computed from clouds within it overflows, and no
+# kernel has to check.
+# - ICP places p at R(p - mu_p) + mu_x, within 3*sqrt(3)*B of the origin, so
+#   a squared distance or residual is at most 48*B**2, and a per-pair sum
+#   of N of them at most 48*N*B**2; cross-covariance terms (at most 4*B**2)
+#   and slice turn determinants (at most 48*B**2) stay as far inside.
+# - A knn volume is at most 24*sqrt(3)*pi*B**3, about 131*B**3 (a length of
+#   at most 2*sqrt(3)*B times a disc of radius 2*sqrt(3)*B), so a volume
+#   deviates from the training mean by at most about 262*B**3. The
+#   z-score's std sums the squares of one such deviation per training log:
+#   6.9e292 per log at B = 1e48, below the float maximum 1.8e308 for up to
+#   2.6e15 training logs. This is the tightest limit; ICP alone would allow
+#   about 1e140. No data set that fits in memory comes near either.
+B = 1e48
 
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """An ordered, non-empty sequence of finite 3D points.
+    """An ordered, non-empty sequence of 3D points, each coordinate within
+    [-B, B].
 
     The order of points is preserved exactly as loaded: the index of a point
     is its identity within the cloud. Clouds of different sizes are fine;
@@ -42,8 +58,9 @@ class PointCloud:
             raise InvalidInputError(f"point cloud must have shape (n, 3), got {arr.shape}")
         if arr.shape[0] < 1:
             raise InvalidInputError("point cloud must contain at least one point")
-        if not np.isfinite(arr).all():
-            raise InvalidInputError("point cloud contains non-finite coordinates")
+        # NaN fails this test too: the extremes of an array holding one are NaN.
+        if not (-B <= arr.min() and arr.max() <= B):
+            raise InvalidInputError(f"point cloud has coordinates that are not finite or beyond ±{B:g}")
         arr.setflags(write=False)
         object.__setattr__(self, "xyz", arr)
 
@@ -184,5 +201,9 @@ def _squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = No
 
 
 def apply_transform(t: RigidTransform, cloud: PointCloud) -> PointCloud:
-    """Map every point p of the cloud to R p + T, preserving length and order."""
+    """Map every point p of the cloud to R p + T, preserving length and order.
+
+    The result is a PointCloud, so a transform that moves a coordinate
+    beyond B raises InvalidInputError.
+    """
     return PointCloud(cloud.xyz @ t.matrix().T + t.translation)

@@ -24,12 +24,14 @@ by one csv writer, so cells are quoted as csv requires.
 
 Cloud coordinates are written with shortest round-trip decimal formatting,
 so a write/load cycle reproduces the numbers exactly. Parsers never skip a
-malformed row; every defect is a hard error naming the file and line.
+malformed row; every defect is a hard error naming the file and line. A
+scan coordinate must lie within geometry.B (1e48 mm): one beyond it is
+such an error, naming its token.
 Every file is read as UTF-8; other bytes are a parse error at their line.
 
 Scan data lines are converted in one ``np.loadtxt`` call when the text is
 ASCII, every data line is a row (no blank lines), csv cells are unquoted,
-and the result has the expected shape and only finite coordinates. That
+and the result has the expected shape and only coordinates within B. That
 call splits fields and converts numbers as ``str.split``, ``csv`` and
 ``float`` do, except that it rejects some forms ``float`` accepts, such as
 ``1_0``. Any other file, and any file it fails on, goes through the
@@ -53,7 +55,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import InvalidInputError, ParseError
-from .geometry import PointCloud
+from .geometry import B, PointCloud
 from .metrics import ScoreReport
 from .predictor import LogRecord, ProductBasket
 
@@ -129,7 +131,7 @@ def _array_points(path, fmt: str, text: str, lines: list[str]) -> np.ndarray | N
         first = sum(count for _, count, _ in elements[:vertex_pos])
         table = _number_rows(data[first:first + elements[vertex_pos][1]], None, len(vertex_props))
         points = None if table is None else table[:, [columns[axis] for axis in ("x", "y", "z")]]
-    if points is None or not np.isfinite(points).all():
+    if points is None or not (-B <= points.min() and points.max() <= B):
         return None
     return points
 
@@ -156,6 +158,13 @@ def _parse_float(path, lineno: int, token: str) -> float:
     return value
 
 
+def _parse_coordinate(path, lineno: int, token: str) -> float:
+    value = _parse_float(path, lineno, token)
+    if abs(value) > B:
+        raise ParseError(path, f"coordinate {token!r} is beyond ±{B:g}", lineno)
+    return value
+
+
 def _parse_xyz(path, lines: list[str]) -> list[tuple[float, float, float]]:
     points = []
     for lineno, raw in enumerate(lines, start=1):
@@ -164,7 +173,7 @@ def _parse_xyz(path, lines: list[str]) -> list[tuple[float, float, float]]:
             continue  # blank lines carry no data
         if len(parts) != 3:
             raise ParseError(path, f"expected 3 coordinates, got {len(parts)}", lineno)
-        x, y, z = (_parse_float(path, lineno, tok) for tok in parts)
+        x, y, z = (_parse_coordinate(path, lineno, tok) for tok in parts)
         points.append((x, y, z))
     return points
 
@@ -195,7 +204,7 @@ def _parse_csv_scan(path, lines: list[str]) -> list[tuple[float, float, float]]:
             continue
         if len(row) != 3:
             raise ParseError(path, f"expected 3 columns, got {len(row)}", lineno)
-        x, y, z = (_parse_float(path, lineno, cell.strip()) for cell in row)
+        x, y, z = (_parse_coordinate(path, lineno, cell.strip()) for cell in row)
         points.append((x, y, z))
     return points
 
@@ -288,7 +297,7 @@ def _parse_ply(path, lines: list[str]) -> list[tuple[float, float, float]]:
             for no, parts in data[cursor:cursor + count]:
                 if len(parts) != len(vertex_props):
                     raise ParseError(path, f"expected {len(vertex_props)} values, got {len(parts)}", no)
-                points.append(tuple(_parse_float(path, no, parts[columns[axis]]) for axis in ("x", "y", "z")))
+                points.append(tuple(_parse_coordinate(path, no, parts[columns[axis]]) for axis in ("x", "y", "z")))
         cursor += count
     if cursor < len(data):
         raise ParseError(path, "trailing data after the declared elements", data[cursor][0])

@@ -283,19 +283,14 @@ def extract_features(scan: PointCloud) -> LogFeatures:
     found in one batched pass (_slice_hulls). A slice of fewer than 3
     distinct points gets the circle of its largest radial offset instead,
     and a slice of collinear points the area 0, so a planar scan has a
-    volume near 0 in every pose. A scan too large for its features to be
-    finite floats raises InvalidInputError.
+    volume near 0 in every pose. Every feature of a scan within geometry.B
+    is finite, as that bound's derivation shows.
     """
     if len(scan) < _FEATURE_MIN_POINTS:
         raise InvalidInputError(f"need at least {_FEATURE_MIN_POINTS} points, got {len(scan)}")
     pts = scan.xyz
     centered = pts - pts.mean(axis=0)
-    # The covariance of a scan near the float range overflows; it is refused
-    # as not finite before the eigensolve, and its warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        cov = centered.T @ centered / len(scan)
-    if not np.isfinite(cov).all():
-        raise InvalidInputError("scan is too large to measure: its covariance overflows")
+    cov = centered.T @ centered / len(scan)
     _, vectors = np.linalg.eigh(cov)
     axis = vectors[:, 2]
     along = centered @ axis
@@ -408,7 +403,7 @@ def _turn_signs(x: np.ndarray, y: np.ndarray, o: np.ndarray, a: np.ndarray, b: n
     turn = left - right
     bound = _TURN_BOUND * (np.abs(left) + np.abs(right)) + _TURN_FLOOR
     sign = np.where(turn > bound, 1, np.where(turn < -bound, -1, 0))
-    for k in np.flatnonzero(sign == 0).tolist():  # too close to call in floats, or overflowed
+    for k in np.flatnonzero(sign == 0).tolist():  # too close to call in floats
         triple = [o[k], a[k], b[k]]
         (xo, xa, xb), (yo, ya, yb) = _as_integers(x[triple].tolist()), _as_integers(y[triple].tolist())
         det = (xa - xo) * (yb - yo) - (ya - yo) * (xb - xo)

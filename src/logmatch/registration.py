@@ -221,13 +221,8 @@ class _Stack:
 
 
 def _segment_means(columns: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-pair means of the rows of a (k, N) array, (k, B), or of an (N,) row, (B,).
-    Raises NumericalError when a pair's sum overflows the float range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = np.add.reduceat(columns, starts, axis=-1)
-    if not np.isfinite(sums).all():
-        raise NumericalError("a per-pair sum overflows the float range")
-    return sums / counts
+    """Per-pair means of the rows of a (k, N) array, (k, B), or of an (N,) row, (B,)."""
+    return np.add.reduceat(columns, starts, axis=-1) / counts
 
 
 def _cross_covariances(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -240,10 +235,7 @@ def _cross_covariances(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, 
     for b in range(3):
         xc = matched[b] - np.repeat(mu_x[b], counts)
         for a in range(3):
-            # A product past the float range makes its pair's sum raise.
-            with np.errstate(over="ignore"):
-                product = stack.centred[a] * xc
-            sigma[:, a, b] = _segment_means(product, starts, counts)
+            sigma[:, a, b] = _segment_means(stack.centred[a] * xc, starts, counts)
     return sigma, mu_x
 
 
@@ -257,10 +249,7 @@ def _fit(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     mu_p = stack.centroids
     trans = (mu_x - (rot[:, :, 0].T * mu_p[0] + rot[:, :, 1].T * mu_p[1] + rot[:, :, 2].T * mu_p[2])).T
     placed = _place(stack, rot, trans)
-    # A residual past the float range makes its pair's mean raise.
-    with np.errstate(over="ignore"):
-        residuals = _squared_distances(matched, placed)
-    error = _segment_means(residuals, stack.starts, stack.counts)
+    error = _segment_means(_squared_distances(matched, placed), stack.starts, stack.counts)
     return quats, trans, placed, error
 
 

@@ -11,6 +11,7 @@ import pytest
 from logmatch import PointCloud, ProductBasket, SplitSpec, apply_transform, correspondence, predictor, registration
 from logmatch.cli import _build_parser, main
 from logmatch.dataset import split_indices
+from logmatch.geometry import B
 from logmatch.io import load_dataset, load_predictions, write_predictions, write_scan, PredictionRow
 from synthdata import box_cloud, jittered_copy, log_like_cloud, random_transform, write_dataset_files
 
@@ -699,57 +700,107 @@ class TestScipyStaysOut:
 
 
 class TestHugeScans:
-    """Scans so large that squared distances or covariances overflow the
-    float range end in one error line, never in a traceback."""
+    """A scan whose largest |coordinate| is exactly the bound B runs to a
+    finite result. A scan beyond B exits 2 with one error line naming the
+    file, line and token of its first such coordinate, and writes no
+    output. pytest turns every warning into an error, so neither warns."""
+
+    BEYOND = [float(np.nextafter(B, np.inf)), 1e153, 1e155, 1e200, 1e300]
 
     @staticmethod
-    def normal_clouds(scale, *sizes):
+    def normal_arrays(top, *sizes, stretch=(1.0, 1.0, 1.0)):
+        """Standard-normal (n, 3) arrays, stretched per axis and scaled so
+        that the largest |coordinate| of each is exactly top."""
         rng = np.random.default_rng(61)
-        return [PointCloud(rng.standard_normal((n, 3)) * scale) for n in sizes]
+        arrays = [rng.standard_normal((n, 3)) * stretch for n in sizes]
+        return [xyz / np.abs(xyz).max() * top for xyz in arrays]
 
     @staticmethod
-    def assert_numerical_failure(code, out, err):
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("numerical failure:")
-        assert "overflows" in err and "Traceback" not in err
+    def write_xyz(path, xyz):
+        # write_scan takes a PointCloud, which refuses coordinates beyond B.
+        path.write_text("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in xyz.tolist()))
 
-    @pytest.mark.parametrize("scale", [1e153, 1e155, 1e200, 1e300])
+    def write_logs(self, root, name, arrays):
+        """A dataset of one log per array, its scans written as given."""
+        ids = [f"{name}{i}" for i in range(len(arrays))]
+        manifest = write_dataset_files(
+            root, [(log_id, PointCloud(np.zeros((1, 3))), ProductBasket((i,))) for i, log_id in enumerate(ids)],
+            name=name)
+        for log_id, xyz in zip(ids, arrays):
+            self.write_xyz(root / f"{name}_scans" / f"{log_id}.xyz", xyz)
+        return manifest
+
+    @staticmethod
+    def assert_beyond_the_bound(result, path, xyz):
+        code, out, err = result
+        row = int(np.flatnonzero((np.abs(xyz) > B).any(axis=1))[0])
+        token = next(repr(value) for value in xyz[row].tolist() if abs(value) > B)
+        assert code == 2 and out == ""
+        assert err == f"error: {path}:{row + 1}: coordinate {token!r} is beyond ±1e+48\n"
+
+    def register(self, capsys, root, top, *sizes):
+        paths = [root / "a.xyz", root / "b.xyz"]
+        arrays = self.normal_arrays(top, *sizes)
+        for xyz, path in zip(arrays, paths):
+            self.write_xyz(path, xyz)
+        return run_cli(capsys, "register", *paths), paths[0], arrays[0]
+
+    @pytest.mark.parametrize("sizes", [(40, correspondence._SCAN_MAX), (300, 400)], ids=["scan", "tree"])
+    def test_register_at_the_bound(self, tmp_path, capsys, sizes):
+        (code, out, err), _, _ = self.register(capsys, tmp_path, B, *sizes)
+        assert code == 0 and err == ""
+        assert math.isfinite(json.loads(out)["mse"])
+
+    @pytest.mark.parametrize("scale", BEYOND)
     def test_register(self, tmp_path, capsys, scale):
-        paths = [tmp_path / "a.xyz", tmp_path / "b.xyz"]
-        for cloud, path in zip(self.normal_clouds(scale, 300, 400), paths):
-            write_scan(cloud, path)
-        self.assert_numerical_failure(*run_cli(capsys, "register", *paths))
+        self.assert_beyond_the_bound(*self.register(capsys, tmp_path, scale, 300, 400))
 
-    @pytest.mark.parametrize("scale", [1e155, 1e300])
+    @pytest.mark.parametrize("scale", [BEYOND[0], 1e155, 1e300])
     def test_register_scanned_models(self, tmp_path, capsys, scale):
-        # Clouds small enough for the linear scan, whose nearest distances overflow.
-        paths = [tmp_path / "a.xyz", tmp_path / "b.xyz"]
-        for cloud, path in zip(self.normal_clouds(scale, 40, correspondence._SCAN_MAX), paths):
-            write_scan(cloud, path)
-        self.assert_numerical_failure(*run_cli(capsys, "register", *paths))
+        # Clouds small enough for the linear scan.
+        self.assert_beyond_the_bound(*self.register(capsys, tmp_path, scale, 40, correspondence._SCAN_MAX))
+
+    def predict(self, capsys, root, arrays, *options):
+        train = self.write_logs(root, "train", arrays[:-1])
+        test = self.write_logs(root, "test", arrays[-1:])
+        out_path = root / "pred.csv"
+        return run_cli(capsys, "predict", train, test, *options, "--output", out_path), out_path
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize("scale", [1e153, 1e155, 1e200, 1e300])
+    def test_predict_icp_at_the_bound(self, tmp_path, capsys, jobs):
+        (code, out, err), out_path = self.predict(
+            capsys, tmp_path, self.normal_arrays(B, 300, 400, 350), "--predictor", "icp", "--jobs", jobs)
+        assert (code, out, err) == (0, "", "")
+        assert all(math.isfinite(row.distance) for row in load_predictions(out_path))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("scale", BEYOND)
     def test_predict_icp(self, tmp_path, capsys, scale, jobs):
-        clouds = self.normal_clouds(scale, 300, 400, 350)
-        train = write_dataset_files(tmp_path, [(f"t{i}", clouds[i], ProductBasket((i,))) for i in range(2)],
-                                    name="train")
-        test = write_dataset_files(tmp_path, [("q", clouds[2], ProductBasket((0,)))], name="test")
-        out_path = tmp_path / "pred.csv"
-        self.assert_numerical_failure(*run_cli(capsys, "predict", train, test, "--predictor", "icp",
-                                               "--jobs", jobs, "--output", out_path))
+        arrays = self.normal_arrays(scale, 300, 400, 350)
+        result, out_path = self.predict(capsys, tmp_path, arrays, "--predictor", "icp", "--jobs", jobs)
+        self.assert_beyond_the_bound(result, tmp_path / "train_scans" / "train0.xyz", arrays[0])
+        assert not out_path.exists()
+
+    def test_predict_knn_at_the_bound(self, tmp_path, capsys):
+        arrays = self.normal_arrays(B, 60, 70, 80, 65, stretch=(10.0, 1.0, 1.0))
+        (code, out, err), out_path = self.predict(capsys, tmp_path, arrays, "--predictor", "knn", "--k", 1)
+        assert (code, out, err) == (0, "", "")
+        assert all(math.isfinite(row.distance) for row in load_predictions(out_path))
+
+    def test_predict_knn_at_1e60_is_refused_before_any_feature(self, tmp_path, capsys):
+        # Unbounded, the training volumes' std would overflow to inf with a
+        # RuntimeWarning, and the volume z-score would silently become 0.
+        arrays = self.normal_arrays(1e60, 60, 70, 80, 65, stretch=(10.0, 1.0, 1.0))
+        result, out_path = self.predict(capsys, tmp_path, arrays, "--predictor", "knn", "--k", 1)
+        self.assert_beyond_the_bound(result, tmp_path / "train_scans" / "train0.xyz", arrays[0])
         assert not out_path.exists()
 
     @pytest.mark.parametrize("scale", [1e160, 1e300])
     def test_predict_knn_names_the_log(self, tiny_dataset, capsys, scale):
         train, _, root = tiny_dataset
-        huge = PointCloud(np.random.default_rng(62).standard_normal((60, 3)) * np.array([10.0, 1.0, 1.0]) * scale)
-        test = write_dataset_files(root, [("huge", huge, ProductBasket((0, 0, 0)))], name="huge")
+        (huge,) = self.normal_arrays(scale, 60, stretch=(10.0, 1.0, 1.0))
+        test = self.write_logs(root, "huge", [huge])
         out_path = root / "pred.csv"
-        code, out, err = run_cli(capsys, "predict", train, test, "--predictor", "knn", "--k", 1,
-                                 "--output", out_path)
-        assert code == 2
-        assert out == "" and "Traceback" not in err
-        assert "'huge'" in err and "too large to measure" in err
+        result = run_cli(capsys, "predict", train, test, "--predictor", "knn", "--k", 1, "--output", out_path)
+        self.assert_beyond_the_bound(result, root / "huge_scans" / "huge0.xyz", huge)
         assert not out_path.exists()

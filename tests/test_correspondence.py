@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from logmatch import (
     CorrespondenceSet,
     InvalidInputError,
-    NumericalError,
     PointCloud,
     UnitQuaternion,
     build_index,
@@ -16,6 +17,7 @@ from logmatch import (
 )
 from logmatch import correspondence
 from logmatch.correspondence import _CACHE_NEIGHBOURS, _SCAN_MAX, _NeighbourCache
+from logmatch.geometry import B
 from synthdata import box_cloud
 
 
@@ -228,43 +230,31 @@ class TestNeighbourCertificates:
 
 
 class TestOverflow:
-    # Five model points, four of them 1.4e154 or more from the origin: every
-    # distance from the origin but the first squares past the float range.
-    BIG = 1.4e154
-    MODEL = np.array([[0.0, 0.0, 0.0], [0.0, BIG, 0.0], [0.0, -BIG, 0.0], [0.0, 0.0, BIG], [1.5e154, 0.0, 0.0]])
+    """Coordinates at the bound B: the farthest placements ICP can make
+    from clouds within B are matched exactly at finite distances (pytest
+    turns an overflow warning into an error)."""
 
-    def test_an_overflowing_kept_distance_raises(self):
-        # The matcher keeps four points, so its bound is the distance of
-        # point 4, the first not kept. An infinite bound would certify any
-        # later match, such as the kept origin from (1e154, 0, 0), where
-        # point 4 is nearer.
-        cache = _NeighbourCache([build_index(PointCloud(self.MODEL))], [0], 1)
-        with pytest.raises(NumericalError, match="overflows"):
-            match_round(cache, np.zeros((1, 3)), certify=False)
+    CORNERS = B * np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+    # Placements R(p - mu_p) + mu_x lie within 3*sqrt(3)*B of the origin:
+    # these reach it, each 12*B**2 from its nearest corner.
+    FARTHEST = -3.0 * CORNERS
 
-    def test_an_overflowing_second_distance_keeps_the_exact_match(self):
-        index = build_index(PointCloud(self.MODEL[[0, 4]]))
-        idx, sq = index.query_batch(np.zeros((1, 3)))
-        assert idx[0] == 0 and sq[0] == 0.0
-        pairs = match_correspondences(index, PointCloud(np.zeros((1, 3))))
-        assert pairs.target_indices[0] == 0 and pairs.squared_distances[0] == 0.0
-
-    def test_an_overflowing_neighbour_is_reported_missing(self):
-        idx, dist, nbr = build_index(PointCloud(self.MODEL[[0, 4]]))._nearest(np.zeros((1, 3)), 3)
-        assert idx[0] == 0
-        np.testing.assert_array_equal(dist, [[0.0, np.inf, np.inf]])
-        np.testing.assert_array_equal(nbr, [[0, 2, 2]])
-
-    def test_an_overflowing_nearest_distance_raises(self):
-        # No finite ball around the origin holds a candidate for the re-rank.
-        index = build_index(PointCloud(self.MODEL[[1, 4]]))
-        with pytest.raises(NumericalError, match="overflows"):
-            index.query_batch(np.zeros((1, 3)))
+    def test_the_farthest_placements_match_exactly(self):
+        index = build_index(PointCloud(self.CORNERS))
+        expected = linear_scan(self.CORNERS, self.FARTHEST)
+        for got, want in zip(index.query_batch(self.FARTHEST), expected):
+            np.testing.assert_array_equal(got, want)
+        cache = _NeighbourCache([index], [0], len(self.FARTHEST))
+        for certify, queried in ((False, 8), (True, 0)):
+            matched, squared, sent = match_round(cache, self.FARTHEST, certify)
+            assert sent == queried and np.isfinite(cache.limits).all()
+            np.testing.assert_array_equal(matched.T, self.CORNERS[expected[0]])
+            np.testing.assert_array_equal(squared, expected[1])
 
     @pytest.mark.parametrize("size", [1, _CACHE_NEIGHBOURS - 1, _CACHE_NEIGHBOURS])
     def test_missing_neighbours_of_a_small_model_are_no_overflow(self, size):
         # The index reports the neighbours a model lacks at an infinite distance.
-        index = build_index(PointCloud(self.MODEL[:size] / self.BIG))
+        index = build_index(PointCloud(np.array([[0.0, 0.0, 0.0], [0, 1, 0], [0, -1, 0], [0, 0, 1]])[:size]))
         cache = _NeighbourCache([index], [0], 1)
         placed = np.array([[0.5, 0.0, 0.0]])
         _, squared, sent = match_round(cache, placed, certify=False)

@@ -11,6 +11,7 @@ from logmatch import (
     apply_transform,
     quaternion_to_rotation,
 )
+from logmatch.geometry import B
 from synthdata import box_cloud, random_transform
 
 
@@ -27,6 +28,21 @@ class TestPointCloud:
     def test_rejects_nan(self):
         with pytest.raises(InvalidInputError):
             PointCloud([[0.0, float("nan"), 0.0]])
+
+    @pytest.mark.parametrize("value", [B, -B])
+    def test_accepts_coordinates_at_the_bound(self, value):
+        assert PointCloud([[0.0, value, 1.0]]).xyz[0, 1] == value
+
+    @pytest.mark.parametrize("value", [np.nextafter(B, np.inf), -np.nextafter(B, np.inf), np.inf, -np.inf])
+    def test_rejects_coordinates_beyond_the_bound(self, value):
+        with pytest.raises(InvalidInputError, match="beyond"):
+            PointCloud([[0.0, value, 1.0]])
+
+    def test_a_transform_past_the_bound_is_refused(self):
+        shift = RigidTransform(UnitQuaternion.identity(), [B, 0.0, 0.0])
+        assert apply_transform(shift, PointCloud([[0.0, 1.0, 2.0]])).xyz[0, 0] == B
+        with pytest.raises(InvalidInputError, match="beyond"):
+            apply_transform(shift, PointCloud([[1e33, 1.0, 2.0]]))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidInputError):

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from logmatch import ParseError, PointCloud, ProductBasket, ScoreReport
 from logmatch import io
+from logmatch.geometry import B
 from logmatch.io import (
     PredictionRow,
     default_baskets_path,
@@ -222,7 +223,8 @@ def ply_text(rows, header=None, newline="\n"):
 
 
 # Number forms: float() accepts some that np.loadtxt does not (underscores,
-# non-ASCII digits and spaces), and both reject or refuse others.
+# non-ASCII digits and spaces), and both reject or refuse others. The last
+# four sit at and beyond the coordinate bound B.
 TOKENS = [
     "1", "-2.5", "+3", "+.5", "5.", "-0", "-0.0", "1e3", "1E-3", "4.9e-324", "2.2250738585072014e-308",
     "1.7976931348623157e308", "0.1000000000000000055511151231257827021181583404541015625",
@@ -230,6 +232,7 @@ TOKENS = [
     "inf", "-Infinity", "INF", "1e400", "-1e400", "1e-400", "0x10", "0X1p3", "1d3", "1D3", "\uff11\uff12",
     "\u0663.\u0665", "\U0001d7d9", "1,5", "abc", "1.2.3", "--1", "1e", "e3", "#1", "1#", "1+1", "\u00a01",
     "1\u2003", "1\x00", "\x7f1", "1\x1f", "\"1\"", "'1'", "(1)", "nan(1)",
+    repr(B), repr(-B), repr(float(np.nextafter(B, np.inf))), "1e60",
 ]
 
 XYZ_CASES = [
@@ -350,15 +353,14 @@ class TestArrayPathInvariance:
         np.testing.assert_array_equal(load_scan(padded).xyz, [[1, 2, 3], [-4, 5, 6]])
 
 
-EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 2.225073858507201e-308,
-               1.7976931348623157e308, -1.7976931348623157e308, 1e300, 0.1, 1 / 3]
+# Coordinates beyond B are refused, as the TOKENS corpus checks.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 2.225073858507201e-308, B, -B, 0.1, 1 / 3]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     xyz=arrays(np.float64, st.tuples(st.integers(1, 30), st.just(3)),
-               elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                                  st.sampled_from(EDGE_FLOATS))),
+               elements=st.one_of(st.floats(-B, B), st.sampled_from(EDGE_FLOATS))),
     suffix=st.sampled_from(["xyz", "csv", "ply"]),
 )
 def test_write_load_round_trip_is_bit_exact(xyz, suffix):

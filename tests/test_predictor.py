@@ -30,7 +30,7 @@ from logmatch import (
     nn_predict_from_distances,
 )
 from logmatch import predictor
-from logmatch.geometry import RigidTransform
+from logmatch.geometry import B, RigidTransform
 from synthdata import box_cloud, cone_cloud, cylinder_cloud, log_like_cloud, random_transform
 
 SPAWN_CALLER = """\
@@ -348,13 +348,20 @@ class TestExtractFeatures:
         with pytest.raises(InvalidInputError, match="features must be finite"):
             LogFeatures(1.0, 10.0, 2.0, 1.0, bad)
 
-    @pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+    @staticmethod
+    def log_at(top):
+        """A stretched normal cloud whose largest |coordinate| is exactly top."""
+        xyz = np.random.default_rng(23).standard_normal((60, 3)) * np.array([10.0, 1.0, 1.0])
+        return xyz / np.abs(xyz).max() * top
+
+    def test_scan_at_the_bound_has_finite_features(self):
+        assert np.isfinite(extract_features(PointCloud(self.log_at(B))).as_array()).all()
+
+    @pytest.mark.parametrize("scale", [np.nextafter(B, np.inf), 1e150, 1e160, 1e300])
     def test_huge_scan_rejected_without_warnings(self, scale):
-        # At 1e150 the volume overflows, above that the covariance.
-        rng = np.random.default_rng(23)
-        cloud = PointCloud(rng.standard_normal((60, 3)) * np.array([10.0, 1.0, 1.0]) * scale)
-        with pytest.raises(InvalidInputError, match="must be finite|too large to measure"):
-            extract_features(cloud)
+        # Unbounded, the volume would overflow from 1e150 on, the covariance from 1e160.
+        with pytest.raises(InvalidInputError, match="beyond"):
+            extract_features(PointCloud(self.log_at(scale)))
 
     def test_identical_points_have_zero_extent(self):
         with pytest.raises(InvalidInputError, match="scan has zero extent along its principal axis"):
