@@ -223,6 +223,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
             [_log_features(rec.id, rec.scan) for rec in train.records],
             [_log_features(log_id, scan) for log_id, scan in tests],
             args.k,
+            [log_id for log_id, _ in tests],
         )
     rows = [
         io_mod.PredictionRow(log_id, outcome.neighbor_id, outcome.distance, outcome.predicted)
@@ -265,9 +266,11 @@ def _parse_predictors(value: str) -> list[str]:
     names = [name.strip() for name in value.split(",") if name.strip()]
     if not names:
         raise InvalidInputError("no predictor selected")
-    for name in names:
+    for k, name in enumerate(names):
         if name not in PREDICTOR_NAMES:
             raise InvalidInputError(f"unknown predictor {name!r}; expected one of {PREDICTOR_NAMES}")
+        if name in names[:k]:
+            raise InvalidInputError(f"predictor {name!r} is listed twice")
     return names
 
 
@@ -322,7 +325,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                 outcomes = [PredictionOutcome(predictor_mod.mean_predict(train))] * len(test)
             else:
                 outcomes = predictor_mod.knn_feature_predict(
-                    train, [features[i] for i in train_idx], [features[i] for i in test_idx], args.k)
+                    train, [features[i] for i in train_idx], [features[i] for i in test_idx], args.k,
+                    [rec.id for rec in test])
             scored = [ScoredPair(rec.basket, outcome.predicted) for rec, outcome in zip(test, outcomes)]
             report = metrics_mod.evaluate(scored, metric_cfg)
             labels.append(f"{name}:run{run}")

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import PointCloud, _squared_distances
+from .geometry import B, PointCloud, _squared_distances
 
 # Models of at most this many points are matched by the linear scan, larger
 # ones by a k-d tree (see the module docstring for the sweep behind it).
@@ -53,6 +53,7 @@ _SCAN_CELLS = 1 << 14
 # is re-ranked exactly. The tree's distances differ from the linear scan's
 # by a few units in the last place, far inside this slack.
 _TIE_SLACK = 1e-9
+_REACH = 3.0 * 3.0**0.5 * B
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,13 +120,15 @@ class SpatialIndex:
 
         Returns (target_indices, squared_distances). Ties go to the lowest
         model index; squared distances are recomputed from the matched pair
-        so they are bit-identical to a direct evaluation. Rows are not
-        checked: their distances are finite within 3*sqrt(3)*geometry.B of
-        the origin, the reach of ICP placements.
+        so they are bit-identical to a direct evaluation. A row with a NaN
+        or infinite coordinate, or one beyond _REACH = 3*sqrt(3)*geometry.B,
+        within which every distance is finite, raises InvalidInputError.
         """
         pts = np.asarray(xyz, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidInputError(f"queries must have shape (m, 3), got {pts.shape}")
+        if not (np.abs(pts) <= _REACH).all():
+            raise InvalidInputError(f"query coordinates must be finite and within ±{_REACH:g}")
         idx, _, _ = self._nearest(pts, 2)
         return idx, _squared_distances(self._points[idx].T, pts.T)
 

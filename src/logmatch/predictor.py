@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .correspondence import _SCAN_MAX, build_index
+from .correspondence import _SCAN_MAX
 from .errors import InvalidInputError
 from .geometry import PointCloud
 from .registration import IcpConfig, _align_pairs
@@ -31,6 +31,10 @@ _VOLUME_SLICES = 100
 # the smallest normal float added to that covers products that underflow.
 _TURN_BOUND = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
 _TURN_FLOOR = sys.float_info.min
+# A knn query z-score within _Z_REACH differs from a training one (at most
+# sqrt(n - 1) for n logs) by under 2 * _Z_REACH: five squares sum under a
+# quarter of the float maximum. Within geometry.B, _Z_REACH * sd is finite.
+_Z_REACH = math.sqrt(sys.float_info.max / 5) / 4
 # Pool workers are forked where the platform can fork, so that they inherit
 # the parent's imports (scipy's k-d tree among them, when a model is too
 # large for the linear scan); elsewhere they are spawned and import what
@@ -185,16 +189,16 @@ def icp_distance_matrix(
     distance at [i, j] and NaN everywhere else; a pair listed twice is
     aligned once. The model scans (the j's) are dealt round-robin, in index
     order, to up to jobs worker processes of one pool, forked where the
-    platform can fork and spawned elsewhere. Each worker receives only its
-    models and the moving scans paired with them, and aligns all of its
-    pairs in one pass of the lockstep engine. A pair's distance does not
-    depend on the batch or worker that computes it, so neither does the
-    array.
+    platform can fork and spawned elsewhere. Each worker runs _align_pairs
+    once on its _share_task (its model clouds, the moving points paired
+    with them and its pairs), builds its models' indices, and returns the
+    engine's per-pair record, whose mse fills the array. A pair's distance
+    does not depend on the batch or worker that computes it, so neither
+    does the array.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs!r}")
-    if cfg is None:
-        cfg = IcpConfig()
+    cfg = cfg or IcpConfig()
     n = len(scans)
     wanted = sorted({(int(i), int(j)) for i, j in pairs})
     for i, j in wanted:
@@ -215,36 +219,24 @@ def icp_distance_matrix(
             import scipy.spatial  # noqa: F401  (imported once, before the workers fork)
         context = multiprocessing.get_context(_START_METHOD)
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            futures = [pool.submit(_align_share, *task) for task in tasks]
-            results = [future.result() for future in futures]
+            futures = [pool.submit(_align_pairs, *task) for task in tasks]
+            runs = [future.result() for future in futures]
     else:
-        results = [_align_share(*tasks[0])]
-    for share, mse in zip(shares, results):
-        rows, cols = np.array(share).T
-        distances[rows, cols] = mse
+        runs = [_align_pairs(*tasks[0])]
+    for share, run in zip(shares, runs):
+        distances[tuple(np.array(share).T)] = run.mse
     return distances
 
 
 def _share_task(
     scans: Sequence[PointCloud], share: list[tuple[int, int]], cfg: IcpConfig
-) -> tuple[list[PointCloud], list[PointCloud], list[tuple[int, int]], IcpConfig]:
-    """The arguments of _align_share for one worker's pairs: its moving and
-    model scans, and the pairs renumbered into those two lists."""
+) -> tuple[list[np.ndarray], list[PointCloud], list[tuple[int, int]], IcpConfig]:
+    """The _align_pairs arguments of one worker's share, in its order: its
+    moving points, its model clouds, and its pairs renumbered into them."""
     moving = {i: k for k, i in enumerate(sorted({i for i, _ in share}))}
     models = {j: k for k, j in enumerate(sorted({j for _, j in share}))}
     local = [(moving[i], models[j]) for i, j in share]
-    return [scans[i] for i in moving], [scans[j] for j in models], local, cfg
-
-
-def _align_share(
-    moving: Sequence[PointCloud],
-    models: Sequence[PointCloud],
-    pairs: Sequence[tuple[int, int]],
-    cfg: IcpConfig,
-) -> np.ndarray:
-    """ICP distance of moving[i] onto models[j] for each (i, j) in pairs."""
-    indices = [build_index(model) for model in models]
-    return _align_pairs([scan.xyz for scan in moving], indices, pairs, cfg).mse
+    return [scans[i].xyz for i in moving], [scans[j] for j in models], local, cfg
 
 
 def nn_predict_from_distances(
@@ -425,6 +417,7 @@ def knn_feature_predict(
     train_features: Sequence[LogFeatures],
     query_features: Sequence[LogFeatures],
     k: int,
+    query_ids: Sequence[str] | None = None,
 ) -> list[PredictionOutcome]:
     """k-nearest-neighbour basket predictions in standardized feature space,
     one per query, in query order.
@@ -435,7 +428,8 @@ def knn_feature_predict(
     are ignored); each prediction is the half-up-rounded mean of the k
     nearest baskets. Ties at the k-th distance keep the lowest training
     index. The reported neighbour is the single nearest record and its
-    distance is in standardized feature space, not mm^2.
+    distance is in standardized feature space, not mm^2. A query with a
+    z-score beyond _Z_REACH (1.5e153) is refused first, named by query_ids.
     """
     _check_train(train)
     for name, features in (("train_features", train_features), ("query_features", query_features)):
@@ -443,18 +437,25 @@ def knn_feature_predict(
             raise InvalidInputError(f"{name} must be a sequence of LogFeatures")
     if len(train_features) != len(train):
         raise InvalidInputError(f"{len(train_features)} train_features for {len(train)} training records")
+    if query_ids is not None and len(query_ids) != len(query_features):
+        raise InvalidInputError(f"{len(query_ids)} query_ids for {len(query_features)} query_features")
     if k < 1 or k > len(train):
         raise InvalidInputError(f"k must be in [1, {len(train)}], got {k}")
 
     table = np.stack([features.as_array() for features in train_features])
+    queries = np.array([features.as_array() for features in query_features]).reshape(-1, table.shape[1])
     mu = table.mean(axis=0)
     sd = table.std(axis=0)
     active = sd > 0.0
     mu, sd = mu[active], sd[active]
+    far = np.flatnonzero((np.abs(queries[:, active] - mu) > _Z_REACH * sd).any(axis=1))
+    if far.size:
+        name = f"log {query_ids[far[0]]!r}" if query_ids is not None else f"query {far[0]}"
+        raise InvalidInputError(f"{name}: knn features lie beyond {_Z_REACH:.2g} training standard deviations")
     z_train = (table[:, active] - mu) / sd
     outcomes = []
-    for features in query_features:
-        z_query = (features.as_array()[active] - mu) / sd
+    for row in queries:
+        z_query = (row[active] - mu) / sd
         dist = np.sqrt(((z_train - z_query) ** 2).sum(axis=1))
         order = np.argsort(dist, kind="stable")
         predicted = mean_predict([train[i] for i in order[:k]])

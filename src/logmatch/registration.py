@@ -290,16 +290,12 @@ def compute_registration(
 
 @dataclass(frozen=True, eq=False)
 class _Alignments:
-    """Per-pair outcome of the engine, in the order the pairs were given.
-
-    queried counts the moving points each pair sent to the index, over
-    all its iterations. history, when recorded, holds for each pair its
-    (mse, quaternion, translation) after every iteration.
-    """
+    """Per-pair record of the engine, in pair order, as a pool worker returns
+    it: final mse, iterations run, converged (else cfg.max_iterations was
+    reached) and queried, the moving points sent to the index. history, if
+    recorded, holds each pair's (mse, quaternion, translation) per iteration."""
 
     mse: np.ndarray
-    quaternions: np.ndarray
-    translations: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     queried: np.ndarray
@@ -308,26 +304,25 @@ class _Alignments:
 
 def _align_pairs(
     moving: Sequence[np.ndarray],
-    models: Sequence[SpatialIndex],
+    models: Sequence[PointCloud],
     pairs: Sequence[tuple[int, int]],
     cfg: IcpConfig,
     record: bool = False,
 ) -> _Alignments:
     """Align moving[i] onto models[j] for every (i, j) in pairs, in lockstep.
 
-    Pairs are grouped by model and cut into batches of at most
-    _BATCH_POINTS stacked points. Within a batch, every iteration matches
-    each stacked point exactly (_NeighbourCache), fits all pairs at once,
-    and retires each pair as soon as it converges or reaches
-    cfg.max_iterations. Every per-pair quantity is computed from that
-    pair's own points, so each result is bit-identical to aligning the pair
-    alone, whatever batch or order it runs in.
+    Pairs are grouped by model, whose exact index is built here, and cut
+    into batches of at most _BATCH_POINTS stacked points. Within a batch,
+    every iteration matches each stacked point exactly (_NeighbourCache),
+    fits all pairs at once, and retires each pair as soon as it converges
+    or reaches cfg.max_iterations. Every per-pair quantity is computed from
+    that pair's own points, so each result is bit-identical to aligning the
+    pair alone, whatever batch or order it runs in.
     """
     n = len(pairs)
+    indices = [build_index(model) for model in models]
     out = _Alignments(
         mse=np.empty(n),
-        quaternions=np.empty((n, 4)),
-        translations=np.empty((n, 3)),
         iterations=np.empty(n, dtype=np.int64),
         converged=np.empty(n, dtype=bool),
         queried=np.empty(n, dtype=np.int64),
@@ -340,12 +335,12 @@ def _align_pairs(
     for k in order:
         points = len(strided[pairs[k][0]])
         if batch and size + points > _BATCH_POINTS:
-            _lockstep(strided, models, pairs, batch, cfg, out)
+            _lockstep(strided, indices, pairs, batch, cfg, out)
             batch, size = [], 0
         batch.append(k)
         size += points
     if batch:
-        _lockstep(strided, models, pairs, batch, cfg, out)
+        _lockstep(strided, indices, pairs, batch, cfg, out)
     return out
 
 
@@ -401,8 +396,6 @@ def _lockstep(
             continue
         finished = ids[done]
         out.mse[finished] = error[done]
-        out.quaternions[finished] = quats[done]
-        out.translations[finished] = trans[done]
         out.iterations[finished] = iteration
         out.converged[finished] = converged[done]
         out.queried[finished] = queried[done]
@@ -432,17 +425,15 @@ def icp_align(
     no predecessor, so convergence is checked from the second iteration on.
     This is the lockstep engine on a batch of one pair.
     """
-    if cfg is None:
-        cfg = IcpConfig()
-    run = _align_pairs([moving.xyz], [build_index(model)], [(0, 0)], cfg, record=True)
+    cfg = cfg or IcpConfig()
+    run = _align_pairs([moving.xyz], [model], [(0, 0)], cfg, record=True)
     entries = tuple(
         IcpIteration(k, e, RigidTransform(UnitQuaternion(*q), t))
         for k, (e, q, t) in enumerate(run.history[0])
     )
     reason = TerminalReason.CONVERGED if run.converged[0] else TerminalReason.MAX_ITERATIONS
     trace = IcpTrace(entries, reason)
-    final = entries[-1]
-    return RegistrationResult(final.transform, final.mse), trace
+    return RegistrationResult(entries[-1].transform, entries[-1].mse), trace
 
 
 def icp_distance(a: PointCloud, b: PointCloud, cfg: IcpConfig | None = None) -> float:

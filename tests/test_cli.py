@@ -612,6 +612,8 @@ class TestOptionErrors:
         (",", "no predictor selected"),
         (" , ,", "no predictor selected"),
         ("icp,bogus", "unknown predictor 'bogus'; expected one of ('icp', 'mean', 'knn')"),
+        ("mean,mean", "predictor 'mean' is listed twice"),
+        ("icp, knn,icp", "predictor 'icp' is listed twice"),
     ])
     def test_experiment_predictor_list_is_checked(self, tiny_dataset, capsys, value, message):
         train, _, _ = tiny_dataset
@@ -793,6 +795,27 @@ class TestHugeScans:
         arrays = self.normal_arrays(1e60, 60, 70, 80, 65, stretch=(10.0, 1.0, 1.0))
         result, out_path = self.predict(capsys, tmp_path, arrays, "--predictor", "knn", "--k", 1)
         self.assert_beyond_the_bound(result, tmp_path / "train_scans" / "train0.xyz", arrays[0])
+        assert not out_path.exists()
+
+    def test_predict_knn_refuses_a_query_too_far_from_tiny_training_scans(self, tmp_path):
+        # The training features vary at the scale of 1e-150 and the query's at
+        # 1e45: unchecked, its standardized distances overflow to inf with a
+        # RuntimeWarning, which -W error turns into a traceback.
+        rng = np.random.default_rng(7)
+        train = write_dataset_files(tmp_path, [
+            (f"tiny{i}", PointCloud(log_like_cloud(rng, 40).xyz * 1e-150), ProductBasket((i, 1)))
+            for i in range(3)], name="train")
+        test = write_dataset_files(tmp_path, [
+            ("huge", PointCloud(log_like_cloud(rng, 40).xyz * 1e45), ProductBasket((0, 0)))], name="test")
+        out_path = tmp_path / "pred.csv"
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(predictor.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "logmatch.cli", "predict", str(train), str(test),
+             "--predictor", "knn", "--k", "1", "--output", str(out_path)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("error: log 'huge': knn features lie beyond "
+                               f"{predictor._Z_REACH:.2g} training standard deviations\n")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("scale", [1e160, 1e300])

@@ -251,6 +251,23 @@ class TestOverflow:
             np.testing.assert_array_equal(matched.T, self.CORNERS[expected[0]])
             np.testing.assert_array_equal(squared, expected[1])
 
+    def test_rows_at_the_reach_match_exactly(self):
+        reach = correspondence._REACH
+        assert reach == 3.0 * np.sqrt(3.0) * B and np.abs(self.FARTHEST).max() < reach
+        rows = reach * np.sign(self.FARTHEST)
+        index = build_index(PointCloud(self.CORNERS))
+        for got, want in zip(index.query_batch(rows), linear_scan(self.CORNERS, rows)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1e200,
+                                     float(np.nextafter(correspondence._REACH, np.inf))])
+    def test_rows_beyond_the_reach_are_refused(self, bad):
+        index = build_index(PointCloud(self.CORNERS))
+        rows = self.FARTHEST.copy()
+        rows[5, 1] = bad
+        with pytest.raises(InvalidInputError, match="query coordinates must be finite and within"):
+            index.query_batch(rows)
+
     @pytest.mark.parametrize("size", [1, _CACHE_NEIGHBOURS - 1, _CACHE_NEIGHBOURS])
     def test_missing_neighbours_of_a_small_model_are_no_overflow(self, size):
         # The index reports the neighbours a model lacks at an infinite distance.

@@ -707,6 +707,30 @@ class TestKnnFeaturePredict:
         with pytest.raises(InvalidInputError, match="train_features must be a sequence of LogFeatures"):
             knn_feature_predict(train, features[0], features, k=1)
 
+    def test_queries_beyond_the_z_reach_are_refused(self):
+        # Two training logs put every feature's mean at mu and its standard
+        # deviation at 1, so a query's z-scores are its offsets from mu.
+        rng = np.random.default_rng(23)
+        mu = np.array([2.0, 2.0, 4.0, 2.0, 2.0])
+        train, features = [], []
+        for i, offset in enumerate((-1.0, 1.0)):
+            features.append(LogFeatures(*(mu + offset)))
+            train.append(record(f"t{i}", box_cloud(rng, 12), (i,)))
+        signs = np.array([1.0, 1.0, 1.0, 1.0, -1.0])
+        reach = predictor._Z_REACH
+        at = LogFeatures(*(mu + signs * reach))
+        beyond = LogFeatures(*(mu + signs * np.nextafter(reach, np.inf)))
+        # All five z-scores at the reach: every distance is finite, and
+        # pytest turns an overflow warning into an error.
+        outcome = knn_feature_predict(train, features, [at], k=1)[0]
+        assert math.isfinite(outcome.distance) and outcome.distance > 2.0 * reach
+        with pytest.raises(InvalidInputError, match=r"^query 1: knn features lie beyond 1.5e\+153 "):
+            knn_feature_predict(train, features, [at, beyond], k=1)
+        with pytest.raises(InvalidInputError, match=r"^log 'b': knn features lie beyond "):
+            knn_feature_predict(train, features, [at, beyond], k=1, query_ids=["a", "b"])
+        with pytest.raises(InvalidInputError, match="^1 query_ids for 2 query_features$"):
+            knn_feature_predict(train, features, [at, beyond], k=1, query_ids=["a"])
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_the_per_query_oracle(self, seed):
         """Bit-identical to the per-query oracle, with exact ties at the

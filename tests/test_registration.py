@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -448,12 +450,14 @@ def engine_case(rng):
     moving.append(apply_transform(random_transform(rng, math.radians(20), 50.0), models[2]))
     moving.append(PointCloud(models[3].xyz[::3] + rng.normal(0.0, 1.0, (100, 3))))
     pairs = [(i, j) for i in range(len(moving)) for j in range(len(models))]
-    return [c.xyz for c in moving], [build_index(m) for m in models], pairs
+    return [c.xyz for c in moving], models, pairs
 
 
 def outcome(run, k):
-    return (run.mse[k].tobytes(), run.quaternions[k].tobytes(), run.translations[k].tobytes(),
-            int(run.iterations[k]), bool(run.converged[k]), int(run.queried[k]))
+    """A pair's record and its history, transforms included, from a run
+    with record=True."""
+    return (run.mse[k].tobytes(), int(run.iterations[k]), bool(run.converged[k]), int(run.queried[k]),
+            [(e, q.tobytes(), t.tobytes()) for e, q, t in run.history[k]])
 
 
 ENGINE_CONFIGS = [
@@ -468,12 +472,12 @@ class TestLockstepEngine:
     @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
     def test_pair_results_do_not_depend_on_the_batch(self, cfg, monkeypatch):
         moving, models, pairs = engine_case(np.random.default_rng(32))
-        alone = [outcome(_align_pairs(moving, models, [pair], cfg), 0) for pair in pairs]
-        together = _align_pairs(moving, models, pairs, cfg)
-        backwards = _align_pairs(moving, models, pairs[::-1], cfg)
+        alone = [outcome(_align_pairs(moving, models, [pair], cfg, record=True), 0) for pair in pairs]
+        together = _align_pairs(moving, models, pairs, cfg, record=True)
+        backwards = _align_pairs(moving, models, pairs[::-1], cfg, record=True)
         # a cap below most pair sizes cuts the stack into many batches
         monkeypatch.setattr(registration, "_BATCH_POINTS", 64)
-        chunked = _align_pairs(moving, models, pairs, cfg)
+        chunked = _align_pairs(moving, models, pairs, cfg, record=True)
         n = len(pairs)
         assert len({int(it) for it in together.iterations}) > 1
         for k in range(n):
@@ -483,18 +487,37 @@ class TestLockstepEngine:
 
     def test_icp_align_is_a_batch_of_one(self):
         moving, models, pairs = engine_case(np.random.default_rng(33))
-        run = _align_pairs(moving, models, pairs, IcpConfig())
+        run = _align_pairs(moving, models, pairs, IcpConfig(), record=True)
         for k, (i, j) in enumerate(pairs):
-            result, trace = icp_align(PointCloud(moving[i]), PointCloud(models[j].points))
+            result, trace = icp_align(PointCloud(moving[i]), models[j])
+            _, quat, trans = run.history[k][-1]
             assert result.mse == run.mse[k]
-            np.testing.assert_array_equal(result.transform.translation, run.translations[k])
+            np.testing.assert_array_equal(result.transform.rotation.as_array(), UnitQuaternion(*quat).as_array())
+            np.testing.assert_array_equal(result.transform.translation, trans)
             assert len(trace.iterations) == run.iterations[k]
             assert (trace.terminal_reason is TerminalReason.CONVERGED) == run.converged[k]
 
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_a_pool_worker_returns_the_in_process_record(self, method):
+        # The record crosses the process boundary unchanged, under fork
+        # (inherited imports) and spawn (a fresh interpreter).
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"this platform cannot {method}")
+        moving, models, pairs = engine_case(np.random.default_rng(32))
+        here = _align_pairs(moving, models, pairs, IcpConfig())
+        context = multiprocessing.get_context(method)
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            there = pool.submit(_align_pairs, moving, models, pairs, IcpConfig()).result()
+        for name in ("mse", "iterations", "converged", "queried"):
+            assert getattr(there, name).dtype == getattr(here, name).dtype
+            assert getattr(there, name).tobytes() == getattr(here, name).tobytes()
+        assert there.history is None
+
 
 def recorded(run, k):
-    """A pair's outcome without its tree count, and its whole history."""
-    return outcome(run, k)[:-1], [(e, q.tobytes(), t.tobytes()) for e, q, t in run.history[k]]
+    """A pair's outcome without its count of points sent to the index."""
+    mse, iterations, converged, _, history = outcome(run, k)
+    return mse, iterations, converged, history
 
 
 def arrangements(moving, models, pairs, cfg, monkeypatch):
@@ -523,7 +546,7 @@ class TestNeighbourCertificates:
             assert results == reference
         # Exactly, with no slack: the matcher's distances and the fit's
         # residuals are one evaluation, averaged one way.
-        for _, history in reference:
+        for *_, history in reference:
             errors = [e for e, _, _ in history]
             assert all(later <= earlier for earlier, later in zip(errors, errors[1:]))
 
@@ -532,7 +555,7 @@ class TestNeighbourCertificates:
 
         def traces():
             for i, j in pairs:
-                result, trace = icp_align(PointCloud(moving[i]), PointCloud(models[j].points))
+                result, trace = icp_align(PointCloud(moving[i]), models[j])
                 yield result.mse, trace.terminal_reason, [
                     (entry.index, entry.mse, entry.transform.rotation.as_array().tobytes(),
                      entry.transform.translation.tobytes()) for entry in trace.iterations]
@@ -568,13 +591,20 @@ class TestScanKernel:
         # The scan matches these models; with _SCAN_MAX at 0 k-d trees do.
         # Only the points each pair sends to its index may differ.
         moving, clouds, pairs = small_engine_case(np.random.default_rng(35))
-        scanned = [build_index(c) for c in clouds]
-        monkeypatch.setattr(correspondence, "_SCAN_MAX", 0)
-        trees = [build_index(c) for c in clouds]
-        assert all(index._tree is None for index in scanned)
-        assert all(index._tree is not None for index in trees)
-        scan_run = _align_pairs(moving, scanned, pairs, cfg, record=True)
-        tree_run = _align_pairs(moving, trees, pairs, cfg, record=True)
+        built = []
+
+        def spy(model):
+            built.append(build_index(model))
+            return built[-1]
+
+        monkeypatch.setattr(registration, "build_index", spy)
+        scan_run = _align_pairs(moving, clouds, pairs, cfg, record=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(correspondence, "_SCAN_MAX", 0)
+            tree_run = _align_pairs(moving, clouds, pairs, cfg, record=True)
+        assert all(index._tree is None for index in built[:len(clouds)])
+        assert all(index._tree is not None for index in built[len(clouds):])
+        assert len(built) == 2 * len(clouds)
         assert len({int(it) for it in scan_run.iterations}) > 1
         for k in range(len(pairs)):
             assert recorded(scan_run, k) == recorded(tree_run, k)
