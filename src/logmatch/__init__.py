@@ -7,7 +7,18 @@ training log for an unseen scan, predicts its product basket, and scores
 predictions with six multi-output metrics.
 """
 
-from .correspondence import (
+import os
+import sys
+
+# The --jobs worker processes are the only parallelism: logmatch's BLAS calls
+# (batched 4x4 eigh, 3xN products) are too small to gain from threads, and an
+# idle OpenBLAS pool spins on CPU. OpenBLAS reads this when numpy (or scipy's
+# own copy) loads, so it can only be set before then; an explicit value wins,
+# and pool workers inherit it.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .correspondence import (  # noqa: E402  (after the BLAS default)
     CorrespondenceSet,
     SpatialIndex,
     build_index,

@@ -10,9 +10,8 @@ a small standardized feature space derived from the scan geometry.
 from __future__ import annotations
 
 import math
-import multiprocessing
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 from .correspondence import _SCAN_MAX
 from .errors import InvalidInputError
 from .geometry import PointCloud
-from .registration import IcpConfig, _align_pairs
+from .registration import IcpConfig, _Alignments, _align_pairs
 
 _FEATURE_MIN_POINTS = 10
 _END_SLAB_FRACTION = 0.05
@@ -38,8 +37,9 @@ _Z_REACH = math.sqrt(sys.float_info.max / 5) / 4
 # Pool workers are forked where the platform can fork, so that they inherit
 # the parent's imports (scipy's k-d tree among them, when a model is too
 # large for the linear scan); elsewhere they are spawned and import what
-# they use.
-_START_METHOD = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+# they use. os.fork tells which without importing multiprocessing, whose
+# modules load only when a pool starts.
+_START_METHOD = "fork" if hasattr(os, "fork") else "spawn"
 
 
 @dataclass(frozen=True)
@@ -187,14 +187,29 @@ def icp_distance_matrix(
 
     Returns a dense (n, n) array over the n scans with each requested
     distance at [i, j] and NaN everywhere else; a pair listed twice is
-    aligned once. The model scans (the j's) are dealt round-robin, in index
-    order, to up to jobs worker processes of one pool, forked where the
-    platform can fork and spawned elsewhere. Each worker runs _align_pairs
-    once on its _share_task (its model clouds, the moving points paired
-    with them and its pairs), builds its models' indices, and returns the
-    engine's per-pair record, whose mse fills the array. A pair's distance
-    does not depend on the batch or worker that computes it, so neither
-    does the array.
+    aligned once. The alignments run as _icp_alignments runs them, so the
+    array does not depend on jobs.
+    """
+    return _icp_alignments(scans, pairs, cfg, jobs)[0]
+
+
+def _icp_alignments(
+    scans: Sequence[PointCloud],
+    pairs: Iterable[tuple[int, int]],
+    cfg: IcpConfig | None = None,
+    jobs: int = 1,
+) -> tuple[np.ndarray, list[tuple[int, int]], _Alignments]:
+    """icp_distance_matrix's array, the distinct pairs in sorted order, and
+    the engine's _Alignments record of each (mse, iterations, converged,
+    queried), parallel to them.
+
+    The model scans (the j's) are dealt round-robin, in index order, to up
+    to jobs worker processes of one pool, forked where the platform can
+    fork and spawned elsewhere. Each worker runs _align_pairs once on its
+    _share_task (its model clouds, the moving points paired with them and
+    its pairs), builds its models' indices, and returns its record, which
+    is scattered back into pair order. A pair's outcome does not depend on
+    the batch or worker that computes it, so neither does the result.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs!r}")
@@ -205,16 +220,21 @@ def icp_distance_matrix(
         if not (0 <= i < n and 0 <= j < n):
             raise InvalidInputError(f"pair {(i, j)} is out of range for {n} scans")
     distances = np.full((n, n), np.nan)
+    out = _Alignments.empty(len(wanted))
     models = sorted({j for _, j in wanted})
     if not models:
-        return distances
+        return distances, wanted, out
     workers = min(jobs, len(models))
     worker_of = {j: k % workers for k, j in enumerate(models)}
-    shares: list[list[tuple[int, int]]] = [[] for _ in range(workers)]
-    for i, j in wanted:
-        shares[worker_of[j]].append((i, j))
-    tasks = [_share_task(scans, share, cfg) for share in shares]
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    for k, (_, j) in enumerate(wanted):
+        shares[worker_of[j]].append(k)
+    tasks = [_share_task(scans, [wanted[k] for k in share], cfg) for share in shares]
     if workers > 1:
+        # The pool modules load here only, so a --jobs 1 process never pays for them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         if _START_METHOD == "fork" and any(len(scans[j]) > _SCAN_MAX for j in models):
             import scipy.spatial  # noqa: F401  (imported once, before the workers fork)
         context = multiprocessing.get_context(_START_METHOD)
@@ -224,8 +244,10 @@ def icp_distance_matrix(
     else:
         runs = [_align_pairs(*tasks[0])]
     for share, run in zip(shares, runs):
-        distances[tuple(np.array(share).T)] = run.mse
-    return distances
+        for name in ("mse", "iterations", "converged", "queried"):
+            getattr(out, name)[share] = getattr(run, name)
+    distances[tuple(np.array(wanted).T)] = out.mse
+    return distances, wanted, out
 
 
 def _share_task(

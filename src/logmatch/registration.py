@@ -301,6 +301,17 @@ class _Alignments:
     queried: np.ndarray
     history: list[list[tuple[float, np.ndarray, np.ndarray]]] | None
 
+    @classmethod
+    def empty(cls, n: int, record: bool = False) -> _Alignments:
+        """A record of n pairs to fill, with empty histories if record."""
+        return cls(
+            mse=np.empty(n),
+            iterations=np.empty(n, dtype=np.int64),
+            converged=np.empty(n, dtype=bool),
+            queried=np.empty(n, dtype=np.int64),
+            history=[[] for _ in range(n)] if record else None,
+        )
+
 
 def _align_pairs(
     moving: Sequence[np.ndarray],
@@ -321,13 +332,7 @@ def _align_pairs(
     """
     n = len(pairs)
     indices = [build_index(model) for model in models]
-    out = _Alignments(
-        mse=np.empty(n),
-        iterations=np.empty(n, dtype=np.int64),
-        converged=np.empty(n, dtype=bool),
-        queried=np.empty(n, dtype=np.int64),
-        history=[[] for _ in range(n)] if record else None,
-    )
+    out = _Alignments.empty(n, record)
     strided = [np.asarray(cloud, dtype=np.float64)[:: cfg.stride] for cloud in moving]
     order = sorted(range(n), key=lambda k: pairs[k][1])
     batch: list[int] = []

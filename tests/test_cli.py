@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -321,12 +322,13 @@ def pool_count(monkeypatch):
     """Count the process pools built for ICP alignments."""
     built = []
 
-    class CountingPool(predictor.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             built.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(predictor, "ProcessPoolExecutor", CountingPool)
+    # predictor imports the pool from concurrent.futures when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return built
 
 
@@ -628,9 +630,9 @@ class TestOptionErrors:
         assert err == "error: log 'f': scan has zero extent along its principal axis\n"
 
 
-# Runs CLI commands in order in one fresh interpreter, and records whether
-# scipy and scipy.spatial are loaded after `import logmatch` and after each
-# command.
+# Runs CLI commands in order in one fresh interpreter, and records which of
+# the modules named in its second argument are loaded after
+# `import logmatch` and after each command.
 IMPORT_PROBE = """\
 import json
 import sys
@@ -640,7 +642,7 @@ from logmatch.cli import main
 
 
 def loaded():
-    return [name in sys.modules for name in ("scipy", "scipy.spatial")]
+    return [name in sys.modules for name in json.loads(sys.argv[2])]
 
 
 seen = [loaded()]
@@ -652,12 +654,19 @@ print(json.dumps(seen))
 """
 
 
-def scipy_loaded_after(commands):
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(predictor.__file__))}
+def run_fresh(*args, **env):
+    """Run python -X dev -W error with args in a fresh interpreter that sees
+    src, has no OPENBLAS_NUM_THREADS unless given in env, and return its
+    stdout."""
+    fresh = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    fresh.update(env, PYTHONPATH=os.path.dirname(os.path.dirname(predictor.__file__)))
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *args],
+                          env=fresh, capture_output=True, text=True, check=True, timeout=300).stdout
+
+
+def loaded_after(commands, names=("scipy", "scipy.spatial")):
     argvs = json.dumps([[str(a) for a in argv] for argv in commands])
-    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", IMPORT_PROBE, argvs],
-                          env=env, capture_output=True, text=True, check=True, timeout=300)
-    return json.loads(done.stdout.splitlines()[-1])
+    return json.loads(run_fresh("-c", IMPORT_PROBE, argvs, json.dumps(names)).splitlines()[-1])
 
 
 class TestScipyStaysOut:
@@ -666,7 +675,7 @@ class TestScipyStaysOut:
     def test_commands_without_icp_never_import_scipy(self, tiny_dataset):
         train, test, root = tiny_dataset
         predictions = root / "knn.csv"
-        seen = scipy_loaded_after([
+        seen = loaded_after([
             ["experiment", train, "--predictor", "knn,mean", "--k", 1, "--runs", 2,
              "--output", root / "experiment.csv"],
             ["predict", train, test, "--predictor", "knn", "--k", 1, "--output", predictions],
@@ -679,7 +688,7 @@ class TestScipyStaysOut:
         # Every log has 24 points, so each model is matched by the linear scan.
         train, test, root = tiny_dataset
         scans = sorted((root / "train_scans").iterdir())
-        seen = scipy_loaded_after([
+        seen = loaded_after([
             ["register", scans[0], scans[1]],
             *(["predict", train, test, "--predictor", "icp", "--jobs", jobs, "--output", root / f"icp{jobs}.csv"]
               for jobs in (1, 2)),
@@ -695,10 +704,45 @@ class TestScipyStaysOut:
         entries = [(f"big{i}", log_like_cloud(rng, n), ProductBasket((i, 0, 0)))
                    for i, n in enumerate((24, correspondence._SCAN_MAX + 1))]
         train = write_dataset_files(root, entries, name="mixed")
-        seen = scipy_loaded_after([
+        seen = loaded_after([
             ["predict", train, test, "--predictor", "icp", "--jobs", 2, "--output", root / "icp.csv"],
         ])
         assert seen == [[False, False], [True, True]]
+
+
+class TestPoolIsTheOnlyParallelism:
+    """BLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise, and
+    the pool modules load only when a pool starts."""
+
+    def test_one_thread_after_the_cli_and_the_k_d_tree_load(self):
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("this platform has no /proc/self/task to count threads in")
+        out = run_fresh("-c", "import os; import logmatch.cli; import scipy.spatial; "
+                              "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert out == "1 1\n"
+
+    def test_an_explicit_setting_is_kept(self):
+        out = run_fresh("-c", "import os; import logmatch; print(os.environ['OPENBLAS_NUM_THREADS'])",
+                        OPENBLAS_NUM_THREADS="2")
+        assert out == "2\n"
+
+    def test_no_default_once_numpy_has_loaded(self):
+        # numpy's BLAS has already read its setting; the process keeps it.
+        out = run_fresh("-c", "import os; import numpy; import logmatch; "
+                              "print(os.environ.get('OPENBLAS_NUM_THREADS'))")
+        assert out == "None\n"
+
+    def test_pool_modules_load_only_with_a_pool(self, tiny_dataset):
+        # Every log has 24 points, so scipy, which imports concurrent.futures
+        # itself, stays out too.
+        train, test, root = tiny_dataset
+        seen = loaded_after([
+            ["experiment", train, "--predictor", "icp,mean,knn", "--k", 1, "--runs", 2, "--jobs", 1,
+             "--output", root / "experiment1.csv"],
+            ["predict", train, test, "--predictor", "icp", "--jobs", 1, "--output", root / "icp1.csv"],
+            ["predict", train, test, "--predictor", "icp", "--jobs", 2, "--output", root / "icp2.csv"],
+        ], names=("multiprocessing", "concurrent.futures"))
+        assert seen == [[False, False]] * 3 + [[True, True]]
 
 
 class TestHugeScans:

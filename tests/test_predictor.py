@@ -29,8 +29,10 @@ from logmatch import (
     mean_predict,
     nn_predict_from_distances,
 )
-from logmatch import predictor
+from logmatch import IcpConfig, predictor
+from logmatch.correspondence import _SCAN_MAX
 from logmatch.geometry import B, RigidTransform
+from logmatch.registration import _align_pairs
 from synthdata import box_cloud, cone_cloud, cylinder_cloud, log_like_cloud, random_transform
 
 SPAWN_CALLER = """\
@@ -238,7 +240,8 @@ class TestDistanceMatrix:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(predictor, "ProcessPoolExecutor", InlinePool)
+        # predictor imports the pool from concurrent.futures when it starts one.
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         assert icp_distance_matrix(scans, pairs, jobs=10_000).tobytes() == serial.tobytes()
         assert built == [(3, predictor._START_METHOD)]
 
@@ -270,6 +273,35 @@ class TestDistanceMatrix:
                        env=env, check=True, timeout=300)
         want = icp_distance_matrix(scans, pairs, jobs=1)
         assert (tmp_path / "distances.bin").read_bytes() == want.tobytes()
+
+    def test_outcomes_in_pair_order_at_any_jobs_and_under_spawn(self, monkeypatch):
+        # One model is too large for the linear scan; the iteration cap
+        # stops some pairs before they converge.
+        rng = np.random.default_rng(23)
+        scans = [log_like_cloud(rng, n) for n in (16, 24, 40, _SCAN_MAX + 16, 30)]
+        pairs = [(i, j) for i in range(5) for j in range(5) if i != j] + [(2, 1)]
+        cfg = IcpConfig(max_iterations=8)
+        fields = ("mse", "iterations", "converged", "queried")
+        distances, wanted, run = predictor._icp_alignments(scans, pairs, cfg, jobs=1)
+        assert wanted == sorted(set(pairs))
+        assert distances.tobytes() == icp_distance_matrix(scans, pairs, cfg, jobs=1).tobytes()
+        assert run.converged.any() and not run.converged.all()
+        assert run.history is None
+        for k, (i, j) in enumerate(wanted):
+            alone = _align_pairs([scans[i].xyz], [scans[j]], [(0, 0)], cfg)
+            assert [getattr(run, name)[k] for name in fields] == [getattr(alone, name)[0] for name in fields]
+            assert distances[i, j] == run.mse[k]
+
+        def as_bytes(result):
+            distances, wanted, run = result
+            return distances.tobytes(), wanted, [(getattr(run, name).dtype, getattr(run, name).tobytes())
+                                                 for name in fields]
+
+        serial = as_bytes((distances, wanted, run))
+        for jobs in (2, 3):
+            assert as_bytes(predictor._icp_alignments(scans, pairs, cfg, jobs=jobs)) == serial, f"jobs {jobs}"
+        monkeypatch.setattr(predictor, "_START_METHOD", "spawn")
+        assert as_bytes(predictor._icp_alignments(scans, pairs, cfg, jobs=2)) == serial
 
     def test_no_pairs_give_all_nan(self):
         scans = [box_cloud(np.random.default_rng(18), 5)]
