@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -238,19 +238,19 @@ class _NeighbourCache:
     1e-3 that is already 2e-9 of the distance, beyond a relative margin of
     1e-12. So L also gives up _ABS_MARGIN (about 450 ulps) per unit of the
     largest coordinate magnitude of p0 and of the model. A model of K points
-    or fewer is kept whole, and its L is infinite.
+    or fewer is kept whole: the neighbours it lacks are kept as its own
+    column at infinity, and its (K + 1)-th distance, so L, is infinite.
     """
 
-    def __init__(self, models: Sequence[SpatialIndex], used: list[int], points: int):
+    def __init__(self, models: Mapping[int, SpatialIndex], used: list[int], points: int):
         self.models = models
-        sizes = [len(models[j]) for j in used]
+        sizes = [len(models[j]) + 1 for j in used]
         self.offsets = dict(zip(used, np.cumsum([0] + sizes).tolist()))
         self.scales = {j: float(np.abs(models[j].points).max()) for j in used}
-        # The used models' points end to end, as the columns of a (3, M + 1)
-        # pool. The last column, at infinity, stands in for the missing
-        # neighbours of a model of fewer than K points.
-        rows = np.concatenate([models[j].points for j in used] + [np.full((1, 3), np.inf)])
-        self.pool = np.ascontiguousarray(rows.T)
+        # The columns of the pool: each used model's n points, then its own
+        # column at infinity, where an index's missing neighbour (index n) lands.
+        infinity = np.full((1, 3), np.inf)
+        self.pool = np.concatenate([c for j in used for c in (models[j].points, infinity)]).T.copy()
         self.anchors = np.empty((3, points))
         # The narrowest integer type that holds every pool id.
         self.ids = np.empty((_CACHE_NEIGHBOURS, points), dtype=np.min_scalar_type(self.pool.shape[1]))
@@ -323,16 +323,12 @@ class _NeighbourCache:
         """Send the stacked points at rows, placed at the rows of xyz (m, 3),
         to the index models[j], keep each row's query, and return the pool
         id of each row's nearest model point."""
-        index, k, offset = self.models[j], _CACHE_NEIGHBOURS, self.offsets[j]
-        nearest, dist, nbr = index._nearest(xyz, k + 1)
+        k, offset = _CACHE_NEIGHBOURS, self.offsets[j]
+        nearest, dist, nbr = self.models[j]._nearest(xyz, k + 1)
         self.anchors[:, rows] = xyz.T
-        if len(index) <= k:
-            self.ids[:, rows] = np.where(nbr[:, :k] < len(index), nbr[:, :k] + offset, self.pool.shape[1] - 1).T
-            self.limits[rows] = np.inf
-        else:
-            self.ids[:, rows] = (nbr[:, :k] + offset).T
-            scale = np.abs(xyz).max(axis=1) + self.scales[j]
-            self.limits[rows] = dist[:, k] * (1.0 - _REL_MARGIN) - _ABS_MARGIN * scale
+        self.ids[:, rows] = (nbr[:, :k] + offset).T
+        scale = np.abs(xyz).max(axis=1) + self.scales[j]
+        self.limits[rows] = dist[:, k] * (1.0 - _REL_MARGIN) - _ABS_MARGIN * scale
         return nearest + offset
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integer
 from .predictor import LogRecord
 
 
@@ -56,10 +56,8 @@ class SplitSpec:
     def __post_init__(self) -> None:
         if not (0.0 < self.train_fraction < 1.0):
             raise InvalidInputError(f"train_fraction must be in (0, 1), got {self.train_fraction!r}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise InvalidInputError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if self.runs < 1:
-            raise InvalidInputError(f"runs must be >= 1, got {self.runs!r}")
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0, 2**64))
+        object.__setattr__(self, "runs", _integer("runs", self.runs, 1))
 
 
 def split_indices(n: int, spec: SplitSpec, run_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,7 +71,7 @@ def split_indices(n: int, spec: SplitSpec, run_index: int) -> tuple[np.ndarray, 
         raise InvalidInputError(f"run_index must be in [0, {spec.runs}), got {run_index!r}")
     if n < 2:
         raise InvalidInputError(f"need at least 2 records to split, got {n}")
-    rng = np.random.default_rng([int(spec.seed), int(run_index)])
+    rng = np.random.default_rng([spec.seed, int(run_index)])
     order = rng.permutation(n)
     # Guard the floor against representation error of fractions like 0.6.
     n_train = int(math.floor(n * spec.train_fraction + 1e-9))

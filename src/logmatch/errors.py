@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer check."""
+
+import numpy as np
 
 
 class LogmatchError(Exception):
@@ -28,3 +30,13 @@ class ParseError(LogmatchError, ValueError):
         # pass only the formatted message. Worker errors cross processes
         # by pickling.
         return (type(self), (self.path, self.message, self.line))
+
+
+def _integer(name: str, value: object, low: int, high: int | None = None) -> int:
+    """value as an int in [low, high): a Python or numpy integer, not a bool or float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if not (low <= value and (high is None or value < high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise InvalidInputError(f"{name} must be {bound}, got {value!r}")
+    return int(value)

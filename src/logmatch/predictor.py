@@ -206,10 +206,10 @@ def _icp_alignments(
     The model scans (the j's) are dealt round-robin, in index order, to up
     to jobs worker processes of one pool, forked where the platform can
     fork and spawned elsewhere. Each worker runs _align_pairs once on its
-    _share_task (its model clouds, the moving points paired with them and
-    its pairs), builds its models' indices, and returns its record, which
-    is scattered back into pair order. A pair's outcome does not depend on
-    the batch or worker that computes it, so neither does the result.
+    pairs, unchanged, and the slice of scans they name, keyed by their ids,
+    builds its models' indices, and returns its record, which is scattered
+    back into pair order. A pair's outcome does not depend on the batch or
+    worker that computes it, so neither does the result.
     """
     if jobs < 1:
         raise InvalidInputError(f"jobs must be >= 1, got {jobs!r}")
@@ -229,7 +229,8 @@ def _icp_alignments(
     shares: list[list[int]] = [[] for _ in range(workers)]
     for k, (_, j) in enumerate(wanted):
         shares[worker_of[j]].append(k)
-    tasks = [_share_task(scans, [wanted[k] for k in share], cfg) for share in shares]
+    share_pairs = [[wanted[k] for k in share] for share in shares]
+    tasks = [({i: scans[i] for pair in task for i in pair}, task, cfg) for task in share_pairs]
     if workers > 1:
         # The pool modules load here only, so a --jobs 1 process never pays for them.
         import multiprocessing
@@ -248,17 +249,6 @@ def _icp_alignments(
             getattr(out, name)[share] = getattr(run, name)
     distances[tuple(np.array(wanted).T)] = out.mse
     return distances, wanted, out
-
-
-def _share_task(
-    scans: Sequence[PointCloud], share: list[tuple[int, int]], cfg: IcpConfig
-) -> tuple[list[np.ndarray], list[PointCloud], list[tuple[int, int]], IcpConfig]:
-    """The _align_pairs arguments of one worker's share, in its order: its
-    moving points, its model clouds, and its pairs renumbered into them."""
-    moving = {i: k for k, i in enumerate(sorted({i for i, _ in share}))}
-    models = {j: k for k, j in enumerate(sorted({j for _, j in share}))}
-    local = [(moving[i], models[j]) for i, j in share]
-    return [scans[i].xyz for i in moving], [scans[j] for j in models], local, cfg
 
 
 def nn_predict_from_distances(

@@ -36,12 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .correspondence import CorrespondenceSet, SpatialIndex, _NeighbourCache, build_index
-from .errors import InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError, _integer
 from .geometry import PointCloud, RigidTransform, UnitQuaternion, _rotation_matrix, _squared_distances
 
 _SYMMETRY_TOL = 1e-9
@@ -82,10 +82,8 @@ class IcpConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.tau) and self.tau > 0.0):
             raise InvalidInputError(f"tau must be positive, got {self.tau!r}")
-        if self.max_iterations < 1:
-            raise InvalidInputError(f"max_iterations must be >= 1, got {self.max_iterations!r}")
-        if self.stride < 1:
-            raise InvalidInputError(f"stride must be >= 1, got {self.stride!r}")
+        for name in ("max_iterations", "stride"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
 
 
 class TerminalReason(str, Enum):
@@ -314,13 +312,13 @@ class _Alignments:
 
 
 def _align_pairs(
-    moving: Sequence[np.ndarray],
-    models: Sequence[PointCloud],
+    scans: Sequence[PointCloud] | Mapping[int, PointCloud],
     pairs: Sequence[tuple[int, int]],
     cfg: IcpConfig,
     record: bool = False,
 ) -> _Alignments:
-    """Align moving[i] onto models[j] for every (i, j) in pairs, in lockstep.
+    """Align scans[i] onto scans[j] for every (i, j) in pairs, in lockstep;
+    scans is icp_distance_matrix's, or a slice of it keyed by the same ids.
 
     Pairs are grouped by model, whose exact index is built here, and cut
     into batches of at most _BATCH_POINTS stacked points. Within a batch,
@@ -331,9 +329,9 @@ def _align_pairs(
     pair alone, whatever batch or order it runs in.
     """
     n = len(pairs)
-    indices = [build_index(model) for model in models]
+    indices = {j: build_index(scans[j]) for j in sorted({j for _, j in pairs})}
+    strided = {i: scans[i].xyz[:: cfg.stride] for i in {i for i, _ in pairs}}
     out = _Alignments.empty(n, record)
-    strided = [np.asarray(cloud, dtype=np.float64)[:: cfg.stride] for cloud in moving]
     order = sorted(range(n), key=lambda k: pairs[k][1])
     batch: list[int] = []
     size = 0
@@ -350,8 +348,8 @@ def _align_pairs(
 
 
 def _lockstep(
-    strided: Sequence[np.ndarray],
-    models: Sequence[SpatialIndex],
+    strided: Mapping[int, np.ndarray],
+    models: Mapping[int, SpatialIndex],
     pairs: Sequence[tuple[int, int]],
     batch: list[int],
     cfg: IcpConfig,
@@ -431,7 +429,7 @@ def icp_align(
     This is the lockstep engine on a batch of one pair.
     """
     cfg = cfg or IcpConfig()
-    run = _align_pairs([moving.xyz], [model], [(0, 0)], cfg, record=True)
+    run = _align_pairs([moving, model], [(0, 1)], cfg, record=True)
     entries = tuple(
         IcpIteration(k, e, RigidTransform(UnitQuaternion(*q), t))
         for k, (e, q, t) in enumerate(run.history[0])

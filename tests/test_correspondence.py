@@ -383,8 +383,19 @@ class TestMultiModelMatcher:
                 assert matched[:, rows].tobytes() == np.ascontiguousarray(clouds[j].xyz[idx].T).tobytes()
                 assert squared[rows].tobytes() == sq.tobytes()
             np.testing.assert_array_equal(sent, np.add.reduceat((~certified).astype(np.int64), starts))
-        # The certified round reached every model, and the 1-point model's
-        # missing neighbours point at the sentinel column at infinity.
+        # The certified round reached every model. Each used model's n
+        # points are followed in the pool by its own column at infinity; the
+        # 1-point model's missing neighbours point at its own, the K-point
+        # model keeps its K points, and both have an infinite L.
         assert all(certified[owner == j].any() for j in used)
-        assert (cache.ids[1:, owner == 0] == cache.pool.shape[1] - 1).all()
-        assert np.isinf(cache.pool[:, -1]).all()
+        assert cache.pool.shape[1] == sum(len(clouds[j]) + 1 for j in used)
+        for j in used:
+            start, n = cache.offsets[j], len(clouds[j])
+            assert cache.pool[:, start:start + n].tobytes() == np.ascontiguousarray(clouds[j].xyz.T).tobytes()
+            assert np.isinf(cache.pool[:, start + n]).all()
+        assert (cache.ids[:1, owner == 0] == cache.offsets[0]).all()
+        assert (cache.ids[1:, owner == 0] == cache.offsets[0] + 1).all()
+        kept = np.sort(cache.ids[:, owner == 2], axis=0)
+        assert (kept == cache.offsets[2] + np.arange(_CACHE_NEIGHBOURS)[:, None]).all()
+        assert np.isinf(cache.limits[(owner == 0) | (owner == 2)]).all()
+        assert np.isfinite(cache.limits[owner == 3]).all()

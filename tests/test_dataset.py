@@ -109,6 +109,20 @@ class TestSplit:
             SplitSpec(runs=0)
         with pytest.raises(InvalidInputError):
             SplitSpec(seed=-1)
+        for kwargs in ({"seed": 1.7}, {"seed": 1.0}, {"seed": True}, {"seed": np.float64(2.0)}, {"seed": "1"},
+                       {"seed": 2**64}, {"runs": 2.5}, {"runs": 2.0}, {"runs": np.True_}, {"runs": np.int64(0)}):
+            with pytest.raises(InvalidInputError):
+                SplitSpec(**kwargs)
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = SplitSpec(seed=np.uint64(2**64 - 1), runs=np.int16(3))
+        assert type(spec.seed) is int and spec.seed == 2**64 - 1
+        assert type(spec.runs) is int and spec.runs == 3
+        reference = SplitSpec(seed=2**64 - 1, runs=3)
+        assert spec == reference
+        for run in range(3):
+            for got, want in zip(split_indices(20, spec, run), split_indices(20, reference, run)):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestDropEmpty:

@@ -288,7 +288,7 @@ class TestDistanceMatrix:
         assert run.converged.any() and not run.converged.all()
         assert run.history is None
         for k, (i, j) in enumerate(wanted):
-            alone = _align_pairs([scans[i].xyz], [scans[j]], [(0, 0)], cfg)
+            alone = _align_pairs(scans, [(i, j)], cfg)
             assert [getattr(run, name)[k] for name in fields] == [getattr(alone, name)[0] for name in fields]
             assert distances[i, j] == run.mse[k]
 

@@ -37,7 +37,7 @@ from logmatch import (
     match_correspondences,
     max_eigenvector,
 )
-from synthdata import box_cloud, random_axis, random_transform, rotation_angle
+from synthdata import box_cloud, jittered_copy, log_like_cloud, random_axis, random_transform, rotation_angle
 
 
 def identity_pairs(n):
@@ -367,11 +367,24 @@ class TestConfigAndTrace:
             {"tau": -1e-9},
             {"max_iterations": 0},
             {"stride": 0},
+            {"max_iterations": 2.5},
+            {"stride": 1.5},
+            {"max_iterations": 3.0},
+            {"stride": np.float64(2.0)},
+            {"max_iterations": True},
+            {"stride": np.True_},
+            {"max_iterations": "3"},
+            {"stride": np.int64(0)},
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(InvalidInputError):
             IcpConfig(**kwargs)
+
+    def test_config_accepts_numpy_integers(self):
+        cfg = IcpConfig(max_iterations=np.int32(7), stride=np.uint8(2))
+        assert type(cfg.max_iterations) is int and cfg.max_iterations == 7
+        assert type(cfg.stride) is int and cfg.stride == 2
 
     def test_trace_rejects_increasing_errors(self):
         identity = RigidTransform.identity()
@@ -443,14 +456,20 @@ class TestMaxEigenpairs:
 
 
 def engine_case(rng):
-    """Moving clouds of 1 to 120 points and models of 1 to 300 points,
-    including rigid copies that converge and unrelated pairs that do not."""
+    """Scans and the pairs that align moving clouds of 1 to 120 points onto
+    models of 1 to 300 points, including rigid copies that converge and
+    unrelated pairs that do not."""
     models = [box_cloud(rng, n) for n in (1, 40, 90, 300)]
     moving = [box_cloud(rng, n) for n in (1, 7, 60, 120)]
     moving.append(apply_transform(random_transform(rng, math.radians(20), 50.0), models[2]))
     moving.append(PointCloud(models[3].xyz[::3] + rng.normal(0.0, 1.0, (100, 3))))
-    pairs = [(i, j) for i in range(len(moving)) for j in range(len(models))]
-    return [c.xyz for c in moving], models, pairs
+    return with_pairs(models, moving)
+
+
+def with_pairs(models, moving):
+    """One scan list, the models first, and every (moving, model) pair of it."""
+    m = len(models)
+    return models + moving, [(m + i, j) for i in range(len(moving)) for j in range(m)]
 
 
 def outcome(run, k):
@@ -471,13 +490,13 @@ ENGINE_CONFIGS = [
 class TestLockstepEngine:
     @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
     def test_pair_results_do_not_depend_on_the_batch(self, cfg, monkeypatch):
-        moving, models, pairs = engine_case(np.random.default_rng(32))
-        alone = [outcome(_align_pairs(moving, models, [pair], cfg, record=True), 0) for pair in pairs]
-        together = _align_pairs(moving, models, pairs, cfg, record=True)
-        backwards = _align_pairs(moving, models, pairs[::-1], cfg, record=True)
+        scans, pairs = engine_case(np.random.default_rng(32))
+        alone = [outcome(_align_pairs(scans, [pair], cfg, record=True), 0) for pair in pairs]
+        together = _align_pairs(scans, pairs, cfg, record=True)
+        backwards = _align_pairs(scans, pairs[::-1], cfg, record=True)
         # a cap below most pair sizes cuts the stack into many batches
         monkeypatch.setattr(registration, "_BATCH_POINTS", 64)
-        chunked = _align_pairs(moving, models, pairs, cfg, record=True)
+        chunked = _align_pairs(scans, pairs, cfg, record=True)
         n = len(pairs)
         assert len({int(it) for it in together.iterations}) > 1
         for k in range(n):
@@ -486,10 +505,10 @@ class TestLockstepEngine:
             assert outcome(chunked, k) == alone[k]
 
     def test_icp_align_is_a_batch_of_one(self):
-        moving, models, pairs = engine_case(np.random.default_rng(33))
-        run = _align_pairs(moving, models, pairs, IcpConfig(), record=True)
+        scans, pairs = engine_case(np.random.default_rng(33))
+        run = _align_pairs(scans, pairs, IcpConfig(), record=True)
         for k, (i, j) in enumerate(pairs):
-            result, trace = icp_align(PointCloud(moving[i]), models[j])
+            result, trace = icp_align(scans[i], scans[j])
             _, quat, trans = run.history[k][-1]
             assert result.mse == run.mse[k]
             np.testing.assert_array_equal(result.transform.rotation.as_array(), UnitQuaternion(*quat).as_array())
@@ -503,11 +522,11 @@ class TestLockstepEngine:
         # (inherited imports) and spawn (a fresh interpreter).
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"this platform cannot {method}")
-        moving, models, pairs = engine_case(np.random.default_rng(32))
-        here = _align_pairs(moving, models, pairs, IcpConfig())
+        scans, pairs = engine_case(np.random.default_rng(32))
+        here = _align_pairs(scans, pairs, IcpConfig())
         context = multiprocessing.get_context(method)
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            there = pool.submit(_align_pairs, moving, models, pairs, IcpConfig()).result()
+            there = pool.submit(_align_pairs, scans, pairs, IcpConfig()).result()
         for name in ("mse", "iterations", "converged", "queried"):
             assert getattr(there, name).dtype == getattr(here, name).dtype
             assert getattr(there, name).tobytes() == getattr(here, name).tobytes()
@@ -520,15 +539,15 @@ def recorded(run, k):
     return mse, iterations, converged, history
 
 
-def arrangements(moving, models, pairs, cfg, monkeypatch):
+def arrangements(scans, pairs, cfg, monkeypatch):
     """Per-pair recorded results of the engine run on each pair alone, on
     all pairs in one batch, in reverse order, and cut into 64-point batches."""
-    alone = [recorded(_align_pairs(moving, models, [pair], cfg, record=True), 0) for pair in pairs]
-    together = _align_pairs(moving, models, pairs, cfg, record=True)
-    backwards = _align_pairs(moving, models, pairs[::-1], cfg, record=True)
+    alone = [recorded(_align_pairs(scans, [pair], cfg, record=True), 0) for pair in pairs]
+    together = _align_pairs(scans, pairs, cfg, record=True)
+    backwards = _align_pairs(scans, pairs[::-1], cfg, record=True)
     with monkeypatch.context() as patch:
         patch.setattr(registration, "_BATCH_POINTS", 64)
-        chunked = _align_pairs(moving, models, pairs, cfg, record=True)
+        chunked = _align_pairs(scans, pairs, cfg, record=True)
     n = len(pairs)
     return (alone, [recorded(together, k) for k in range(n)],
             [recorded(backwards, n - 1 - k) for k in range(n)], [recorded(chunked, k) for k in range(n)])
@@ -537,10 +556,10 @@ def arrangements(moving, models, pairs, cfg, monkeypatch):
 class TestNeighbourCertificates:
     @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
     def test_certificates_change_no_result(self, cfg, monkeypatch):
-        moving, models, pairs = engine_case(np.random.default_rng(32))
-        cached = arrangements(moving, models, pairs, cfg, monkeypatch)
+        scans, pairs = engine_case(np.random.default_rng(32))
+        cached = arrangements(scans, pairs, cfg, monkeypatch)
         monkeypatch.setattr(correspondence, "_CERTIFY", False)
-        uncached = arrangements(moving, models, pairs, cfg, monkeypatch)
+        uncached = arrangements(scans, pairs, cfg, monkeypatch)
         reference = uncached[0]
         for results in cached + uncached:
             assert results == reference
@@ -551,11 +570,11 @@ class TestNeighbourCertificates:
             assert all(later <= earlier for earlier, later in zip(errors, errors[1:]))
 
     def test_icp_align_traces_do_not_change(self, monkeypatch):
-        moving, models, pairs = engine_case(np.random.default_rng(34))
+        scans, pairs = engine_case(np.random.default_rng(34))
 
         def traces():
             for i, j in pairs:
-                result, trace = icp_align(PointCloud(moving[i]), models[j])
+                result, trace = icp_align(scans[i], scans[j])
                 yield result.mse, trace.terminal_reason, [
                     (entry.index, entry.mse, entry.transform.rotation.as_array().tobytes(),
                      entry.transform.translation.tobytes()) for entry in trace.iterations]
@@ -565,24 +584,24 @@ class TestNeighbourCertificates:
         assert list(traces()) == cached
 
     def test_most_points_skip_the_tree(self, monkeypatch):
-        moving, models, pairs = engine_case(np.random.default_rng(32))
-        cached = _align_pairs(moving, models, pairs, IcpConfig())
+        scans, pairs = engine_case(np.random.default_rng(32))
+        cached = _align_pairs(scans, pairs, IcpConfig())
         monkeypatch.setattr(correspondence, "_CERTIFY", False)
-        uncached = _align_pairs(moving, models, pairs, IcpConfig())
-        every_point = [run * len(moving[i]) for run, (i, _) in zip(uncached.iterations, pairs)]
+        uncached = _align_pairs(scans, pairs, IcpConfig())
+        every_point = [run * len(scans[i]) for run, (i, _) in zip(uncached.iterations, pairs)]
         np.testing.assert_array_equal(uncached.queried, every_point)
         assert cached.queried.sum() <= 0.6 * uncached.queried.sum()
 
 
 def small_engine_case(rng):
-    """Moving clouds of 1 to 120 points and model clouds of 1 to _SCAN_MAX
-    points, including rigid copies that converge and unrelated pairs."""
+    """Scans and the pairs that align moving clouds of 1 to 120 points onto
+    models of 1 to _SCAN_MAX points, including rigid copies that converge
+    and unrelated pairs."""
     models = [box_cloud(rng, n) for n in (1, _CACHE_NEIGHBOURS, 40, _SCAN_MAX)]
     moving = [box_cloud(rng, n) for n in (1, 7, 60, 120)]
     moving.append(apply_transform(random_transform(rng, math.radians(20), 50.0), models[2]))
     moving.append(PointCloud(models[3].xyz + rng.normal(0.0, 1.0, models[3].xyz.shape)))
-    pairs = [(i, j) for i in range(len(moving)) for j in range(len(models))]
-    return [c.xyz for c in moving], models, pairs
+    return with_pairs(models, moving)
 
 
 class TestScanKernel:
@@ -590,7 +609,7 @@ class TestScanKernel:
     def test_trees_change_no_result(self, cfg, monkeypatch):
         # The scan matches these models; with _SCAN_MAX at 0 k-d trees do.
         # Only the points each pair sends to its index may differ.
-        moving, clouds, pairs = small_engine_case(np.random.default_rng(35))
+        scans, pairs = small_engine_case(np.random.default_rng(35))
         built = []
 
         def spy(model):
@@ -598,13 +617,77 @@ class TestScanKernel:
             return built[-1]
 
         monkeypatch.setattr(registration, "build_index", spy)
-        scan_run = _align_pairs(moving, clouds, pairs, cfg, record=True)
+        scan_run = _align_pairs(scans, pairs, cfg, record=True)
         with monkeypatch.context() as patch:
             patch.setattr(correspondence, "_SCAN_MAX", 0)
-            tree_run = _align_pairs(moving, clouds, pairs, cfg, record=True)
-        assert all(index._tree is None for index in built[:len(clouds)])
-        assert all(index._tree is not None for index in built[len(clouds):])
-        assert len(built) == 2 * len(clouds)
+            tree_run = _align_pairs(scans, pairs, cfg, record=True)
+        models = len({j for _, j in pairs})
+        assert all(index._tree is None for index in built[:models])
+        assert all(index._tree is not None for index in built[models:])
+        assert len(built) == 2 * models
         assert len({int(it) for it in scan_run.iterations}) > 1
         for k in range(len(pairs)):
             assert recorded(scan_run, k) == recorded(tree_run, k)
+
+
+def grid_engine_case(rng, sizes, grid):
+    """Scans rounded to a grid of the given spacing (mm), so that matches
+    tie at the identity: log-like models of the given sizes, a rounded noisy
+    copy of each and an unrelated log, with every (copy or log, model) pair."""
+    def snap(cloud):
+        return PointCloud(np.round(cloud.xyz / grid) * grid)
+
+    models = [snap(log_like_cloud(rng, n)) for n in sizes]
+    moving = [snap(jittered_copy(rng, model, math.radians(5.0), 10.0, 2.0)) for model in models]
+    return with_pairs(models, moving + [snap(log_like_cloud(rng, 40))])
+
+
+@pytest.fixture()
+def tree_ties(monkeypatch):
+    """Counts, over the engine's tree queries (k = K + 1), of the rows whose
+    two nearest distances lie within the tie slack, and of the rows whose
+    nearest point the re-rank moved off the tree's first neighbour."""
+    counts = {"ties": 0, "reranked": 0}
+    nearest = correspondence.SpatialIndex._nearest
+
+    def spy(index, pts, k):
+        idx, dist, nbr = nearest(index, pts, k)
+        if index._tree is not None and k == _CACHE_NEIGHBOURS + 1:
+            counts["ties"] += int((dist[:, 1] <= dist[:, 0] * (1.0 + correspondence._TIE_SLACK)).sum())
+            counts["reranked"] += int((idx != nbr[:, 0]).sum())
+        return idx, dist, nbr
+
+    monkeypatch.setattr(correspondence.SpatialIndex, "_nearest", spy)
+    return counts
+
+
+class TestTiesInTheEngine:
+    """Grid-rounded scans put near-ties into the engine's own queries, where
+    the tree's tie re-rank must give the scan's lowest-index match."""
+
+    @pytest.mark.parametrize("grid", [5.0, 20.0])
+    @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
+    def test_small_models_match_alike_on_the_scan_and_the_tree(self, grid, cfg, tree_ties, monkeypatch):
+        scans, pairs = grid_engine_case(np.random.default_rng(51), (1, _CACHE_NEIGHBOURS, 20, 40, _SCAN_MAX), grid)
+        scan_run = _align_pairs(scans, pairs, cfg, record=True)
+        assert tree_ties == {"ties": 0, "reranked": 0}
+        with monkeypatch.context() as patch:
+            patch.setattr(correspondence, "_SCAN_MAX", 0)
+            tree_run = _align_pairs(scans, pairs, cfg, record=True)
+        if not cfg.pre_align:  # pre-aligned placements leave the grid
+            assert tree_ties["ties"] > 0 and tree_ties["reranked"] > 0
+        for k in range(len(pairs)):
+            assert recorded(scan_run, k) == recorded(tree_run, k)
+
+    @pytest.mark.parametrize("grid", [5.0, 20.0])
+    @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
+    def test_certificates_change_no_result_on_large_models(self, grid, cfg, tree_ties, monkeypatch):
+        scans, pairs = grid_engine_case(np.random.default_rng(52), (_SCAN_MAX + 1, 120, 300), grid)
+        cached = arrangements(scans, pairs, cfg, monkeypatch)
+        if not cfg.pre_align:  # pre-aligned placements leave the grid
+            assert tree_ties["ties"] > 0 and tree_ties["reranked"] > 0
+        monkeypatch.setattr(correspondence, "_CERTIFY", False)
+        uncached = arrangements(scans, pairs, cfg, monkeypatch)
+        reference = uncached[0]
+        for results in cached + uncached:
+            assert results == reference
