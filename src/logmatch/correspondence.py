@@ -95,6 +95,8 @@ class SpatialIndex:
     __slots__ = ("_points", "_columns", "_tree")
 
     def __init__(self, model: PointCloud):
+        if not isinstance(model, PointCloud):
+            raise InvalidInputError("model must be a PointCloud")
         pts = np.array(model.xyz, dtype=np.float64)
         pts.setflags(write=False)
         self._points = pts
@@ -334,8 +336,6 @@ class _NeighbourCache:
 
 def build_index(model: PointCloud) -> SpatialIndex:
     """Build an exact nearest-neighbour index over the model cloud."""
-    if not isinstance(model, PointCloud):
-        raise InvalidInputError("model must be a PointCloud")
     return SpatialIndex(model)
 
 

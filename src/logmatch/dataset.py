@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _integer
+from .errors import InvalidInputError, _integer, _real
 from .predictor import LogRecord
 
 
@@ -54,8 +54,8 @@ class SplitSpec:
     runs: int = 10
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.train_fraction < 1.0):
-            raise InvalidInputError(f"train_fraction must be in (0, 1), got {self.train_fraction!r}")
+        fraction = _real("train_fraction", self.train_fraction, 0.0, 1.0, strict=True)
+        object.__setattr__(self, "train_fraction", fraction)
         object.__setattr__(self, "seed", _integer("seed", self.seed, 0, 2**64))
         object.__setattr__(self, "runs", _integer("runs", self.runs, 1))
 
@@ -67,11 +67,9 @@ def split_indices(n: int, spec: SplitSpec, run_index: int) -> tuple[np.ndarray, 
     run_index), so the same pair always yields the same partition; the
     first floor(n * train_fraction) shuffled indices are the training set.
     """
-    if not (0 <= run_index < spec.runs):
-        raise InvalidInputError(f"run_index must be in [0, {spec.runs}), got {run_index!r}")
-    if n < 2:
-        raise InvalidInputError(f"need at least 2 records to split, got {n}")
-    rng = np.random.default_rng([spec.seed, int(run_index)])
+    run_index = _integer("run_index", run_index, 0, spec.runs)
+    n = _integer("n", n, 2)
+    rng = np.random.default_rng([spec.seed, run_index])
     order = rng.permutation(n)
     # Guard the floor against representation error of fractions like 0.6.
     n_train = int(math.floor(n * spec.train_fraction + 1e-9))

@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and its one integer check."""
+"""Exception types shared across the package, and its checks of public
+scalar arguments: counts and indices (_integer), reals (_real) and flags
+(_flag). Each returns the value as the Python type it stands for."""
+
+import math
 
 import numpy as np
 
@@ -26,9 +30,9 @@ class ParseError(LogmatchError, ValueError):
         super().__init__(f"{where}: {message}")
 
     def __reduce__(self):
-        # Rebuild from the constructor's own arguments; the default would
-        # pass only the formatted message. Worker errors cross processes
-        # by pickling.
+        # Rebuild from the constructor's own arguments, so that a pickled
+        # error keeps its path and line; the default would pass only the
+        # formatted message.
         return (type(self), (self.path, self.message, self.line))
 
 
@@ -40,3 +44,26 @@ def _integer(name: str, value: object, low: int, high: int | None = None) -> int
         bound = f">= {low}" if high is None else f"in [{low}, {high})"
         raise InvalidInputError(f"{name} must be {bound}, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value: object, low: float = -math.inf, high: float = math.inf,
+          strict: bool = False) -> float:
+    """value as a finite float in [low, high], or in (low, high) when strict:
+    a Python or numpy real, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+    real = float(value)
+    if not (math.isfinite(real) and (low < real < high if strict else low <= real <= high)):
+        if high < math.inf:
+            bound = f"in {'(' if strict else '['}{low:g}, {high:g}{')' if strict else ']'}"
+        else:
+            bound = "finite" if low == -math.inf else f"finite and {'>' if strict else '>='} {low:g}"
+        raise InvalidInputError(f"{name} must be {bound}, got {value!r}")
+    return real
+
+
+def _flag(name: str, value: object) -> bool:
+    """value as a bool: a Python bool or a numpy bool_."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidInputError(f"{name} must be a bool, got {value!r}")
+    return bool(value)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _real
 
 # Constructor tolerance on the quaternion sum of squares.
 _UNIT_SUMSQ_TOL = 1e-9
@@ -102,17 +102,13 @@ class UnitQuaternion:
     q3: float
 
     def __post_init__(self) -> None:
-        comps = tuple(float(getattr(self, name)) for name in ("q0", "q1", "q2", "q3"))
-        if not all(math.isfinite(c) for c in comps):
-            raise InvalidInputError(f"quaternion components must be finite, got {comps}")
+        names = ("q0", "q1", "q2", "q3")
+        comps = tuple(_real(name, getattr(self, name)) for name in names)
         sumsq = sum(c * c for c in comps)
         if abs(sumsq - 1.0) > _UNIT_SUMSQ_TOL:
             raise InvalidInputError(f"quaternion is not unit length: sum of squares {sumsq!r}")
-        q0, q1, q2, q3 = _canonical_sign(*comps)
-        object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "q3", q3)
+        for name, c in zip(names, _canonical_sign(*comps)):
+            object.__setattr__(self, name, c)
 
     @classmethod
     def identity(cls) -> "UnitQuaternion":
@@ -126,7 +122,7 @@ class UnitQuaternion:
         if norm < 1e-12:
             raise InvalidInputError("rotation axis must be nonzero")
         ax = ax / norm
-        half = 0.5 * float(angle)
+        half = 0.5 * _real("angle", angle)
         s = math.sin(half)
         return cls(math.cos(half), s * ax[0], s * ax[1], s * ax[2])
 

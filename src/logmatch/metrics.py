@@ -19,11 +19,10 @@ empty basket and scores 1 (distances 0) everywhere.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _flag, _integer, _real
 from .predictor import ProductBasket
 
 
@@ -53,8 +52,8 @@ class MetricConfig:
     filter_zero_pairs: bool = True
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise InvalidInputError(f"epsilon must be positive, got {self.epsilon!r}")
+        object.__setattr__(self, "epsilon", _real("epsilon", self.epsilon, 0.0, strict=True))
+        object.__setattr__(self, "filter_zero_pairs", _flag("filter_zero_pairs", self.filter_zero_pairs))
 
 
 @dataclass(frozen=True)
@@ -71,12 +70,8 @@ class ScoreReport:
 
     def __post_init__(self) -> None:
         for name in ("s_z", "one_minus_dH", "one_minus_dHplus", "s_pre", "s_pro", "s_pro_x_pre"):
-            value = float(getattr(self, name))
-            if not (0.0 <= value <= 1.0):
-                raise InvalidInputError(f"score {name} out of [0, 1]: {value!r}")
-            object.__setattr__(self, name, value)
-        if self.n_evaluated < 1:
-            raise InvalidInputError(f"n_evaluated must be >= 1, got {self.n_evaluated!r}")
+            object.__setattr__(self, name, _real(name, getattr(self, name), 0.0, 1.0))
+        object.__setattr__(self, "n_evaluated", _integer("n_evaluated", self.n_evaluated, 1))
 
     def values(self) -> tuple[float, float, float, float, float, float]:
         return (self.s_z, self.one_minus_dH, self.one_minus_dHplus,

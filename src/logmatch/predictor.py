@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .correspondence import _SCAN_MAX
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _integer, _real
 from .geometry import PointCloud
 from .registration import IcpConfig, _Alignments, _align_pairs
 
@@ -88,16 +88,11 @@ class LogFeatures:
     taper: float
 
     def __post_init__(self) -> None:
-        values = {name: float(getattr(self, name)) for name in
-                  ("volume", "length", "wide_end_diameter", "narrow_end_diameter", "taper")}
-        if not all(math.isfinite(v) for v in values.values()):
-            raise InvalidInputError(f"features must be finite, got {values}")
-        if values["length"] <= 0.0:
-            raise InvalidInputError(f"length must be positive, got {values['length']!r}")
-        if not values["wide_end_diameter"] >= values["narrow_end_diameter"] >= 0.0:
+        for name in ("volume", "wide_end_diameter", "narrow_end_diameter", "taper"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        object.__setattr__(self, "length", _real("length", self.length, 0.0, strict=True))
+        if not self.wide_end_diameter >= self.narrow_end_diameter >= 0.0:
             raise InvalidInputError("end diameters must satisfy wide >= narrow >= 0")
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
 
     def as_array(self) -> np.ndarray:
         return np.array(
@@ -133,6 +128,8 @@ class PredictionOutcome:
     def __post_init__(self) -> None:
         if (self.neighbor_id is None) != (self.distance is None):
             raise InvalidInputError("neighbor_id and distance must be present together")
+        if self.distance is not None:
+            object.__setattr__(self, "distance", _real("distance", self.distance, 0.0))
 
 
 def _round_half_up(values: np.ndarray) -> np.ndarray:
@@ -211,14 +208,10 @@ def _icp_alignments(
     back into pair order. A pair's outcome does not depend on the batch or
     worker that computes it, so neither does the result.
     """
-    if jobs < 1:
-        raise InvalidInputError(f"jobs must be >= 1, got {jobs!r}")
+    jobs = _integer("jobs", jobs, 1)
     cfg = cfg or IcpConfig()
     n = len(scans)
-    wanted = sorted({(int(i), int(j)) for i, j in pairs})
-    for i, j in wanted:
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidInputError(f"pair {(i, j)} is out of range for {n} scans")
+    wanted = sorted({(_integer("pair id", i, 0, n), _integer("pair id", j, 0, n)) for i, j in pairs})
     distances = np.full((n, n), np.nan)
     out = _Alignments.empty(len(wanted))
     models = sorted({j for _, j in wanted})
@@ -451,7 +444,7 @@ def knn_feature_predict(
         raise InvalidInputError(f"{len(train_features)} train_features for {len(train)} training records")
     if query_ids is not None and len(query_ids) != len(query_features):
         raise InvalidInputError(f"{len(query_ids)} query_ids for {len(query_features)} query_features")
-    if k < 1 or k > len(train):
+    if _integer("k", k, 1) > len(train):
         raise InvalidInputError(f"k must be in [1, {len(train)}], got {k}")
 
     table = np.stack([features.as_array() for features in train_features])

@@ -33,7 +33,6 @@ keeps the smaller of the fitted and the incumbent error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -41,7 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .correspondence import CorrespondenceSet, SpatialIndex, _NeighbourCache, build_index
-from .errors import InvalidInputError, NumericalError, _integer
+from .errors import InvalidInputError, NumericalError, _flag, _integer, _real
 from .geometry import PointCloud, RigidTransform, UnitQuaternion, _rotation_matrix, _squared_distances
 
 _SYMMETRY_TOL = 1e-9
@@ -55,10 +54,7 @@ class RegistrationResult:
     mse: float
 
     def __post_init__(self) -> None:
-        value = float(self.mse)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise InvalidInputError(f"mse must be finite and non-negative, got {value!r}")
-        object.__setattr__(self, "mse", value)
+        object.__setattr__(self, "mse", _real("mse", self.mse, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +76,8 @@ class IcpConfig:
     stride: int = 1
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise InvalidInputError(f"tau must be positive, got {self.tau!r}")
+        object.__setattr__(self, "tau", _real("tau", self.tau, 0.0, strict=True))
+        object.__setattr__(self, "pre_align", _flag("pre_align", self.pre_align))
         for name in ("max_iterations", "stride"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
 
@@ -98,6 +94,10 @@ class IcpIteration:
     index: int
     mse: float
     transform: RigidTransform
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", _integer("index", self.index, 0))
+        object.__setattr__(self, "mse", _real("mse", self.mse, 0.0))
 
 
 @dataclass(frozen=True, eq=False)

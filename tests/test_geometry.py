@@ -102,7 +102,7 @@ class TestUnitQuaternion:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(InvalidInputError, match="quaternion components must be finite"):
+        with pytest.raises(InvalidInputError, match="q2 must be finite"):
             UnitQuaternion(1.0, 0.0, bad, 0.0)
 
     def test_from_axis_angle_rejects_zero_axis(self):

@@ -377,7 +377,7 @@ class TestExtractFeatures:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_feature_rejected(self, bad):
-        with pytest.raises(InvalidInputError, match="features must be finite"):
+        with pytest.raises(InvalidInputError, match="taper must be finite"):
             LogFeatures(1.0, 10.0, 2.0, 1.0, bad)
 
     @staticmethod
