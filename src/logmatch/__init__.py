@@ -52,7 +52,6 @@ from .predictor import (
     PredictionOutcome,
     ProductBasket,
     extract_features,
-    icp_distance_matrix,
     icp_nn_predict_batch,
     knn_feature_predict,
     mean_predict,
@@ -67,6 +66,7 @@ from .registration import (
     compute_registration,
     icp_align,
     icp_distance,
+    icp_distance_matrix,
     max_eigenvector,
 )
 

@@ -29,7 +29,7 @@ from .errors import InvalidInputError, NumericalError, ParseError
 from .metrics import MetricConfig, ScoredPair, ScoreReport
 from .geometry import PointCloud
 from .predictor import LogFeatures, PredictionOutcome
-from .registration import IcpConfig, icp_align
+from .registration import IcpConfig, icp_align, icp_distance_matrix
 
 PREDICTOR_NAMES = ("icp", "mean", "knn")
 
@@ -304,7 +304,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         # Every run's (test, train) pairs, each aligned once for the command.
         pairs = {(i, j) for train_idx, test_idx in splits
                  for i in test_idx.tolist() for j in train_idx.tolist()}
-        distances = predictor_mod.icp_distance_matrix(
+        distances = icp_distance_matrix(
             [rec.scan for rec in ds.records], pairs, icp_cfg, args.jobs)
         requested = sum(len(train_idx) * len(test_idx) for train_idx, test_idx in splits)
         print(f"aligned {len(pairs)} distinct pairs for {requested} requested over {spec.runs} runs",

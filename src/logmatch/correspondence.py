@@ -41,7 +41,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _instance
 from .geometry import B, PointCloud, _squared_distances
 
 # Models of at most this many points are matched by the linear scan, larger
@@ -95,9 +95,7 @@ class SpatialIndex:
     __slots__ = ("_points", "_columns", "_tree")
 
     def __init__(self, model: PointCloud):
-        if not isinstance(model, PointCloud):
-            raise InvalidInputError("model must be a PointCloud")
-        pts = np.array(model.xyz, dtype=np.float64)
+        pts = np.array(_instance("model", model, PointCloud).xyz, dtype=np.float64)
         pts.setflags(write=False)
         self._points = pts
         if len(pts) <= _SCAN_MAX:

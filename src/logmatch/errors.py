@@ -1,6 +1,7 @@
 """Exception types shared across the package, and its checks of public
-scalar arguments: counts and indices (_integer), reals (_real) and flags
-(_flag). Each returns the value as the Python type it stands for."""
+arguments: counts and indices (_integer), reals (_real), flags (_flag) and
+objects of one class (_instance). Each returns the value as the type it
+stands for."""
 
 import math
 
@@ -67,3 +68,11 @@ def _flag(name: str, value: object) -> bool:
     if not isinstance(value, (bool, np.bool_)):
         raise InvalidInputError(f"{name} must be a bool, got {value!r}")
     return bool(value)
+
+
+def _instance(name: str, value: object, cls: type) -> object:
+    """value, which must be an instance of cls."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIO" else "a"  # a UnitQuaternion, an IcpConfig
+        raise InvalidInputError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
+    return value

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, _real
+from .errors import InvalidInputError, _instance, _real
 
 # Constructor tolerance on the quaternion sum of squares.
 _UNIT_SUMSQ_TOL = 1e-9
@@ -53,7 +53,10 @@ class PointCloud:
     xyz: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.xyz, dtype=np.float64)
+        try:
+            arr = np.array(self.xyz, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"point cloud must be an array of reals: {exc}") from None
         if arr.ndim != 2 or arr.shape[1] != 3:
             raise InvalidInputError(f"point cloud must have shape (n, 3), got {arr.shape}")
         if arr.shape[0] < 1:
@@ -163,8 +166,7 @@ class RigidTransform:
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rotation, UnitQuaternion):
-            raise InvalidInputError("rotation must be a UnitQuaternion")
+        _instance("rotation", self.rotation, UnitQuaternion)
         t = np.array(self.translation, dtype=np.float64).reshape(-1)
         if t.shape != (3,):
             raise InvalidInputError(f"translation must be a 3-vector, got shape {t.shape}")

@@ -30,8 +30,9 @@ such an error, naming its token.
 Every file is read as UTF-8; other bytes are a parse error at their line.
 
 Scan data lines are converted in one ``np.loadtxt`` call when the text is
-ASCII, every data line is a row (no blank lines), csv cells are unquoted,
-and the result has the expected shape and only coordinates within B. That
+ASCII, every data line is a row (no blank lines), csv cells are unquoted
+and no csv line is longer than the csv module's field size limit, and the
+result has the expected shape and only coordinates within B. That
 call splits fields and converts numbers as ``str.split``, ``csv`` and
 ``float`` do, except that it rejects some forms ``float`` accepts, such as
 ``1_0``. Any other file, and any file it fails on, goes through the
@@ -120,7 +121,8 @@ def _array_points(path, fmt: str, text: str, lines: list[str]) -> np.ndarray | N
     if fmt == "xyz":
         points = _number_rows(lines, None, 3)
     elif fmt == "csv":
-        if '"' in text or not lines or [cell.strip() for cell in lines[0].split(",")] != ["x", "y", "z"]:
+        if ('"' in text or not lines or [cell.strip() for cell in lines[0].split(",")] != ["x", "y", "z"]
+                or max(map(len, lines)) > csv.field_size_limit()):
             return None
         points = _number_rows(lines[1:], ",", 3)
     else:

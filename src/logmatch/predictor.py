@@ -10,17 +10,15 @@ a small standardized feature space derived from the scan geometry.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .correspondence import _SCAN_MAX
 from .errors import InvalidInputError, _integer, _real
 from .geometry import PointCloud
-from .registration import IcpConfig, _Alignments, _align_pairs
+from .registration import IcpConfig, icp_distance_matrix
 
 _FEATURE_MIN_POINTS = 10
 _END_SLAB_FRACTION = 0.05
@@ -34,12 +32,6 @@ _TURN_FLOOR = sys.float_info.min
 # sqrt(n - 1) for n logs) by under 2 * _Z_REACH: five squares sum under a
 # quarter of the float maximum. Within geometry.B, _Z_REACH * sd is finite.
 _Z_REACH = math.sqrt(sys.float_info.max / 5) / 4
-# Pool workers are forked where the platform can fork, so that they inherit
-# the parent's imports (scipy's k-d tree among them, when a model is too
-# large for the linear scan); elsewhere they are spawned and import what
-# they use. os.fork tells which without importing multiprocessing, whose
-# modules load only when a pool starts.
-_START_METHOD = "fork" if hasattr(os, "fork") else "spawn"
 
 
 @dataclass(frozen=True)
@@ -162,9 +154,9 @@ def icp_nn_predict_batch(
     """ICP nearest-neighbour prediction for many queries.
 
     Aligns every query onto every training scan with icp_distance_matrix,
-    whose jobs workers each take a round-robin share of the training scans,
-    and picks each query's neighbour with nn_predict_from_distances. Results
-    do not depend on the worker count.
+    which shares the alignments among up to jobs worker processes, and
+    picks each query's neighbour with nn_predict_from_distances. Results do
+    not depend on the worker count.
     """
     _check_train(train)
     n = len(train)
@@ -172,76 +164,6 @@ def icp_nn_predict_batch(
     pairs = [(n + q, t) for q in range(len(queries)) for t in range(n)]
     distances = icp_distance_matrix(scans, pairs, cfg, jobs)
     return nn_predict_from_distances(train, distances[n:, :n])
-
-
-def icp_distance_matrix(
-    scans: Sequence[PointCloud],
-    pairs: Iterable[tuple[int, int]],
-    cfg: IcpConfig | None = None,
-    jobs: int = 1,
-) -> np.ndarray:
-    """ICP distance of scans[i] aligned onto scans[j] for every (i, j) in pairs.
-
-    Returns a dense (n, n) array over the n scans with each requested
-    distance at [i, j] and NaN everywhere else; a pair listed twice is
-    aligned once. The alignments run as _icp_alignments runs them, so the
-    array does not depend on jobs.
-    """
-    return _icp_alignments(scans, pairs, cfg, jobs)[0]
-
-
-def _icp_alignments(
-    scans: Sequence[PointCloud],
-    pairs: Iterable[tuple[int, int]],
-    cfg: IcpConfig | None = None,
-    jobs: int = 1,
-) -> tuple[np.ndarray, list[tuple[int, int]], _Alignments]:
-    """icp_distance_matrix's array, the distinct pairs in sorted order, and
-    the engine's _Alignments record of each (mse, iterations, converged,
-    queried), parallel to them.
-
-    The model scans (the j's) are dealt round-robin, in index order, to up
-    to jobs worker processes of one pool, forked where the platform can
-    fork and spawned elsewhere. Each worker runs _align_pairs once on its
-    pairs, unchanged, and the slice of scans they name, keyed by their ids,
-    builds its models' indices, and returns its record, which is scattered
-    back into pair order. A pair's outcome does not depend on the batch or
-    worker that computes it, so neither does the result.
-    """
-    jobs = _integer("jobs", jobs, 1)
-    cfg = cfg or IcpConfig()
-    n = len(scans)
-    wanted = sorted({(_integer("pair id", i, 0, n), _integer("pair id", j, 0, n)) for i, j in pairs})
-    distances = np.full((n, n), np.nan)
-    out = _Alignments.empty(len(wanted))
-    models = sorted({j for _, j in wanted})
-    if not models:
-        return distances, wanted, out
-    workers = min(jobs, len(models))
-    worker_of = {j: k % workers for k, j in enumerate(models)}
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    for k, (_, j) in enumerate(wanted):
-        shares[worker_of[j]].append(k)
-    share_pairs = [[wanted[k] for k in share] for share in shares]
-    tasks = [({i: scans[i] for pair in task for i in pair}, task, cfg) for task in share_pairs]
-    if workers > 1:
-        # The pool modules load here only, so a --jobs 1 process never pays for them.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        if _START_METHOD == "fork" and any(len(scans[j]) > _SCAN_MAX for j in models):
-            import scipy.spatial  # noqa: F401  (imported once, before the workers fork)
-        context = multiprocessing.get_context(_START_METHOD)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            futures = [pool.submit(_align_pairs, *task) for task in tasks]
-            runs = [future.result() for future in futures]
-    else:
-        runs = [_align_pairs(*tasks[0])]
-    for share, run in zip(shares, runs):
-        for name in ("mse", "iterations", "converged", "queried"):
-            getattr(out, name)[share] = getattr(run, name)
-    distances[tuple(np.array(wanted).T)] = out.mse
-    return distances, wanted, out
 
 
 def nn_predict_from_distances(

@@ -19,7 +19,10 @@ segment sums over its own points, with one call of LAPACK's symmetric
 eigensolver (numpy.linalg.eigh) that factors each 4x4 matrix on its own,
 places the pair's points and returns its mean squared residual. Nothing a
 pair computes reads another pair's data, so its result is bit-identical
-alone or in any batch; the single-pair functions are batches of one.
+alone or in any batch; the single-pair functions are batches of one. The
+batch API, icp_distance_matrix, can share its pairs among worker processes
+of one pool: their models are dealt round-robin to the workers, each of
+which runs the engine on its share. The pool modules load only then.
 
 Iterating matching and fitting yields ICP, whose recorded mean-square error
 never increases, exactly and not within a tolerance, until it converges to
@@ -33,17 +36,24 @@ keeps the smaller of the fitted and the incumbent error.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .correspondence import CorrespondenceSet, SpatialIndex, _NeighbourCache, build_index
-from .errors import InvalidInputError, NumericalError, _flag, _integer, _real
+from .correspondence import CorrespondenceSet, SpatialIndex, _NeighbourCache, _SCAN_MAX, build_index
+from .errors import InvalidInputError, NumericalError, _flag, _instance, _integer, _real
 from .geometry import PointCloud, RigidTransform, UnitQuaternion, _rotation_matrix, _squared_distances
 
 _SYMMETRY_TOL = 1e-9
+# Pool workers are forked where the platform can fork, so that they inherit
+# the parent's imports (scipy's k-d tree among them, when a model is too
+# large for the linear scan); elsewhere they are spawned and import what
+# they use. os.fork tells which without importing multiprocessing, whose
+# modules load only when a pool starts.
+_START_METHOD = "fork" if hasattr(os, "fork") else "spawn"
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,28 +320,67 @@ class _Alignments:
             history=[[] for _ in range(n)] if record else None,
         )
 
+    def scatter(self, at: list[int], part: _Alignments) -> None:
+        """Copy part, the record of the pairs at positions at, into place."""
+        for name in ("mse", "iterations", "converged", "queried"):
+            getattr(self, name)[at] = getattr(part, name)
+        if self.history is not None:
+            for k, history in zip(at, part.history):
+                self.history[k] = history
+
 
 def _align_pairs(
     scans: Sequence[PointCloud] | Mapping[int, PointCloud],
     pairs: Sequence[tuple[int, int]],
     cfg: IcpConfig,
     record: bool = False,
+    jobs: int = 1,
 ) -> _Alignments:
     """Align scans[i] onto scans[j] for every (i, j) in pairs, in lockstep;
     scans is icp_distance_matrix's, or a slice of it keyed by the same ids.
+    Every alignment of the package runs here.
 
-    Pairs are grouped by model, whose exact index is built here, and cut
-    into batches of at most _BATCH_POINTS stacked points. Within a batch,
-    every iteration matches each stacked point exactly (_NeighbourCache),
-    fits all pairs at once, and retires each pair as soon as it converges
-    or reaches cfg.max_iterations. Every per-pair quantity is computed from
-    that pair's own points, so each result is bit-identical to aligning the
-    pair alone, whatever batch or order it runs in.
+    With jobs > 1, the models (the j's) are dealt round-robin, in index
+    order, to up to jobs worker processes of one pool, forked where the
+    platform can fork and spawned elsewhere. Each worker runs _align_pairs
+    with jobs=1 on the pairs of its models and the slice of scans they
+    name, and its record is scattered back into pair order.
+
+    Otherwise pairs are grouped by model, whose exact index is built here,
+    and cut into batches of at most _BATCH_POINTS stacked points. Within a
+    batch, every iteration matches each stacked point exactly
+    (_NeighbourCache), fits all pairs at once, and retires each pair as soon
+    as it converges or reaches cfg.max_iterations. Every per-pair quantity
+    is computed from that pair's own points, so each result is bit-identical
+    to aligning the pair alone, whatever batch, order or worker it runs in.
     """
     n = len(pairs)
-    indices = {j: build_index(scans[j]) for j in sorted({j for _, j in pairs})}
-    strided = {i: scans[i].xyz[:: cfg.stride] for i in {i for i, _ in pairs}}
+    models = sorted({j for _, j in pairs})
     out = _Alignments.empty(n, record)
+    workers = min(jobs, len(models))
+    if workers > 1:
+        shares: list[list[int]] = [[] for _ in range(workers)]
+        worker_of = {j: k % workers for k, j in enumerate(models)}
+        for k, (_, j) in enumerate(pairs):
+            shares[worker_of[j]].append(k)
+        # The pool modules load here only, so a --jobs 1 process never pays for them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if _START_METHOD == "fork" and any(len(scans[j]) > _SCAN_MAX for j in models):
+            import scipy.spatial  # noqa: F401  (imported once, before the workers fork)
+        context = multiprocessing.get_context(_START_METHOD)
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            futures = []
+            for share in shares:
+                task = [pairs[k] for k in share]
+                futures.append(pool.submit(_align_pairs, {i: scans[i] for pair in task for i in pair},
+                                           task, cfg, record))
+            for share, future in zip(shares, futures):
+                out.scatter(share, future.result())
+        return out
+    indices = {j: build_index(scans[j]) for j in models}
+    strided = {i: scans[i].xyz[:: cfg.stride] for i in {i for i, _ in pairs}}
     order = sorted(range(n), key=lambda k: pairs[k][1])
     batch: list[int] = []
     size = 0
@@ -428,8 +477,8 @@ def icp_align(
     no predecessor, so convergence is checked from the second iteration on.
     This is the lockstep engine on a batch of one pair.
     """
-    cfg = cfg or IcpConfig()
-    run = _align_pairs([moving, model], [(0, 1)], cfg, record=True)
+    clouds = [_instance("moving", moving, PointCloud), _instance("model", model, PointCloud)]
+    run = _align_pairs(clouds, [(0, 1)], _config(cfg), record=True)
     entries = tuple(
         IcpIteration(k, e, RigidTransform(UnitQuaternion(*q), t))
         for k, (e, q, t) in enumerate(run.history[0])
@@ -447,3 +496,34 @@ def icp_distance(a: PointCloud, b: PointCloud, cfg: IcpConfig | None = None) -> 
     """
     result, _ = icp_align(a, b, cfg)
     return result.mse
+
+
+def icp_distance_matrix(
+    scans: Sequence[PointCloud],
+    pairs: Iterable[tuple[int, int]],
+    cfg: IcpConfig | None = None,
+    jobs: int = 1,
+) -> np.ndarray:
+    """ICP distance of scans[i] aligned onto scans[j] for every (i, j) in pairs.
+
+    Returns a dense (n, n) array over the n scans with each requested
+    distance at [i, j] and NaN everywhere else; a pair listed twice is
+    aligned once. The distinct pairs run, in sorted order, through
+    _align_pairs with up to jobs worker processes, so the array does not
+    depend on jobs.
+    """
+    jobs = _integer("jobs", jobs, 1)
+    cfg = _config(cfg)
+    n = len(scans)
+    wanted = sorted({(_integer("pair id", i, 0, n), _integer("pair id", j, 0, n)) for i, j in pairs})
+    for k in sorted({k for pair in wanted for k in pair}):
+        _instance(f"scans[{k}]", scans[k], PointCloud)
+    distances = np.full((n, n), np.nan)
+    if wanted:
+        distances[tuple(np.array(wanted).T)] = _align_pairs(scans, wanted, cfg, jobs=jobs).mse
+    return distances
+
+
+def _config(cfg: IcpConfig | None) -> IcpConfig:
+    """cfg, or the default configuration when it is None."""
+    return IcpConfig() if cfg is None else _instance("cfg", cfg, IcpConfig)

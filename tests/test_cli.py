@@ -314,7 +314,6 @@ def no_alignment(monkeypatch):
         raise AssertionError("an alignment ran")
 
     monkeypatch.setattr(registration, "_align_pairs", refuse)
-    monkeypatch.setattr(predictor, "_align_pairs", refuse)
 
 
 @pytest.fixture()
@@ -327,7 +326,7 @@ def pool_count(monkeypatch):
             built.append(kwargs.get("max_workers"))
             super().__init__(*args, **kwargs)
 
-    # predictor imports the pool from concurrent.futures when it starts one.
+    # registration imports the pool from concurrent.futures when it starts one.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     return built
 

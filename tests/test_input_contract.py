@@ -34,6 +34,8 @@ from logmatch import (
     SplitSpec,
     UnitQuaternion,
     build_index,
+    icp_align,
+    icp_distance,
     icp_distance_matrix,
     icp_nn_predict_batch,
     knn_feature_predict,
@@ -206,3 +208,27 @@ def test_spatial_index_refuses_a_bare_array():
         SpatialIndex(np.zeros((3, 3)))
     with pytest.raises(InvalidInputError, match="model must be a PointCloud"):
         build_index(np.zeros((3, 3)))
+
+
+# Object arguments of the wrong type, each refused with the name it is given.
+_CLOUD = _SCANS[0]
+OBJECTS = {
+    "icp_align(moving=ndarray)": ("moving", lambda: icp_align(_CLOUD.xyz, _CLOUD)),
+    "icp_align(model=ndarray)": ("model", lambda: icp_align(_CLOUD, _CLOUD.xyz)),
+    "icp_align(cfg=dict)": ("cfg", lambda: icp_align(_CLOUD, _CLOUD, {"tau": 1})),
+    "icp_distance(cfg=3)": ("cfg", lambda: icp_distance(_CLOUD, _CLOUD, 3)),
+    "icp_distance(cfg=0)": ("cfg", lambda: icp_distance(_CLOUD, _CLOUD, 0)),
+    "icp_distance_matrix(scans[0]=ndarray)": (
+        r"scans\[0\]", lambda: icp_distance_matrix([_CLOUD.xyz, _CLOUD], [(0, 1)])),
+    "icp_distance_matrix(cfg=dict)": ("cfg", lambda: icp_distance_matrix([_CLOUD, _CLOUD], [(0, 1)], {"tau": 1})),
+    "icp_distance_matrix(cfg=[])": ("cfg", lambda: icp_distance_matrix([_CLOUD, _CLOUD], [(0, 1)], [])),
+    "RigidTransform(rotation=dict)": ("rotation", lambda: RigidTransform(_QUATERNION)),
+    "PointCloud(str)": ("point cloud", lambda: PointCloud("abc")),
+    "PointCloud(object cell)": ("point cloud", lambda: PointCloud([[1.0, 2.0, object()]])),
+}
+
+
+@pytest.mark.parametrize("says, call", OBJECTS.values(), ids=OBJECTS.keys())
+def test_wrong_object_is_refused_by_name(says, call):
+    with pytest.raises(InvalidInputError, match=rf"^{says} must be"):
+        call()

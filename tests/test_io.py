@@ -258,6 +258,8 @@ CSV_CASES = [
     # cells over the csv field size limit (131072 characters)
     f"x,y,z\n{'1' * 200_000},2,3\n", f"x,y,z\n1,2,3\n4,5,{'a' * 200_000}\n",
     f"x,y,z\n1,\"{'2' * 200_000}\",3\n",
+    # finite cells over that limit, which the array path must not take
+    f"x,y,z\n{'0' * 200_000}1,2,3\n", f"x,y,z\n1,2,3\n4,5,1.{'0' * 200_000}\n",
 ]
 
 PLY_CASES = [

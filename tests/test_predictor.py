@@ -29,7 +29,7 @@ from logmatch import (
     mean_predict,
     nn_predict_from_distances,
 )
-from logmatch import IcpConfig, predictor
+from logmatch import IcpConfig, predictor, registration
 from logmatch.correspondence import _SCAN_MAX
 from logmatch.geometry import B, RigidTransform
 from logmatch.registration import _align_pairs
@@ -41,11 +41,11 @@ from pathlib import Path
 
 import numpy as np
 
-from logmatch import PointCloud, icp_distance_matrix, predictor
+from logmatch import PointCloud, icp_distance_matrix, registration
 
 
 def main(root):
-    predictor._START_METHOD = "spawn"
+    registration._START_METHOD = "spawn"
     scans = [PointCloud(xyz) for xyz in np.load(root / "scans.npy")]
     pairs = [(i, j) for i in range(len(scans)) for j in range(len(scans)) if i != j]
     distances = icp_distance_matrix(scans, pairs, jobs=2)
@@ -240,14 +240,14 @@ class TestDistanceMatrix:
                 future.set_result(fn(*args))
                 return future
 
-        # predictor imports the pool from concurrent.futures when it starts one.
+        # registration imports the pool from concurrent.futures when it starts one.
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         assert icp_distance_matrix(scans, pairs, jobs=10_000).tobytes() == serial.tobytes()
-        assert built == [(3, predictor._START_METHOD)]
+        assert built == [(3, registration._START_METHOD)]
 
     def test_workers_fork_where_the_platform_can(self):
         methods = multiprocessing.get_all_start_methods()
-        assert predictor._START_METHOD == ("fork" if "fork" in methods else "spawn")
+        assert registration._START_METHOD == ("fork" if "fork" in methods else "spawn")
 
     @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
     def test_same_bytes_under_every_start_method(self, monkeypatch, method):
@@ -255,7 +255,7 @@ class TestDistanceMatrix:
         scans = [log_like_cloud(rng, 16 + 5 * i) for i in range(4)]
         pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
         serial = icp_distance_matrix(scans, pairs, jobs=1)
-        monkeypatch.setattr(predictor, "_START_METHOD", method)
+        monkeypatch.setattr(registration, "_START_METHOD", method)
         assert icp_distance_matrix(scans, pairs, jobs=2).tobytes() == serial.tobytes()
 
     def test_library_caller_under_spawn(self, tmp_path):
@@ -282,9 +282,10 @@ class TestDistanceMatrix:
         pairs = [(i, j) for i in range(5) for j in range(5) if i != j] + [(2, 1)]
         cfg = IcpConfig(max_iterations=8)
         fields = ("mse", "iterations", "converged", "queried")
-        distances, wanted, run = predictor._icp_alignments(scans, pairs, cfg, jobs=1)
-        assert wanted == sorted(set(pairs))
-        assert distances.tobytes() == icp_distance_matrix(scans, pairs, cfg, jobs=1).tobytes()
+        wanted = sorted(set(pairs))
+        distances = icp_distance_matrix(scans, pairs, cfg, jobs=1)
+        assert [tuple(ij) for ij in np.argwhere(~np.isnan(distances)).tolist()] == wanted
+        run = _align_pairs(scans, wanted, cfg, jobs=1)
         assert run.converged.any() and not run.converged.all()
         assert run.history is None
         for k, (i, j) in enumerate(wanted):
@@ -292,16 +293,28 @@ class TestDistanceMatrix:
             assert [getattr(run, name)[k] for name in fields] == [getattr(alone, name)[0] for name in fields]
             assert distances[i, j] == run.mse[k]
 
-        def as_bytes(result):
-            distances, wanted, run = result
-            return distances.tobytes(), wanted, [(getattr(run, name).dtype, getattr(run, name).tobytes())
-                                                 for name in fields]
+        def as_bytes(run):
+            return [(getattr(run, name).dtype, getattr(run, name).tobytes()) for name in fields]
 
-        serial = as_bytes((distances, wanted, run))
+        serial = as_bytes(run)
         for jobs in (2, 3):
-            assert as_bytes(predictor._icp_alignments(scans, pairs, cfg, jobs=jobs)) == serial, f"jobs {jobs}"
-        monkeypatch.setattr(predictor, "_START_METHOD", "spawn")
-        assert as_bytes(predictor._icp_alignments(scans, pairs, cfg, jobs=2)) == serial
+            assert as_bytes(_align_pairs(scans, wanted, cfg, jobs=jobs)) == serial, f"jobs {jobs}"
+        monkeypatch.setattr(registration, "_START_METHOD", "spawn")
+        assert as_bytes(_align_pairs(scans, wanted, cfg, jobs=2)) == serial
+
+    def test_histories_through_the_pool(self):
+        rng = np.random.default_rng(24)
+        scans = [log_like_cloud(rng, n) for n in (16, 24, 40, _SCAN_MAX + 16)]
+        pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+        cfg = IcpConfig(max_iterations=8)
+
+        def histories(run):
+            return [[(e, q.tobytes(), t.tobytes()) for e, q, t in history] for history in run.history]
+
+        serial = _align_pairs(scans, pairs, cfg, record=True, jobs=1)
+        pooled = _align_pairs(scans, pairs, cfg, record=True, jobs=2)
+        assert all(serial.history) and histories(pooled) == histories(serial)
+        assert [len(history) for history in pooled.history] == pooled.iterations.tolist()
 
     def test_no_pairs_give_all_nan(self):
         scans = [box_cloud(np.random.default_rng(18), 5)]

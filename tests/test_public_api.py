@@ -1,7 +1,9 @@
 """The package's public surface: every exported name resolves, the
-README's python examples import only exported names, and its library
-example runs."""
+README's python examples import only exported names, its library example
+runs, and its modules import no private name of another module but the
+shared kernels."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -13,6 +15,15 @@ from logmatch.io import write_scan
 from synthdata import log_like_cloud, random_transform
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(__file__).resolve().parent.parent / "src" / "logmatch"
+
+# Private names that other modules may import: the argument checks, the
+# geometry kernels, and the matcher that only the ICP engine drives.
+SHARED = {
+    "errors": {name: None for name in ("_integer", "_real", "_flag", "_instance")},
+    "geometry": {name: None for name in ("_squared_distances", "_rotation_matrix")},
+    "correspondence": {"_NeighbourCache": "registration", "_SCAN_MAX": "registration"},
+}
 
 
 def test_every_export_resolves_once():
@@ -48,3 +59,18 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(example[0], str(README), "exec"), {})
     # The last line prints icp_distance of the two scans.
     assert capsys.readouterr().out.splitlines()[-1] == repr(icp_distance(moving, model))
+
+
+def test_private_names_stay_in_their_module():
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
+                continue
+            for alias in node.names:
+                if not alias.name.startswith("_"):
+                    continue
+                shared = SHARED.get(node.module, {})
+                if alias.name not in shared or shared[alias.name] not in (None, path.stem):
+                    stray.append(f"{path.name}:{node.lineno}: from .{node.module} import {alias.name}")
+    assert stray == []
