@@ -211,25 +211,21 @@ def cmd_predict(args: argparse.Namespace) -> int:
     train = io_mod.load_dataset(args.manifest_train, args.baskets)
     if len(train) == 0:
         raise InvalidInputError("training set is empty")
-    tests = io_mod.load_scans(args.manifest_test)
+    tests = dict(io_mod.load_scans(args.manifest_test))
     if args.predictor == "icp":
         outcomes = predictor_mod.icp_nn_predict_batch(
-            train.records, [scan for _, scan in tests], cfg, jobs=args.jobs)
+            train.records, list(tests.values()), cfg, jobs=args.jobs)
     elif args.predictor == "mean":
         outcomes = [PredictionOutcome(predictor_mod.mean_predict(train.records))] * len(tests)
     else:
         outcomes = predictor_mod.knn_feature_predict(
             train.records,
             [_log_features(rec.id, rec.scan) for rec in train.records],
-            [_log_features(log_id, scan) for log_id, scan in tests],
+            [_log_features(log_id, scan) for log_id, scan in tests.items()],
             args.k,
-            [log_id for log_id, _ in tests],
+            list(tests),
         )
-    rows = [
-        io_mod.PredictionRow(log_id, outcome.neighbor_id, outcome.distance, outcome.predicted)
-        for (log_id, _), outcome in zip(tests, outcomes)
-    ]
-    io_mod.write_predictions(rows, train.product_names, args.output)
+    io_mod.write_predictions(dict(zip(tests, outcomes)), train.product_names, args.output)
     return 0
 
 
@@ -237,16 +233,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _metric_config(args)
     predictions = io_mod.load_predictions(args.predictions)
     truth = io_mod.load_baskets(args.truth)
-    predicted_ids = [row.id for row in predictions]
-    missing_truth = sorted(set(predicted_ids) - set(truth))
-    missing_predictions = sorted(set(truth) - set(predicted_ids))
+    missing_truth = sorted(set(predictions) - set(truth))
+    missing_predictions = sorted(set(truth) - set(predictions))
     if missing_truth or missing_predictions:
         raise InvalidInputError(
             "prediction and truth ids do not match"
             + (f"; missing from truth: {missing_truth}" if missing_truth else "")
             + (f"; missing from predictions: {missing_predictions}" if missing_predictions else "")
         )
-    pairs = [ScoredPair(truth[row.id], row.basket) for row in predictions]
+    pairs = [ScoredPair(truth[log_id], outcome.predicted) for log_id, outcome in predictions.items()]
     report = metrics_mod.evaluate(pairs, cfg)
     io_mod.write_report(report, args.output, args.format, labels=args.label)
     return 0

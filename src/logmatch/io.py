@@ -9,7 +9,10 @@ Formats are deliberately small and exact:
 - manifest: csv ``id,scan_path`` with a sibling baskets csv
   (``<name>.baskets.csv`` next to ``<name>.csv`` unless given explicitly);
   scan paths are resolved relative to the manifest's directory.
-- predictions: csv ``id,neighbor_id,distance,<product...>``.
+- predictions: csv ``id,neighbor_id,distance,<product...>``, read back as
+  a ``PredictionOutcome`` per id. Neighbour and distance are both present
+  or both empty, and the distance is finite and >= 0; any other row is a
+  parse error at its line.
 - score reports: csv ``predictor,s_z,one_minus_dH,one_minus_dHplus,s_pre,
   s_pro,s_pro_x_pre,n`` with fixed 4-decimal scores, or json mirroring the
   same field names.
@@ -50,7 +53,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -58,7 +61,7 @@ from .dataset import Dataset
 from .errors import InvalidInputError, ParseError
 from .geometry import B, PointCloud
 from .metrics import ScoreReport
-from .predictor import LogRecord, ProductBasket
+from .predictor import LogRecord, PredictionOutcome, ProductBasket
 
 _PLY_FLOAT_TYPES = {"float", "float32", "float64", "double"}
 
@@ -456,16 +459,6 @@ def load_dataset(manifest_path, baskets_path=None) -> Dataset:
 # predictions
 
 
-@dataclass(frozen=True)
-class PredictionRow:
-    """A predicted basket for one test log, with its neighbour when known."""
-
-    id: str
-    neighbor_id: str | None
-    distance: float | None
-    basket: ProductBasket
-
-
 @contextmanager
 def _open_out(path):
     if str(path) == "-":
@@ -488,31 +481,41 @@ def _write_table(handle, header: Sequence[object], rows) -> None:
     writer.writerows(rows)
 
 
-def write_predictions(rows: Sequence[PredictionRow], product_names: Sequence[str], path) -> None:
-    """Write predictions as csv: id,neighbor_id,distance,<product...>."""
-    def cells(row: PredictionRow) -> list[object]:
-        if len(row.basket) != len(product_names):
+def write_predictions(predictions: Mapping[str, PredictionOutcome], product_names: Sequence[str],
+                      path) -> None:
+    """Write predictions as csv: id,neighbor_id,distance,<product...>, one
+    row per log id in the mapping's order."""
+    def cells(log_id: str, outcome: PredictionOutcome) -> list[object]:
+        if len(outcome.predicted) != len(product_names):
             raise InvalidInputError(
-                f"prediction for {row.id!r} has {len(row.basket)} products, expected {len(product_names)}"
+                f"prediction for {log_id!r} has {len(outcome.predicted)} products, "
+                f"expected {len(product_names)}"
             )
-        return [row.id, row.neighbor_id if row.neighbor_id is not None else "",
-                repr(float(row.distance)) if row.distance is not None else "", *row.basket.quantities]
+        return [log_id, "" if outcome.neighbor_id is None else outcome.neighbor_id,
+                "" if outcome.distance is None else repr(outcome.distance), *outcome.predicted.quantities]
 
-    _write_rows(path, ["id", "neighbor_id", "distance", *product_names], map(cells, rows))
+    _write_rows(path, ["id", "neighbor_id", "distance", *product_names], (
+        cells(log_id, outcome) for log_id, outcome in predictions.items()))
 
 
-def load_predictions(path) -> list[PredictionRow]:
-    """Read a predictions csv back into rows."""
+def load_predictions(path) -> dict[str, PredictionOutcome]:
+    """Read a predictions csv back into outcomes keyed by log id, in file order."""
     _, rows = _read_table(
         path, lambda header: header[:3] == ["id", "neighbor_id", "distance"] and len(header) >= 4,
         "id,neighbor_id,distance,<product columns>",
     )
-    return [
-        PredictionRow(log_id, neighbor.strip() or None,
-                      _parse_float(path, line, distance.strip()) if distance.strip() else None,
-                      _basket(path, line, quantities))
-        for line, log_id, (neighbor, distance, *quantities) in rows
-    ]
+    return {log_id: _outcome(path, line, cells) for line, log_id, cells in rows}
+
+
+def _outcome(path, line: int, cells: Sequence[str]) -> PredictionOutcome:
+    """The prediction of one row's cells neighbor_id,distance,<quantities>;
+    a row that is no PredictionOutcome is a ParseError at its line."""
+    neighbor, distance, *quantities = (cell.strip() for cell in cells)
+    parsed = _parse_float(path, line, distance) if distance else None
+    try:
+        return PredictionOutcome(_basket(path, line, quantities), neighbor or None, parsed)
+    except InvalidInputError as exc:
+        raise ParseError(path, str(exc), line) from None
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ import sys
 import numpy as np
 import pytest
 
-from logmatch import PointCloud, ProductBasket, SplitSpec, apply_transform, correspondence, predictor, registration
+from logmatch import (
+    PointCloud, PredictionOutcome, ProductBasket, SplitSpec, apply_transform, correspondence, predictor,
+    registration,
+)
 from logmatch.cli import _build_parser, main
 from logmatch.dataset import split_indices
 from logmatch.geometry import B
-from logmatch.io import load_dataset, load_predictions, write_predictions, write_scan, PredictionRow
+from logmatch.io import load_dataset, load_predictions, write_predictions, write_scan
 from synthdata import box_cloud, jittered_copy, log_like_cloud, random_transform, write_dataset_files
 
 EPS = 1e-6
@@ -103,12 +106,12 @@ class TestPredict:
         code, _, _ = run_cli(capsys, "predict", train, test, "--output", out_path)
         assert code == 0
         rows = load_predictions(out_path)
-        assert [r.id for r in rows] == ["test0", "test1", "test2"]
-        assert rows[0].neighbor_id == "train0"
-        assert rows[0].distance == 0.0
-        assert rows[0].basket.quantities == (2, 0, 1)
-        assert rows[1].neighbor_id == "train1"
-        assert rows[2].neighbor_id == "train2"
+        assert list(rows) == ["test0", "test1", "test2"]
+        assert rows["test0"].neighbor_id == "train0"
+        assert rows["test0"].distance == 0.0
+        assert rows["test0"].predicted.quantities == (2, 0, 1)
+        assert rows["test1"].neighbor_id == "train1"
+        assert rows["test2"].neighbor_id == "train2"
 
     def test_mean_predictor_constant_row(self, tiny_dataset, capsys):
         train, test, root = tiny_dataset
@@ -118,8 +121,8 @@ class TestPredict:
         )
         assert code == 0
         rows = load_predictions(out_path)
-        assert {r.basket.quantities for r in rows} == {(1, 1, 2)}
-        assert all(r.neighbor_id is None and r.distance is None for r in rows)
+        assert {r.predicted.quantities for r in rows.values()} == {(1, 1, 2)}
+        assert all(r.neighbor_id is None and r.distance is None for r in rows.values())
 
     def test_knn_predictor_runs(self, tiny_dataset, capsys):
         train, test, root = tiny_dataset
@@ -189,7 +192,7 @@ class TestEvaluate:
         names = [f"p{i + 1}" for i in range(width)]
         pred_path = root / "pred.csv"
         write_predictions(
-            [PredictionRow(i, None, None, ProductBasket(q)) for i, q in predicted_rows],
+            {i: PredictionOutcome(ProductBasket(q)) for i, q in predicted_rows},
             names, pred_path,
         )
         truth_path = root / "truth.csv"
@@ -816,7 +819,7 @@ class TestHugeScans:
         (code, out, err), out_path = self.predict(
             capsys, tmp_path, self.normal_arrays(B, 300, 400, 350), "--predictor", "icp", "--jobs", jobs)
         assert (code, out, err) == (0, "", "")
-        assert all(math.isfinite(row.distance) for row in load_predictions(out_path))
+        assert all(math.isfinite(row.distance) for row in load_predictions(out_path).values())
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("scale", BEYOND)
@@ -830,7 +833,7 @@ class TestHugeScans:
         arrays = self.normal_arrays(B, 60, 70, 80, 65, stretch=(10.0, 1.0, 1.0))
         (code, out, err), out_path = self.predict(capsys, tmp_path, arrays, "--predictor", "knn", "--k", 1)
         assert (code, out, err) == (0, "", "")
-        assert all(math.isfinite(row.distance) for row in load_predictions(out_path))
+        assert all(math.isfinite(row.distance) for row in load_predictions(out_path).values())
 
     def test_predict_knn_at_1e60_is_refused_before_any_feature(self, tmp_path, capsys):
         # Unbounded, the training volumes' std would overflow to inf with a

@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from logmatch import ParseError, PointCloud, ProductBasket, ScoreReport
+from logmatch import ParseError, PointCloud, PredictionOutcome, ProductBasket, ScoreReport
 from logmatch import io
 from logmatch.geometry import B
 from logmatch.io import (
-    PredictionRow,
     default_baskets_path,
     load_baskets,
     load_dataset,
@@ -476,18 +475,19 @@ class TestManifest:
 
 class TestPredictions:
     def test_round_trip(self, tmp_path):
-        rows = [
-            PredictionRow("a", "t1", 0.12345678901234567, ProductBasket((1, 0))),
-            PredictionRow("b", None, None, ProductBasket((0, 2))),
-        ]
+        predictions = {
+            "b": PredictionOutcome(ProductBasket((1, 0)), "t1", 0.12345678901234567),
+            "a": PredictionOutcome(ProductBasket((0, 2))),
+        }
         path = tmp_path / "pred.csv"
-        write_predictions(rows, ("p1", "p2"), path)
+        write_predictions(predictions, ("p1", "p2"), path)
         loaded = load_predictions(path)
-        assert loaded == rows
+        assert loaded == predictions
+        assert list(loaded) == ["b", "a"]
 
     def test_header_shape(self, tmp_path):
         path = tmp_path / "pred.csv"
-        write_predictions([PredictionRow("a", None, None, ProductBasket((1,)))], ("p1",), path)
+        write_predictions({"a": PredictionOutcome(ProductBasket((1,)))}, ("p1",), path)
         first = path.read_text().splitlines()[0]
         assert first == "id,neighbor_id,distance,p1"
 
@@ -533,6 +533,10 @@ TABLE_ERRORS = [
     ("predictions", "id,neighbor_id,distance,p1\nA,t1,1.0,-3\n", 2, "negative quantity -3"),
     ("predictions", "id,neighbor_id,distance,p1\nA,t1,nan,-3\n", 2, "non-finite value 'nan'"),
     ("predictions", "id,neighbor_id,distance,p1\nA,,,x\nA,,,1,2\n", 2, "non-integer quantity 'x'"),
+    # rows that no PredictionOutcome can be
+    ("predictions", "id,neighbor_id,distance,p1\na,t1,,3\n", 2, "neighbor_id and distance must be present together"),
+    ("predictions", "id,neighbor_id,distance,p1\nb,,0.5,2\n", 2, "neighbor_id and distance must be present together"),
+    ("predictions", "id,neighbor_id,distance,p1\nc,t2,-1.0,1\n", 2, "distance must be finite and >= 0, got -1.0"),
     # a cell over the csv field size limit (131072 characters)
     ("baskets", f"id,p1\n{'A' * 200_000},1\n", 2, "field larger than field limit (131072)"),
     ("baskets", f"{'i' * 200_000},p1\nA,1\n", 1, "field larger than field limit (131072)"),
