@@ -343,5 +343,6 @@ def match_correspondences(index: SpatialIndex, moving: PointCloud) -> Correspond
     The result always has exactly one pair per moving point; several moving
     points may share a model point.
     """
-    idx, sq = index.query_batch(moving.xyz)
+    _instance("index", index, SpatialIndex)
+    idx, sq = index.query_batch(_instance("moving", moving, PointCloud).xyz)
     return CorrespondenceSet(idx, sq)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _integer, _real
+from .errors import InvalidInputError, _instance, _integer, _real
 from .predictor import LogRecord
 
 
@@ -32,8 +32,8 @@ class Dataset:
         if not names:
             raise InvalidInputError("a dataset needs at least one product name")
         seen = set()
-        for rec in records:
-            if rec.id in seen:
+        for k, rec in enumerate(records):
+            if _instance(f"records[{k}]", rec, LogRecord).id in seen:
                 raise InvalidInputError(f"duplicate log id {rec.id!r}")
             seen.add(rec.id)
             if len(rec.basket) != len(names):
@@ -67,7 +67,7 @@ def split_indices(n: int, spec: SplitSpec, run_index: int) -> tuple[np.ndarray, 
     run_index), so the same pair always yields the same partition; the
     first floor(n * train_fraction) shuffled indices are the training set.
     """
-    run_index = _integer("run_index", run_index, 0, spec.runs)
+    run_index = _integer("run_index", run_index, 0, _instance("spec", spec, SplitSpec).runs)
     n = _integer("n", n, 2)
     rng = np.random.default_rng([spec.seed, run_index])
     order = rng.permutation(n)
@@ -78,5 +78,5 @@ def split_indices(n: int, spec: SplitSpec, run_index: int) -> tuple[np.ndarray, 
 
 def drop_empty(ds: Dataset) -> Dataset:
     """Remove records whose basket is all-zero (logs yielding only chips)."""
-    kept = tuple(rec for rec in ds.records if not rec.basket.is_empty())
+    kept = tuple(rec for rec in _instance("ds", ds, Dataset).records if not rec.basket.is_empty())
     return Dataset(kept, ds.product_names)

@@ -1,7 +1,7 @@
 """Exception types shared across the package, and its checks of public
-arguments: counts and indices (_integer), reals (_real), flags (_flag) and
-objects of one class (_instance). Each returns the value as the type it
-stands for."""
+arguments: counts and indices (_integer), reals (_real), flags (_flag),
+objects of one class (_instance) and configs that default when None
+(_config). Each returns the value as the type it stands for."""
 
 import math
 
@@ -76,3 +76,8 @@ def _instance(name: str, value: object, cls: type) -> object:
         article = "an" if cls.__name__[0] in "AEIO" else "a"  # a UnitQuaternion, an IcpConfig
         raise InvalidInputError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
     return value
+
+
+def _config(cfg: object, cls: type) -> object:
+    """cfg, which must be an instance of cls, or cls() when it is None."""
+    return cls() if cfg is None else _instance("cfg", cfg, cls)

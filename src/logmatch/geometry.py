@@ -151,6 +151,7 @@ def quaternion_to_rotation(q: UnitQuaternion) -> np.ndarray:
     The result is orthonormal with determinant +1. Raises if the quaternion
     norm deviates from one by more than 1e-6.
     """
+    _instance("q", q, UnitQuaternion)
     q0, q1, q2, q3 = q.q0, q.q1, q.q2, q.q3
     norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     if abs(norm - 1.0) > _ROTATION_NORM_TOL:
@@ -204,4 +205,5 @@ def apply_transform(t: RigidTransform, cloud: PointCloud) -> PointCloud:
     The result is a PointCloud, so a transform that moves a coordinate
     beyond B raises InvalidInputError.
     """
-    return PointCloud(cloud.xyz @ t.matrix().T + t.translation)
+    _instance("t", t, RigidTransform)
+    return PointCloud(_instance("cloud", cloud, PointCloud).xyz @ t.matrix().T + t.translation)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvalidInputError, _flag, _integer, _real
+from .errors import InvalidInputError, _config, _flag, _instance, _integer, _real
 from .predictor import ProductBasket
 
 
@@ -34,6 +34,8 @@ class ScoredPair:
     predicted: ProductBasket
 
     def __post_init__(self) -> None:
+        _instance("real", self.real, ProductBasket)
+        _instance("predicted", self.predicted, ProductBasket)
         if len(self.real) != len(self.predicted):
             raise InvalidInputError(
                 f"basket lengths differ: real {len(self.real)} vs predicted {len(self.predicted)}"
@@ -83,6 +85,7 @@ def filter_pairs(pair: ScoredPair) -> ScoredPair:
 
     Order is preserved; the result may be empty.
     """
+    _instance("pair", pair, ScoredPair)
     keep = [
         (y, yhat)
         for y, yhat in zip(pair.real.quantities, pair.predicted.quantities)
@@ -99,11 +102,13 @@ def zero_one(pair: ScoredPair) -> int:
 
     An empty pair counts as hit: equal empty baskets.
     """
+    _instance("pair", pair, ScoredPair)
     return 1 if pair.predicted.quantities == pair.real.quantities else 0
 
 
 def hamming_distance(pair: ScoredPair) -> float:
     """Fraction of products whose quantity was predicted wrong (0 if empty)."""
+    _instance("pair", pair, ScoredPair)
     if len(pair) == 0:
         return 0.0
     wrong = sum(1 for y, yhat in zip(pair.real.quantities, pair.predicted.quantities) if y != yhat)
@@ -116,6 +121,7 @@ def augmented_hamming_distance(pair: ScoredPair) -> float:
     Each product contributes 0 when exact, otherwise 1 - min(y, yhat)/max(y, yhat);
     the max is positive whenever the quantities differ. Empty pairs score 0.
     """
+    _instance("pair", pair, ScoredPair)
     if len(pair) == 0:
         return 0.0
     total = 0.0
@@ -130,7 +136,8 @@ def prediction_score(pair: ScoredPair, cfg: MetricConfig | None = None) -> float
 
     Per product: min(1, max(yhat, eps) / max(y, eps)). Empty pairs score 1.
     """
-    cfg = cfg or MetricConfig()
+    _instance("pair", pair, ScoredPair)
+    cfg = _config(cfg, MetricConfig)
     if len(pair) == 0:
         return 1.0
     eps = cfg.epsilon
@@ -146,6 +153,7 @@ def production_score(pair: ScoredPair, cfg: MetricConfig | None = None) -> float
     Per product: min(1, max(y, eps) / max(yhat, eps)), the prediction score
     of the pair with its baskets swapped. Empty pairs score 1.
     """
+    _instance("pair", pair, ScoredPair)
     return prediction_score(ScoredPair(pair.predicted, pair.real), cfg)
 
 
@@ -160,10 +168,10 @@ def evaluate(pairs: Sequence[ScoredPair], cfg: MetricConfig | None = None) -> Sc
     Filtering (when enabled) happens per pair. The area column is the mean
     of the per-pair products, not the product of the means.
     """
-    cfg = cfg or MetricConfig()
+    cfg = _config(cfg, MetricConfig)
     if len(pairs) == 0:
         raise InvalidInputError("cannot evaluate an empty pair sequence")
-    widths = {len(pair) for pair in pairs}
+    widths = {len(_instance(f"pairs[{k}]", pair, ScoredPair)) for k, pair in enumerate(pairs)}
     if len(widths) > 1:
         raise InvalidInputError(f"pairs have inconsistent basket lengths: {sorted(widths)}")
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, _integer, _real
+from .errors import InvalidInputError, _instance, _integer, _real
 from .geometry import PointCloud
 from .registration import IcpConfig, icp_distance_matrix
 
@@ -106,6 +106,8 @@ class LogRecord:
     def __post_init__(self) -> None:
         if not self.id:
             raise InvalidInputError("log id must be a non-empty string")
+        _instance("scan", self.scan, PointCloud)
+        _instance("basket", self.basket, ProductBasket)
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,7 @@ class PredictionOutcome:
     distance: float | None = None
 
     def __post_init__(self) -> None:
+        _instance("predicted", self.predicted, ProductBasket)
         if (self.neighbor_id is None) != (self.distance is None):
             raise InvalidInputError("neighbor_id and distance must be present together")
         if self.distance is not None:
@@ -133,6 +136,8 @@ def _round_half_up(values: np.ndarray) -> np.ndarray:
 def _check_train(train: Sequence[LogRecord]) -> None:
     if len(train) == 0:
         raise InvalidInputError("training set must not be empty")
+    for k, rec in enumerate(train):
+        _instance(f"train[{k}]", rec, LogRecord)
 
 
 def mean_predict(train: Sequence[LogRecord]) -> ProductBasket:
@@ -141,8 +146,12 @@ def mean_predict(train: Sequence[LogRecord]) -> ProductBasket:
     The same constant basket answers every query.
     """
     _check_train(train)
-    stacked = np.stack([rec.basket.as_array() for rec in train])
-    return ProductBasket(tuple(_round_half_up(stacked.mean(axis=0)).tolist()))
+    return _mean_basket(np.stack([rec.basket.as_array() for rec in train]))
+
+
+def _mean_basket(baskets: np.ndarray) -> ProductBasket:
+    """The half-up-rounded mean of the rows of a (logs, products) array."""
+    return ProductBasket(tuple(_round_half_up(baskets.mean(axis=0)).tolist()))
 
 
 def icp_nn_predict_batch(
@@ -160,7 +169,8 @@ def icp_nn_predict_batch(
     """
     _check_train(train)
     n = len(train)
-    scans = [rec.scan for rec in train] + list(queries)
+    queries = [_instance(f"queries[{k}]", query, PointCloud) for k, query in enumerate(queries)]
+    scans = [rec.scan for rec in train] + queries
     pairs = [(n + q, t) for q in range(len(queries)) for t in range(n)]
     distances = icp_distance_matrix(scans, pairs, cfg, jobs)
     return nn_predict_from_distances(train, distances[n:, :n])
@@ -205,7 +215,7 @@ def extract_features(scan: PointCloud) -> LogFeatures:
     volume near 0 in every pose. Every feature of a scan within geometry.B
     is finite, as that bound's derivation shows.
     """
-    if len(scan) < _FEATURE_MIN_POINTS:
+    if len(_instance("scan", scan, PointCloud)) < _FEATURE_MIN_POINTS:
         raise InvalidInputError(f"need at least {_FEATURE_MIN_POINTS} points, got {len(scan)}")
     pts = scan.xyz
     centered = pts - pts.mean(axis=0)
@@ -380,12 +390,13 @@ def knn_feature_predict(
         name = f"log {query_ids[far[0]]!r}" if query_ids is not None else f"query {far[0]}"
         raise InvalidInputError(f"{name}: knn features lie beyond {_Z_REACH:.2g} training standard deviations")
     z_train = (table[:, active] - mu) / sd
+    baskets = np.stack([rec.basket.as_array() for rec in train])
     outcomes = []
     for row in queries:
         z_query = (row[active] - mu) / sd
         dist = np.sqrt(((z_train - z_query) ** 2).sum(axis=1))
         order = np.argsort(dist, kind="stable")
-        predicted = mean_predict([train[i] for i in order[:k]])
+        predicted = _mean_basket(baskets[order[:k]])
         nearest = int(order[0])
         outcomes.append(PredictionOutcome(predicted, train[nearest].id, float(dist[nearest])))
     return outcomes

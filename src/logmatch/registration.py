@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .correspondence import CorrespondenceSet, SpatialIndex, _NeighbourCache, _SCAN_MAX, build_index
-from .errors import InvalidInputError, NumericalError, _flag, _instance, _integer, _real
+from .errors import InvalidInputError, NumericalError, _config, _flag, _instance, _integer, _real
 from .geometry import PointCloud, RigidTransform, UnitQuaternion, _rotation_matrix, _squared_distances
 
 _SYMMETRY_TOL = 1e-9
@@ -121,7 +121,8 @@ class IcpTrace:
         if not self.iterations:
             raise InvalidInputError("trace must contain at least one iteration")
         previous = None
-        for entry in self.iterations:
+        for k, entry in enumerate(self.iterations):
+            _instance(f"iterations[{k}]", entry, IcpIteration)
             if previous is not None and entry.mse > previous:
                 raise NumericalError(
                     f"mean-square error increased at iteration {entry.index}: {previous!r} -> {entry.mse!r}"
@@ -285,7 +286,9 @@ def compute_registration(
     leaves the rotation underdetermined; whichever maximizing eigenvector
     the solver finds is accepted.
     """
-    if len(pairs) != len(moving):
+    _instance("moving", moving, PointCloud)
+    _instance("model", model, PointCloud)
+    if len(_instance("pairs", pairs, CorrespondenceSet)) != len(moving):
         raise InvalidInputError(
             f"correspondences must cover the moving cloud: {len(pairs)} pairs for {len(moving)} points"
         )
@@ -478,7 +481,7 @@ def icp_align(
     This is the lockstep engine on a batch of one pair.
     """
     clouds = [_instance("moving", moving, PointCloud), _instance("model", model, PointCloud)]
-    run = _align_pairs(clouds, [(0, 1)], _config(cfg), record=True)
+    run = _align_pairs(clouds, [(0, 1)], _config(cfg, IcpConfig), record=True)
     entries = tuple(
         IcpIteration(k, e, RigidTransform(UnitQuaternion(*q), t))
         for k, (e, q, t) in enumerate(run.history[0])
@@ -513,7 +516,7 @@ def icp_distance_matrix(
     depend on jobs.
     """
     jobs = _integer("jobs", jobs, 1)
-    cfg = _config(cfg)
+    cfg = _config(cfg, IcpConfig)
     n = len(scans)
     wanted = sorted({(_integer("pair id", i, 0, n), _integer("pair id", j, 0, n)) for i, j in pairs})
     for k in sorted({k for pair in wanted for k in pair}):
@@ -522,8 +525,3 @@ def icp_distance_matrix(
     if wanted:
         distances[tuple(np.array(wanted).T)] = _align_pairs(scans, wanted, cfg, jobs=jobs).mse
     return distances
-
-
-def _config(cfg: IcpConfig | None) -> IcpConfig:
-    """cfg, or the default configuration when it is None."""
-    return IcpConfig() if cfg is None else _instance("cfg", cfg, IcpConfig)

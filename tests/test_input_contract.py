@@ -18,8 +18,10 @@ import pytest
 
 import logmatch
 from logmatch import (
+    Dataset,
     IcpConfig,
     IcpIteration,
+    IcpTrace,
     InvalidInputError,
     LogFeatures,
     LogRecord,
@@ -29,17 +31,35 @@ from logmatch import (
     ProductBasket,
     RegistrationResult,
     RigidTransform,
+    ScoredPair,
     ScoreReport,
     SpatialIndex,
     SplitSpec,
+    TerminalReason,
     UnitQuaternion,
+    apply_transform,
+    area_score,
+    augmented_hamming_distance,
     build_index,
+    compute_registration,
+    drop_empty,
+    evaluate,
+    extract_features,
+    filter_pairs,
+    hamming_distance,
     icp_align,
     icp_distance,
     icp_distance_matrix,
     icp_nn_predict_batch,
     knn_feature_predict,
+    match_correspondences,
+    mean_predict,
+    nn_predict_from_distances,
+    prediction_score,
+    production_score,
+    quaternion_to_rotation,
     split_indices,
+    zero_one,
 )
 
 COUNT, REAL, FLAG = "count", "real", "flag"
@@ -212,6 +232,8 @@ def test_spatial_index_refuses_a_bare_array():
 
 # Object arguments of the wrong type, each refused with the name it is given.
 _CLOUD = _SCANS[0]
+_PAIRS = match_correspondences(build_index(_CLOUD), _CLOUD)
+_PAIR = ScoredPair(ProductBasket((1, 0)), ProductBasket((1, 2)))
 OBJECTS = {
     "icp_align(moving=ndarray)": ("moving", lambda: icp_align(_CLOUD.xyz, _CLOUD)),
     "icp_align(model=ndarray)": ("model", lambda: icp_align(_CLOUD, _CLOUD.xyz)),
@@ -225,6 +247,40 @@ OBJECTS = {
     "RigidTransform(rotation=dict)": ("rotation", lambda: RigidTransform(_QUATERNION)),
     "PointCloud(str)": ("point cloud", lambda: PointCloud("abc")),
     "PointCloud(object cell)": ("point cloud", lambda: PointCloud([[1.0, 2.0, object()]])),
+    "LogRecord(scan=ndarray)": ("scan", lambda: LogRecord("a", _CLOUD.xyz, ProductBasket((1,)))),
+    "LogRecord(basket=tuple)": ("basket", lambda: LogRecord("a", _CLOUD, (1,))),
+    "ScoredPair(real=tuple)": ("real", lambda: ScoredPair((1,), (1,))),
+    "ScoredPair(predicted=tuple)": ("predicted", lambda: ScoredPair(ProductBasket((1,)), (1,))),
+    "PredictionOutcome(predicted=tuple)": ("predicted", lambda: PredictionOutcome((1,))),
+    "Dataset(records[0]=int)": (r"records\[0\]", lambda: Dataset([1], ("p",))),
+    "IcpTrace(iterations[0]=int)": (r"iterations\[0\]", lambda: IcpTrace([1], TerminalReason.CONVERGED)),
+    "extract_features(scan=ndarray)": ("scan", lambda: extract_features(_CLOUD.xyz)),
+    "compute_registration(moving=ndarray)": ("moving", lambda: compute_registration(_CLOUD.xyz, _CLOUD, _PAIRS)),
+    "compute_registration(model=ndarray)": ("model", lambda: compute_registration(_CLOUD, _CLOUD.xyz, _PAIRS)),
+    "compute_registration(pairs=3)": ("pairs", lambda: compute_registration(_CLOUD, _CLOUD, 3)),
+    "apply_transform(cloud=ndarray)": ("cloud", lambda: apply_transform(RigidTransform.identity(), _CLOUD.xyz)),
+    "apply_transform(t=PointCloud)": ("t", lambda: apply_transform(_CLOUD, _CLOUD)),
+    "match_correspondences(moving=ndarray)": ("moving", lambda: match_correspondences(build_index(_CLOUD), _CLOUD.xyz)),
+    "match_correspondences(index=PointCloud)": ("index", lambda: match_correspondences(_CLOUD, _CLOUD)),
+    "quaternion_to_rotation(q=tuple)": ("q", lambda: quaternion_to_rotation((1, 0, 0, 0))),
+    "split_indices(spec=3)": ("spec", lambda: split_indices(10, 3, 0)),
+    "drop_empty(ds=3)": ("ds", lambda: drop_empty(3)),
+    **{f"{scorer.__name__}(pair=3)": ("pair", partial(scorer, 3)) for scorer in (
+        filter_pairs, zero_one, hamming_distance, augmented_hamming_distance,
+        prediction_score, production_score, area_score)},
+    **{f"{scorer.__name__}(cfg=0)": ("cfg", partial(scorer, _PAIR, 0)) for scorer in (
+        prediction_score, production_score, area_score)},
+    "evaluate(pairs[0]=3)": (r"pairs\[0\]", lambda: evaluate([3])),
+    "evaluate(cfg=0)": ("cfg", lambda: evaluate([_PAIR], 0)),
+    "evaluate(cfg=3)": ("cfg", lambda: evaluate([_PAIR], 3)),
+    "mean_predict(train[0]=int)": (r"train\[0\]", lambda: mean_predict([1])),
+    "nn_predict_from_distances(train[0]=int)": (
+        r"train\[0\]", lambda: nn_predict_from_distances([1], np.zeros((1, 1)))),
+    "icp_nn_predict_batch(train[0]=int)": (r"train\[0\]", lambda: icp_nn_predict_batch([1], [_CLOUD])),
+    "icp_nn_predict_batch(queries[0]=ndarray)": (
+        r"queries\[0\]", lambda: icp_nn_predict_batch(_RECORDS[:1], [_CLOUD.xyz])),
+    "knn_feature_predict(train[0]=int)": (r"train\[0\]", lambda: knn_feature_predict(
+        [1], [LogFeatures(**_FEATURES)], [LogFeatures(**_FEATURES)], k=1)),
 }
 
 
@@ -232,3 +288,16 @@ OBJECTS = {
 def test_wrong_object_is_refused_by_name(says, call):
     with pytest.raises(InvalidInputError, match=rf"^{says} must be"):
         call()
+
+
+def test_a_query_is_named_by_its_place_in_queries():
+    with pytest.raises(InvalidInputError) as excinfo:
+        icp_nn_predict_batch(_RECORDS[:1], [_CLOUD.xyz])
+    assert str(excinfo.value) == "queries[0] must be a PointCloud, got ndarray"
+
+
+def test_none_selects_the_default_config():
+    assert evaluate([_PAIR], None) == evaluate([_PAIR], MetricConfig())
+    for scorer in (prediction_score, production_score, area_score):
+        assert scorer(_PAIR, None) == scorer(_PAIR, MetricConfig())
+    assert icp_distance(_CLOUD, _SCANS[1], None) == icp_distance(_CLOUD, _SCANS[1], IcpConfig())

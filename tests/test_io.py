@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from logmatch import ParseError, PointCloud, PredictionOutcome, ProductBasket, ScoreReport
+from logmatch import InvalidInputError, ParseError, PointCloud, PredictionOutcome, ProductBasket, ScoreReport
 from logmatch import io
 from logmatch.geometry import B
 from logmatch.io import (
@@ -112,6 +112,20 @@ class TestCsvScanFormat:
         assert (excinfo.value.path, excinfo.value.line, excinfo.value.message) == (str(path), line, message)
 
 
+XYZ_PROPERTIES = "property float x\nproperty float y\nproperty float z\n"
+# (header after its "ply" and "format" lines, line, message)
+PLY_HEADER_ERRORS = [
+    ("element vertex\n" + XYZ_PROPERTIES + "end_header\n", 3, "malformed element declaration 'element vertex'"),
+    ("element vertex x\n" + XYZ_PROPERTIES + "end_header\n", 3, "bad element count 'x'"),
+    ("element vertex -1\n" + XYZ_PROPERTIES + "end_header\n", 3, "negative element count -1"),
+    (XYZ_PROPERTIES + "end_header\n", 3, "property before any element"),
+    ("element vertex 0\nproperty float\n" + XYZ_PROPERTIES + "end_header\n", 4,
+     "malformed property declaration 'property float'"),
+    ("element vertex 0\n" + XYZ_PROPERTIES, 6, "missing end_header"),
+    ("element face 0\nproperty list uchar int vertex_indices\nend_header\n", 5, "missing vertex element"),
+]
+
+
 class TestPlyFormat:
     def test_minimal_file(self, tmp_path):
         path = tmp_path / "cloud.ply"
@@ -195,6 +209,20 @@ class TestPlyFormat:
         )
         with pytest.raises(ParseError, match="float-typed"):
             load_scan(path)
+
+    @pytest.mark.parametrize("header, line, message", PLY_HEADER_ERRORS,
+                             ids=[case[2] for case in PLY_HEADER_ERRORS])
+    def test_header_error_names_its_line(self, tmp_path, header, line, message):
+        path = tmp_path / "cloud.ply"
+        path.write_text("ply\nformat ascii 1.0\n" + header)
+        with pytest.raises(ParseError) as excinfo:
+            load_scan(path)
+        assert (excinfo.value.line, excinfo.value.message) == (line, message)
+
+    def test_blank_header_line_is_skipped(self, tmp_path):
+        path = tmp_path / "cloud.ply"
+        path.write_text("ply\nformat ascii 1.0\n\nelement vertex 1\n" + XYZ_PROPERTIES + "end_header\n1 2 3\n")
+        np.testing.assert_array_equal(load_scan(path).xyz, [[1, 2, 3]])
 
 
 def line_parser_load(path, fmt):
@@ -491,6 +519,10 @@ class TestPredictions:
         first = path.read_text().splitlines()[0]
         assert first == "id,neighbor_id,distance,p1"
 
+    def test_basket_wider_than_the_product_names_is_refused(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="^prediction for 'a' has 2 products, expected 1$"):
+            write_predictions({"a": PredictionOutcome(ProductBasket((1, 2)))}, ("p1",), tmp_path / "pred.csv")
+
 
 # (table, file text, line, message); "{root}" is the directory of the file.
 TABLE_ERRORS = [
@@ -533,10 +565,6 @@ TABLE_ERRORS = [
     ("predictions", "id,neighbor_id,distance,p1\nA,t1,1.0,-3\n", 2, "negative quantity -3"),
     ("predictions", "id,neighbor_id,distance,p1\nA,t1,nan,-3\n", 2, "non-finite value 'nan'"),
     ("predictions", "id,neighbor_id,distance,p1\nA,,,x\nA,,,1,2\n", 2, "non-integer quantity 'x'"),
-    # rows that no PredictionOutcome can be
-    ("predictions", "id,neighbor_id,distance,p1\na,t1,,3\n", 2, "neighbor_id and distance must be present together"),
-    ("predictions", "id,neighbor_id,distance,p1\nb,,0.5,2\n", 2, "neighbor_id and distance must be present together"),
-    ("predictions", "id,neighbor_id,distance,p1\nc,t2,-1.0,1\n", 2, "distance must be finite and >= 0, got -1.0"),
     # a cell over the csv field size limit (131072 characters)
     ("baskets", f"id,p1\n{'A' * 200_000},1\n", 2, "field larger than field limit (131072)"),
     ("baskets", f"{'i' * 200_000},p1\nA,1\n", 1, "field larger than field limit (131072)"),
@@ -545,6 +573,10 @@ TABLE_ERRORS = [
      "scan file does not exist: {root}/missing.xyz"),
     ("predictions", f"id,neighbor_id,distance,p1\nA,t1,{'1' * 200_000},1\n", 2,
      "field larger than field limit (131072)"),
+    # rows that no PredictionOutcome can be
+    ("predictions", "id,neighbor_id,distance,p1\na,t1,,3\n", 2, "neighbor_id and distance must be present together"),
+    ("predictions", "id,neighbor_id,distance,p1\nb,,0.5,2\n", 2, "neighbor_id and distance must be present together"),
+    ("predictions", "id,neighbor_id,distance,p1\nc,t2,-1.0,1\n", 2, "distance must be finite and >= 0, got -1.0"),
 ]
 
 
@@ -609,6 +641,10 @@ class TestReports:
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             write_report(self.report(), tmp_path / "missing_dir" / "report.csv")
+
+    def test_unknown_format_is_refused(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="^unknown report format 'xml'; expected 'csv' or 'json'$"):
+            write_report(self.report(), tmp_path / "r.xml", format="xml")
 
     def test_label_count_must_match(self, tmp_path):
         from logmatch import InvalidInputError

@@ -20,7 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "logmatch"
 # Private names that other modules may import: the argument checks, the
 # geometry kernels, and the matcher that only the ICP engine drives.
 SHARED = {
-    "errors": {name: None for name in ("_integer", "_real", "_flag", "_instance")},
+    "errors": {name: None for name in ("_integer", "_real", "_flag", "_instance", "_config")},
     "geometry": {name: None for name in ("_squared_distances", "_rotation_matrix")},
     "correspondence": {"_NeighbourCache": "registration", "_SCAN_MAX": "registration"},
 }
