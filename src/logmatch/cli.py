@@ -296,13 +296,13 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     _check_runs(splits, predictors, args.k)
 
     if "icp" in predictors:
-        # Every run's (test, train) pairs, each aligned once for the command.
-        pairs = {(i, j) for train_idx, test_idx in splits
-                 for i in test_idx.tolist() for j in train_idx.tolist()}
+        # Every run's (test, train) pairs in run order; a pair that recurs
+        # across runs is aligned once for the command.
+        pairs = [(i, j) for train_idx, test_idx in splits
+                 for i in test_idx.tolist() for j in train_idx.tolist()]
         distances = icp_distance_matrix(
             [rec.scan for rec in ds.records], pairs, icp_cfg, args.jobs)
-        requested = sum(len(train_idx) * len(test_idx) for train_idx, test_idx in splits)
-        print(f"aligned {len(pairs)} distinct pairs for {requested} requested over {spec.runs} runs",
+        print(f"aligned {len(set(pairs))} distinct pairs for {len(pairs)} requested over {spec.runs} runs",
               file=sys.stderr)
 
     labels: list[str] = []
@@ -313,9 +313,11 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         test = [ds.records[i] for i in test_idx]
         for name in predictors:
             if name == "icp":
-                # Columns in training order: ties go to the lowest training index.
+                # The run's block of distances, a row per test log and a
+                # column per training log: ties go to the lowest training index.
+                block, distances = np.split(distances, [len(test) * len(train)])
                 outcomes = predictor_mod.nn_predict_from_distances(
-                    train, distances[np.ix_(test_idx, train_idx)])
+                    train, block.reshape(len(test), len(train)))
             elif name == "mean":
                 outcomes = [PredictionOutcome(predictor_mod.mean_predict(train))] * len(test)
             else:

@@ -104,7 +104,7 @@ class LogRecord:
     basket: ProductBasket
 
     def __post_init__(self) -> None:
-        if not self.id:
+        if not _instance("log id", self.id, str):
             raise InvalidInputError("log id must be a non-empty string")
         _instance("scan", self.scan, PointCloud)
         _instance("basket", self.basket, ProductBasket)
@@ -124,6 +124,8 @@ class PredictionOutcome:
         if (self.neighbor_id is None) != (self.distance is None):
             raise InvalidInputError("neighbor_id and distance must be present together")
         if self.distance is not None:
+            if not _instance("neighbor_id", self.neighbor_id, str):
+                raise InvalidInputError("neighbor_id must be a non-empty string")
             object.__setattr__(self, "distance", _real("distance", self.distance, 0.0))
 
 
@@ -138,6 +140,8 @@ def _check_train(train: Sequence[LogRecord]) -> None:
         raise InvalidInputError("training set must not be empty")
     for k, rec in enumerate(train):
         _instance(f"train[{k}]", rec, LogRecord)
+    if len({len(rec.basket) for rec in train}) > 1:
+        raise InvalidInputError("training baskets must all have the same length")
 
 
 def mean_predict(train: Sequence[LogRecord]) -> ProductBasket:
@@ -164,8 +168,9 @@ def icp_nn_predict_batch(
 
     Aligns every query onto every training scan with icp_distance_matrix,
     which shares the alignments among up to jobs worker processes, and
-    picks each query's neighbour with nn_predict_from_distances. Results do
-    not depend on the worker count.
+    picks each query's neighbour from its row of the (queries, len(train))
+    table with nn_predict_from_distances, under the tie rule that
+    knn_feature_predict shares. Results do not depend on the worker count.
     """
     _check_train(train)
     n = len(train)
@@ -173,7 +178,7 @@ def icp_nn_predict_batch(
     scans = [rec.scan for rec in train] + queries
     pairs = [(n + q, t) for q in range(len(queries)) for t in range(n)]
     distances = icp_distance_matrix(scans, pairs, cfg, jobs)
-    return nn_predict_from_distances(train, distances[n:, :n])
+    return nn_predict_from_distances(train, distances.reshape(len(queries), n))
 
 
 def nn_predict_from_distances(
@@ -183,7 +188,8 @@ def nn_predict_from_distances(
     distance array whose columns follow the order of train.
 
     Each row picks the basket of its smallest distance; ties resolve to the
-    lowest column, that is the lowest training index.
+    lowest column, that is the lowest training index, as in
+    knn_feature_predict, which picks from its table the same way.
     """
     _check_train(train)
     distances = np.asarray(distances, dtype=np.float64)
@@ -192,13 +198,19 @@ def nn_predict_from_distances(
             f"distances must have shape (queries, {len(train)}), got {distances.shape}"
         )
     if np.isnan(distances).any():
-        raise InvalidInputError("distances hold pairs that were not aligned")
-    # argmin keeps the first, lowest-index minimum of each row.
-    nearest = distances.argmin(axis=1)
-    return [
-        PredictionOutcome(train[i].basket, train[i].id, float(distances[qi, i]))
-        for qi, i in enumerate(nearest.tolist())
-    ]
+        raise InvalidInputError("distances must not be NaN")
+    return _pick_neighbours(train, distances, 1)
+
+
+def _pick_neighbours(train: Sequence[LogRecord], distances: np.ndarray, k: int) -> list[PredictionOutcome]:
+    """Outcome of each row of a (queries, len(train)) distance table: the
+    half-up-rounded mean of its k nearest baskets, with the nearest record
+    and its distance. A stable sort orders each row, so ties keep the
+    lowest training index."""
+    baskets = np.stack([rec.basket.as_array() for rec in train])
+    orders = np.argsort(distances, axis=1, kind="stable").tolist()
+    return [PredictionOutcome(_mean_basket(baskets[order[:k]]), train[order[0]].id, float(row[order[0]]))
+            for row, order in zip(distances, orders)]
 
 
 def extract_features(scan: PointCloud) -> LogFeatures:
@@ -364,9 +376,10 @@ def knn_feature_predict(
     z-scored with statistics from the training features (constant features
     are ignored); each prediction is the half-up-rounded mean of the k
     nearest baskets. Ties at the k-th distance keep the lowest training
-    index. The reported neighbour is the single nearest record and its
-    distance is in standardized feature space, not mm^2. A query with a
-    z-score beyond _Z_REACH (1.5e153) is refused first, named by query_ids.
+    index, the tie rule of nn_predict_from_distances. The reported
+    neighbour is the single nearest record and its distance is in
+    standardized feature space, not mm^2. A query with a z-score beyond
+    _Z_REACH (1.5e153) is refused first, named by query_ids.
     """
     _check_train(train)
     for name, features in (("train_features", train_features), ("query_features", query_features)):
@@ -390,13 +403,5 @@ def knn_feature_predict(
         name = f"log {query_ids[far[0]]!r}" if query_ids is not None else f"query {far[0]}"
         raise InvalidInputError(f"{name}: knn features lie beyond {_Z_REACH:.2g} training standard deviations")
     z_train = (table[:, active] - mu) / sd
-    baskets = np.stack([rec.basket.as_array() for rec in train])
-    outcomes = []
-    for row in queries:
-        z_query = (row[active] - mu) / sd
-        dist = np.sqrt(((z_train - z_query) ** 2).sum(axis=1))
-        order = np.argsort(dist, kind="stable")
-        predicted = _mean_basket(baskets[order[:k]])
-        nearest = int(order[0])
-        outcomes.append(PredictionOutcome(predicted, train[nearest].id, float(dist[nearest])))
-    return outcomes
+    distances = [np.sqrt(((z_train - (row[active] - mu) / sd) ** 2).sum(axis=1)) for row in queries]
+    return _pick_neighbours(train, np.reshape(distances, (len(queries), len(train))), k)

@@ -64,6 +64,7 @@ class RegistrationResult:
     mse: float
 
     def __post_init__(self) -> None:
+        _instance("transform", self.transform, RigidTransform)
         object.__setattr__(self, "mse", _real("mse", self.mse, 0.0))
 
 
@@ -108,6 +109,7 @@ class IcpIteration:
     def __post_init__(self) -> None:
         object.__setattr__(self, "index", _integer("index", self.index, 0))
         object.__setattr__(self, "mse", _real("mse", self.mse, 0.0))
+        _instance("transform", self.transform, RigidTransform)
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +122,7 @@ class IcpTrace:
     def __post_init__(self) -> None:
         if not self.iterations:
             raise InvalidInputError("trace must contain at least one iteration")
+        _instance("terminal_reason", self.terminal_reason, TerminalReason)
         previous = None
         for k, entry in enumerate(self.iterations):
             _instance(f"iterations[{k}]", entry, IcpIteration)
@@ -509,19 +512,18 @@ def icp_distance_matrix(
 ) -> np.ndarray:
     """ICP distance of scans[i] aligned onto scans[j] for every (i, j) in pairs.
 
-    Returns a dense (n, n) array over the n scans with each requested
-    distance at [i, j] and NaN everywhere else; a pair listed twice is
-    aligned once. The distinct pairs run, in sorted order, through
-    _align_pairs with up to jobs worker processes, so the array does not
-    depend on jobs.
+    Returns the listed entries of the scans' distance matrix, and no other:
+    a float array with one distance per listed pair, in the order listed. A
+    pair listed more than once is aligned once. The distinct pairs run, in
+    sorted order, through _align_pairs with up to jobs worker processes, so
+    the distances do not depend on jobs.
     """
     jobs = _integer("jobs", jobs, 1)
     cfg = _config(cfg, IcpConfig)
     n = len(scans)
-    wanted = sorted({(_integer("pair id", i, 0, n), _integer("pair id", j, 0, n)) for i, j in pairs})
+    listed = [(_integer("pair id", i, 0, n), _integer("pair id", j, 0, n)) for i, j in pairs]
+    wanted = sorted(set(listed))
     for k in sorted({k for pair in wanted for k in pair}):
         _instance(f"scans[{k}]", scans[k], PointCloud)
-    distances = np.full((n, n), np.nan)
-    if wanted:
-        distances[tuple(np.array(wanted).T)] = _align_pairs(scans, wanted, cfg, jobs=jobs).mse
-    return distances
+    at = {pair: k for k, pair in enumerate(wanted)}
+    return _align_pairs(scans, wanted, cfg, jobs=jobs).mse[[at[pair] for pair in listed]]

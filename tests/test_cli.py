@@ -350,7 +350,7 @@ def twin_manifest(tmp_path):
 
 class TestAlignOnce:
     """experiment aligns every needed (test, train) pair once, in one pool,
-    and reduces each run to an argmin over its rows and columns."""
+    and picks each run's neighbours from its own block of the distances."""
 
     ARGS = ("--runs", 3, "--seed", 5, "--train-frac", 0.5)
 

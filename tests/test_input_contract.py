@@ -254,6 +254,13 @@ OBJECTS = {
     "PredictionOutcome(predicted=tuple)": ("predicted", lambda: PredictionOutcome((1,))),
     "Dataset(records[0]=int)": (r"records\[0\]", lambda: Dataset([1], ("p",))),
     "IcpTrace(iterations[0]=int)": (r"iterations\[0\]", lambda: IcpTrace([1], TerminalReason.CONVERGED)),
+    "IcpTrace(terminal_reason=str)": ("terminal_reason", lambda: IcpTrace(
+        (IcpIteration(0, 1.0, RigidTransform.identity()),), "done")),
+    "IcpIteration(transform=str)": ("transform", lambda: IcpIteration(0, 1.0, "x")),
+    "RegistrationResult(transform=str)": ("transform", lambda: RegistrationResult("x", 1.0)),
+    "LogRecord(id=int)": ("log id", lambda: LogRecord(3, _CLOUD, ProductBasket((1,)))),
+    "PredictionOutcome(neighbor_id=int)": ("neighbor_id", lambda: PredictionOutcome(ProductBasket((1,)), 7, 1.0)),
+    "PredictionOutcome(neighbor_id='')": ("neighbor_id", lambda: PredictionOutcome(ProductBasket((1,)), "", 1.0)),
     "extract_features(scan=ndarray)": ("scan", lambda: extract_features(_CLOUD.xyz)),
     "compute_registration(moving=ndarray)": ("moving", lambda: compute_registration(_CLOUD.xyz, _CLOUD, _PAIRS)),
     "compute_registration(model=ndarray)": ("model", lambda: compute_registration(_CLOUD, _CLOUD.xyz, _PAIRS)),

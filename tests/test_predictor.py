@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import Future
 from fractions import Fraction
 
@@ -199,21 +200,44 @@ class TestIcpNnPredict:
         with pytest.raises(InvalidInputError):
             icp_nn_predict_batch(train, [box_cloud(rng, 5)], jobs=0)
 
+    def test_memory_grows_with_the_pairs_not_the_square_of_the_scans(self):
+        # 2,000 training scans and one query: a (T + Q)^2 float array over
+        # all the scans alone would take 32 MB for 2,000 distances.
+        rng = np.random.default_rng(25)
+        train = [record(f"t{i}", box_cloud(rng, 4), (i % 3,)) for i in range(2000)]
+        square = (len(train) + 1) ** 2 * 8
+        tracemalloc.start()
+        try:
+            icp_nn_predict_batch(train, [box_cloud(rng, 4)], IcpConfig(max_iterations=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < square / 4
+
 
 class TestDistanceMatrix:
-    def test_requested_entries_only_at_any_jobs(self):
+    def test_requested_entries_only_at_any_jobs(self, monkeypatch):
+        # One distance per listed pair, in the order listed, repeats included;
+        # the distinct pairs are aligned once each, in sorted order.
         rng = np.random.default_rng(17)
         scans = [log_like_cloud(rng, 16 + 5 * i) for i in range(5)]
         pairs = [(0, 1), (0, 3), (2, 1), (4, 3), (1, 1), (3, 0), (0, 1)]
-        for jobs in (1, 2, 3, 8):
-            distances = icp_distance_matrix(scans, pairs, jobs=jobs)
-            assert distances.shape == (5, 5)
-            for i in range(5):
-                for j in range(5):
-                    if (i, j) in pairs:
-                        assert distances[i, j] == icp_distance(scans[i], scans[j])
-                    else:
-                        assert np.isnan(distances[i, j])
+        aligned = []
+
+        def spy(scans, pairs, cfg, jobs):
+            aligned.append(list(pairs))
+            return _align_pairs(scans, pairs, cfg, jobs=jobs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(registration, "_align_pairs", spy)
+            serial = icp_distance_matrix(scans, pairs, jobs=1)
+        assert aligned == [sorted(set(pairs))]
+        assert serial.dtype == np.float64 and serial.shape == (len(pairs),)
+        assert serial.tolist() == [icp_distance(scans[i], scans[j]) for i, j in pairs]
+        for jobs in (2, 3, 8):
+            assert icp_distance_matrix(scans, pairs, jobs=jobs).tobytes() == serial.tobytes(), f"jobs {jobs}"
+        monkeypatch.setattr(registration, "_START_METHOD", "spawn")
+        assert icp_distance_matrix(scans, pairs, jobs=2).tobytes() == serial.tobytes()
 
     def test_huge_jobs_ask_for_one_worker_per_model(self, monkeypatch):
         rng = np.random.default_rng(20)
@@ -284,14 +308,13 @@ class TestDistanceMatrix:
         fields = ("mse", "iterations", "converged", "queried")
         wanted = sorted(set(pairs))
         distances = icp_distance_matrix(scans, pairs, cfg, jobs=1)
-        assert [tuple(ij) for ij in np.argwhere(~np.isnan(distances)).tolist()] == wanted
         run = _align_pairs(scans, wanted, cfg, jobs=1)
+        assert distances.tolist() == [run.mse[wanted.index(pair)] for pair in pairs]
         assert run.converged.any() and not run.converged.all()
         assert run.history is None
         for k, (i, j) in enumerate(wanted):
             alone = _align_pairs(scans, [(i, j)], cfg)
             assert [getattr(run, name)[k] for name in fields] == [getattr(alone, name)[0] for name in fields]
-            assert distances[i, j] == run.mse[k]
 
         def as_bytes(run):
             return [(getattr(run, name).dtype, getattr(run, name).tobytes()) for name in fields]
@@ -316,9 +339,10 @@ class TestDistanceMatrix:
         assert all(serial.history) and histories(pooled) == histories(serial)
         assert [len(history) for history in pooled.history] == pooled.iterations.tolist()
 
-    def test_no_pairs_give_all_nan(self):
+    def test_no_pairs_give_an_empty_array(self):
         scans = [box_cloud(np.random.default_rng(18), 5)]
-        assert np.isnan(icp_distance_matrix(scans, [], jobs=2)).all()
+        distances = icp_distance_matrix(scans, [], jobs=2)
+        assert distances.dtype == np.float64 and distances.shape == (0,)
 
     def test_rejects_bad_pairs_and_jobs(self):
         scans = [box_cloud(np.random.default_rng(19), 5) for _ in range(2)]
@@ -345,6 +369,17 @@ class TestNnPredictFromDistances:
             nn_predict_from_distances(train, np.array([[1.0, np.nan]]))
         with pytest.raises(InvalidInputError):
             nn_predict_from_distances(train, np.zeros((1, 3)))
+
+    def test_every_predictor_rejects_baskets_of_different_lengths(self):
+        rng = np.random.default_rng(22)
+        train = [record("a", box_cloud(rng, 12), (1,)), record("b", box_cloud(rng, 12), (1, 2))]
+        features = [extract_features(rec.scan) for rec in train]
+        for predict in (lambda: mean_predict(train),
+                        lambda: nn_predict_from_distances(train, np.zeros((1, 2))),
+                        lambda: icp_nn_predict_batch(train, [train[0].scan]),
+                        lambda: knn_feature_predict(train, features, features[:1], k=1)):
+            with pytest.raises(InvalidInputError, match="training baskets must all have the same length"):
+                predict()
 
 
 class TestExtractFeatures:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -553,6 +554,28 @@ def arrangements(scans, pairs, cfg, monkeypatch):
             [recorded(backwards, n - 1 - k) for k in range(n)], [recorded(chunked, k) for k in range(n)])
 
 
+def far_engine_case(rng, sizes, offset, ulps, cfg):
+    """Scans of engine_case's kinds moved offset mm from the origin along
+    every axis: models of the given sizes in a box ulps ulps of offset wide,
+    so points lie a few hundred ulps apart at the smallest box, a jittered
+    copy of each and an unrelated cloud, with every (moving, model) pair;
+    and cfg with tau scaled as the squared box size is to engine_case's."""
+    size = ulps * float(np.spacing(offset))
+
+    def far(cloud):
+        return PointCloud(cloud.xyz + offset)
+
+    models = [box_cloud(rng, n, size) for n in sizes]
+    moving = [jittered_copy(rng, model, math.radians(5.0), 0.05 * size, 0.002 * size) for model in models]
+    moving.append(box_cloud(rng, 40, size))
+    scans, pairs = with_pairs([far(model) for model in models], [far(cloud) for cloud in moving])
+    return scans, pairs, dataclasses.replace(cfg, tau=cfg.tau * (size / 1000.0) ** 2)
+
+
+FAR = [pytest.param(offset, ulps, id=f"{offset:.0e}-{ulps:.0e}ulps") for offset in (1e6, 1e9, 1e12)
+       for ulps in (1e3, 1e6)]
+
+
 class TestNeighbourCertificates:
     @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
     def test_certificates_change_no_result(self, cfg, monkeypatch):
@@ -568,6 +591,19 @@ class TestNeighbourCertificates:
         for *_, history in reference:
             errors = [e for e, _, _ in history]
             assert all(later <= earlier for earlier, later in zip(errors, errors[1:]))
+
+    @pytest.mark.parametrize("offset, ulps", FAR)
+    @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
+    def test_certificates_change_no_result_far_from_the_origin(self, cfg, offset, ulps, monkeypatch):
+        # _ABS_MARGIN widens with the coordinates; every result stays bit-identical.
+        scans, pairs, cfg = far_engine_case(
+            np.random.default_rng(36), (1, _CACHE_NEIGHBOURS, 40, 90, 300), offset, ulps, cfg)
+        cached = arrangements(scans, pairs, cfg, monkeypatch)
+        monkeypatch.setattr(correspondence, "_CERTIFY", False)
+        uncached = arrangements(scans, pairs, cfg, monkeypatch)
+        reference = uncached[0]
+        for results in cached + uncached:
+            assert results == reference
 
     def test_icp_align_traces_do_not_change(self, monkeypatch):
         scans, pairs = engine_case(np.random.default_rng(34))
@@ -626,6 +662,18 @@ class TestScanKernel:
         assert all(index._tree is not None for index in built[models:])
         assert len(built) == 2 * models
         assert len({int(it) for it in scan_run.iterations}) > 1
+        for k in range(len(pairs)):
+            assert recorded(scan_run, k) == recorded(tree_run, k)
+
+    @pytest.mark.parametrize("offset, ulps", FAR)
+    @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
+    def test_trees_change_no_result_far_from_the_origin(self, cfg, offset, ulps, monkeypatch):
+        scans, pairs, cfg = far_engine_case(
+            np.random.default_rng(37), (1, _CACHE_NEIGHBOURS, 40, _SCAN_MAX), offset, ulps, cfg)
+        scan_run = _align_pairs(scans, pairs, cfg, record=True)
+        with monkeypatch.context() as patch:
+            patch.setattr(correspondence, "_SCAN_MAX", 0)
+            tree_run = _align_pairs(scans, pairs, cfg, record=True)
         for k in range(len(pairs)):
             assert recorded(scan_run, k) == recorded(tree_run, k)
 
