@@ -95,9 +95,8 @@ class SpatialIndex:
     __slots__ = ("_points", "_columns", "_tree")
 
     def __init__(self, model: PointCloud):
-        pts = np.array(_instance("model", model, PointCloud).xyz, dtype=np.float64)
-        pts.setflags(write=False)
-        self._points = pts
+        # The cloud's own read-only, C-ordered float64 array, not a copy.
+        pts = self._points = _instance("model", model, PointCloud).xyz
         if len(pts) <= _SCAN_MAX:
             self._columns = np.ascontiguousarray(pts.T)
             self._tree = None
@@ -155,10 +154,10 @@ class SpatialIndex:
             rows = np.repeat(close, [len(c) for c in found])
             cand = np.fromiter(itertools.chain.from_iterable(found), dtype=np.int64, count=rows.size)
             sq = _squared_distances(self._points[cand].T, pts[rows].T)
-            # Per row, the candidate of least (squared distance, index).
+            # Per row, the candidate of least (squared distance, index): the
+            # first of the row's run in the lexsorted order.
             order = np.lexsort((cand, sq, rows))
-            _, first = np.unique(rows[order], return_index=True)
-            best = order[first]
+            best = order[np.flatnonzero(np.diff(rows[order], prepend=-1))]
             idx[rows[best]] = cand[best]
         return idx, dist, nbr
 
@@ -194,6 +193,11 @@ class SpatialIndex:
 # distance was the bound, 2 certified about half and ran slower, while 5 to
 # 8 certified up to 83% and ran no faster.
 _CACHE_NEIGHBOURS = 4
+# Rows per index query of the matcher. Each row costs the index about 150
+# bytes of temporaries (its row-major copy, K + 1 distances and indices, the
+# kept ids), so a block holds about 5 MB whatever the stack's size. It is the
+# engine's batch size, so only a pair larger than a batch is cut.
+_QUERY_ROWS = 1 << 15
 # False sends every stacked point to the index at every round; tests use it
 # to compare the engine with and without certificates.
 _CERTIFY = True
@@ -268,7 +272,8 @@ class _NeighbourCache:
         """Fill matched (3, N) with the exact nearest model point of every
         stacked point placed at placed (3, N), pairs starting at starts and
         sorted by model_of. Uncertified points, or all of them unless
-        certify and _CERTIFY, go to their model's index, one query per model.
+        certify and _CERTIFY, go to their model's index in blocks of at most
+        _QUERY_ROWS rows; each row's answer depends on that row alone.
         Returns the squared distances (N,) and the points each pair sent to
         an index (B,).
         """
@@ -281,10 +286,11 @@ class _NeighbourCache:
         cuts = np.searchsorted(miss, np.append(starts, points)).tolist()
         firsts = np.flatnonzero(np.diff(model_of, prepend=-1)).tolist()
         for first, end in zip(firsts, firsts[1:] + [len(model_of)]):
-            rows = miss[cuts[first]:cuts[end]]
-            if rows.size:
+            j = int(model_of[first])
+            for lo in range(cuts[first], cuts[end], _QUERY_ROWS):
+                rows = miss[lo:min(lo + _QUERY_ROWS, cuts[end])]
                 # The index is the one consumer of row-major points.
-                nearest[rows] = self._query(int(model_of[first]), rows, placed.T[rows])
+                nearest[rows] = self._query(j, rows, placed.T[rows])
         return self._gather(nearest, placed, matched), np.diff(cuts)
 
     def _gather(

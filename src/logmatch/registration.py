@@ -187,15 +187,17 @@ def max_eigenvector(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return float(values[0]), vectors[0]
 
 
-# Stacked moving points per lockstep batch. The engine peaks in the first
-# iteration, when every stacked point goes to its index: five (3, N) float
-# arrays (points, centred points, matches, the matcher's anchors and the
-# placement: 120 bytes per stacked point), the index's rows (24), its 5
-# distances and indices per row (80) and their temporaries. At most about
-# 270 bytes per stacked point (tracemalloc: 215 with trees, 250 with scans
-# of 48-point models) bound the working set near 9 MB, plus the matcher's
-# one copy of the used model points; a pair with more points runs in a
-# batch of its own.
+# Stacked moving points per lockstep batch. Each stacked point keeps four
+# (3, N) float arrays (points, matches, the matcher's anchors and the
+# placement: 96 bytes) and the matcher's kept ids and bound (16 to 24). The
+# engine peaks in the fit, beside the three centred moving axes and a new
+# placement, or in the first iteration, whose index queries the matcher cuts
+# into blocks of correspondence._QUERY_ROWS rows. tracemalloc peaks of 167
+# and 183 bytes per stacked point (full batches of 48-point clouds onto
+# 48-point models, matched by scans, and onto 3,000-point ones, by trees)
+# bound the working set near 6 MB, plus the matcher's one copy of the used
+# model points. A pair with more points runs in a batch of its own, at about
+# 160 bytes per point (156 and 161 for 200,000 points onto those models).
 _BATCH_POINTS = 1 << 15
 
 
@@ -217,7 +219,6 @@ class _Stack:
         self.counts = np.array([len(c) for c in clouds], dtype=np.intp)
         self.starts = np.cumsum(self.counts) - self.counts
         self.centroids = _segment_means(self.points, self.starts, self.counts)
-        self.centred = self.points - np.repeat(self.centroids, self.counts, axis=1)
 
     def keep(self, mask: np.ndarray) -> np.ndarray:
         """Drop the pairs where mask is False; returns the kept point rows."""
@@ -225,7 +226,6 @@ class _Stack:
         # np.compress keeps each axis a contiguous row; indexing the columns
         # with a mask would return the rows interleaved (Fortran order).
         self.points = np.compress(rows, self.points, axis=1)
-        self.centred = np.compress(rows, self.centred, axis=1)
         self.centroids = self.centroids[:, mask]
         self.counts = self.counts[mask]
         self.starts = np.cumsum(self.counts) - self.counts
@@ -240,14 +240,16 @@ def _segment_means(columns: np.ndarray, starts: np.ndarray, counts: np.ndarray) 
 def _cross_covariances(stack: _Stack, matched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pair cross-covariances (B, 3, 3) of the stacked moving points
     against their matched model columns (3, N), and the matched centroids
-    (3, B). Builds one (N,) temporary at a time."""
+    (3, B). Holds the three centred moving axes and one other (N,)
+    temporary at a time."""
     starts, counts = stack.starts, stack.counts
     mu_x = _segment_means(matched, starts, counts)
+    centred = [p - np.repeat(mu_p, counts) for p, mu_p in zip(stack.points, stack.centroids)]
     sigma = np.empty((starts.shape[0], 3, 3), dtype=np.float64)
     for b in range(3):
         xc = matched[b] - np.repeat(mu_x[b], counts)
         for a in range(3):
-            sigma[:, a, b] = _segment_means(stack.centred[a] * xc, starts, counts)
+            sigma[:, a, b] = _segment_means(centred[a] * xc, starts, counts)
     return sigma, mu_x
 
 
@@ -424,12 +426,16 @@ def _lockstep(
     previous = np.full(len(batch), np.inf)
     queried = np.zeros(len(batch), dtype=np.int64)
     matched = np.empty_like(stack.points)
-    cache = _NeighbourCache(models, np.unique(model_of).tolist(), stack.points.shape[1])
+    # model_of is sorted, so its distinct models come in order.
+    cache = _NeighbourCache(models, list(dict.fromkeys(model_of.tolist())), stack.points.shape[1])
 
     for iteration in range(1, cfg.max_iterations + 1):
         squared, sent = cache.match(current, stack.starts, model_of, iteration > 1, matched)
         queried += sent
         incumbent_error = _segment_means(squared, stack.starts, stack.counts)
+        # Dropped once used, as placed is below: the fit and the next match
+        # then hold no stale per-point array.
+        del squared
 
         fit_quats, fit_trans, placed, fitted_error = _fit(stack, matched)
         # The closed form cannot worsen the objective; keep the incumbent
@@ -443,6 +449,7 @@ def _lockstep(
         else:
             rows = np.repeat(accept, stack.counts)
             current[:, rows] = placed[:, rows]
+        del placed
         if out.history is not None:
             for k, e, q, t in zip(ids.tolist(), error.tolist(), quats, trans):
                 out.history[k].append((e, q.copy(), t.copy()))

@@ -712,6 +712,23 @@ class TestScipyStaysOut:
         assert seen == [[False, False], [True, True]]
 
 
+class TestMaskedArraysStayOut:
+    """ICP never imports numpy.ma, which np.unique loads on its first call.
+    scipy's k-d tree module imports it itself, so the models here are
+    matched by the linear scan."""
+
+    def test_icp_never_imports_numpy_ma(self, tiny_dataset):
+        train, _, root = tiny_dataset
+        scans = sorted((root / "train_scans").iterdir())
+        seen = loaded_after([
+            ["register", scans[0], scans[1]],
+            # At --jobs 1 every alignment runs in this process.
+            ["experiment", train, "--predictor", "icp", "--runs", 2, "--jobs", 1,
+             "--output", root / "experiment.csv"],
+        ], names=("numpy.ma",))
+        assert seen == [[False]] * 3
+
+
 class TestPoolIsTheOnlyParallelism:
     """BLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise, and
     the pool modules load only when a pool starts."""

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import multiprocessing
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -739,3 +740,47 @@ class TestTiesInTheEngine:
         reference = uncached[0]
         for results in cached + uncached:
             assert results == reference
+
+
+class TestWorkingSet:
+    """The matcher queries its index in blocks of rows, and the engine keeps
+    one copy of each per-point array, so its memory is linear in the moving
+    points with a small constant."""
+
+    @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
+    def test_query_blocks_change_no_result(self, cfg, monkeypatch):
+        scans, pairs = engine_case(np.random.default_rng(32))
+        whole = _align_pairs(scans, pairs, cfg, record=True)
+        sizes = []
+        query = correspondence._NeighbourCache._query
+
+        def spy(cache, j, rows, xyz):
+            sizes.append(len(rows))
+            return query(cache, j, rows, xyz)
+
+        monkeypatch.setattr(correspondence._NeighbourCache, "_query", spy)
+        monkeypatch.setattr(correspondence, "_QUERY_ROWS", 3)
+        blocked = _align_pairs(scans, pairs, cfg, record=True)
+        # Some blocks are full and some are a model's partial last one.
+        assert max(sizes) == 3 and min(sizes) < 3
+        for k in range(len(pairs)):
+            assert outcome(blocked, k) == outcome(whole, k)
+
+    @pytest.mark.parametrize("model_size", [48, 3000])
+    def test_peak_memory_per_moving_point(self, model_size):
+        # One moving cloud far larger than a batch: the first iteration sends
+        # every point to the index, a scan of 48 points or a tree of 3,000.
+        rng = np.random.default_rng(38)
+        model = box_cloud(rng, model_size)
+        points = 200_000
+        moving = box_cloud(rng, points)
+        cfg = IcpConfig(max_iterations=3)
+        _align_pairs([box_cloud(rng, 10), model], [(0, 1)], cfg)  # imports load outside the trace
+        tracemalloc.start()
+        try:
+            run = _align_pairs([moving, model], [(0, 1)], cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.iterations[0] == 3
+        assert peak <= 200 * points
