@@ -729,6 +729,23 @@ class TestMaskedArraysStayOut:
         assert seen == [[False]] * 3
 
 
+class TestRandomStaysOut:
+    """Splits come from logmatch's own PCG64, so no command loads
+    numpy.random, nor the secrets, hashlib and _hashlib modules that its
+    bit generators import."""
+
+    def test_experiment_and_split_never_import_numpy_random(self, tiny_dataset):
+        train, _, root = tiny_dataset
+        seen = loaded_after([
+            *(["experiment", train, "--predictor", "icp,mean", "--runs", 2, "--jobs", jobs,
+               "--output", root / f"icp{jobs}.csv"] for jobs in (1, 2)),
+            ["experiment", train, "--predictor", "knn,mean", "--k", 1, "--runs", 2,
+             "--output", root / "knn.csv"],
+            ["split", train, "--runs", 2, "--output", root / "split.csv"],
+        ], names=("numpy.random", "secrets", "hashlib", "_hashlib"))
+        assert seen == [[False] * 4] * 5
+
+
 class TestPoolIsTheOnlyParallelism:
     """BLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise, and
     the pool modules load only when a pool starts."""

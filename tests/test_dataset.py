@@ -10,6 +10,7 @@ from logmatch import (
     drop_empty,
     split_indices,
 )
+from logmatch import dataset
 from synthdata import box_cloud
 
 
@@ -123,6 +124,60 @@ class TestSplit:
         for run in range(3):
             for got, want in zip(split_indices(20, spec, run), split_indices(20, reference, run)):
                 np.testing.assert_array_equal(got, want)
+
+
+def shuffled(n, seed, run):
+    """The whole permutation behind run's split: its train then test indices."""
+    return np.concatenate(split_indices(n, SplitSpec(seed=seed, runs=run + 1), run))
+
+
+class TestSplitStream:
+    """Splits come from logmatch's own PCG64, pinned to the stream of numpy
+    2.4's np.random.default_rng([seed, run]).permutation(n)."""
+
+    @pytest.mark.parametrize("seed, run, want", [
+        (2**64 - 1, 0, [0, 1]),
+        (2**64 - 1, 1, [1, 0]),
+        (3, 0, [1, 0]),
+        (0, 0, [2, 0, 1]),
+        (7, 4, [6, 7, 3, 10, 5, 1, 8, 11, 4, 2, 9, 0]),
+        (2**64 - 1, 9, [7, 13, 21, 5, 2, 22, 9, 4, 10, 3, 11, 17, 12, 0, 1, 8, 15, 19, 16, 20, 14, 6, 18]),
+        (2**32, 1, [12, 31, 24, 9, 4, 15, 23, 33, 20, 34, 19, 6, 39, 14, 22, 29, 37, 41, 40, 10, 28,
+                    27, 26, 32, 2, 38, 11, 30, 7, 18, 16, 5, 13, 0, 36, 25, 8, 1, 17, 35, 3, 21]),
+    ])
+    def test_golden_permutations(self, seed, run, want):
+        # Written out, so the stream holds whatever numpy is installed.
+        assert shuffled(len(want), seed, run).tolist() == want
+
+    @pytest.mark.parametrize("n", [2, 3, 37, 42, 60, 210, 1_000, 65_537, 100_000])
+    def test_matches_numpy(self, n):
+        for seed in (0, 1, 42, 2**32 - 1, 2**32, 2**64 - 1):
+            for run in (0, 1, 9):
+                want = np.random.default_rng([seed, run]).permutation(n)
+                np.testing.assert_array_equal(shuffled(n, seed, run), want)
+
+    def test_matches_numpy_past_the_seed_pool(self):
+        # Five or more 32-bit entropy words overflow SeedSequence's pool of
+        # four, which then mixes in the rest word by word.
+        for seed in (3, 2**64 - 1):
+            for run in (2**32, 2**64 + 5, 2**69):
+                want = np.random.default_rng([seed, run]).permutation(60)
+                got = np.concatenate(split_indices(60, SplitSpec(seed=seed, runs=2**70), run))
+                np.testing.assert_array_equal(got, want)
+
+    def test_indices_are_int64(self):
+        for part in split_indices(7, SplitSpec(seed=5, runs=2), 1):
+            assert part.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    def test_bounded_draws_above_32_bits(self, seed):
+        # A permutation reaches 64-bit draws only past 2**32 entries, so the
+        # draws are checked directly against numpy's masked bounded ints,
+        # mixed with 32-bit ones that must keep a pending high half.
+        tops = [2**40, 2**33 + 1, 7, 2**35, 3, 2**32 - 1, 2**32, 2**64 - 1, 2**63 + 1, 1, 2**32 - 2] * 5
+        legacy = np.random.RandomState(np.random.PCG64([seed, 1]))
+        want = [int(legacy.randint(0, top + 1, dtype=np.uint64)) for top in tops]
+        assert list(dataset._intervals(*dataset._pcg64_seed((seed, 1)), tops)) == want
 
 
 class TestDropEmpty:
