@@ -209,8 +209,6 @@ def _log_features(log_id: str, scan: PointCloud) -> LogFeatures:
 def cmd_predict(args: argparse.Namespace) -> int:
     cfg = _icp_config(args)
     train = io_mod.load_dataset(args.manifest_train, args.baskets)
-    if len(train) == 0:
-        raise InvalidInputError("training set is empty")
     tests = dict(io_mod.load_scans(args.manifest_test))
     if args.predictor == "icp":
         outcomes = predictor_mod.icp_nn_predict_batch(

@@ -41,7 +41,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InvalidInputError, _instance
+from .errors import InvalidInputError, _array, _instance
 from .geometry import B, PointCloud, _squared_distances
 
 # Models of at most this many points are matched by the linear scan, larger
@@ -68,16 +68,12 @@ class CorrespondenceSet:
     squared_distances: np.ndarray
 
     def __post_init__(self) -> None:
-        idx = np.ascontiguousarray(self.target_indices, dtype=np.int64)
-        sq = np.ascontiguousarray(self.squared_distances, dtype=np.float64)
-        if idx.ndim != 1 or sq.shape != idx.shape:
-            raise InvalidInputError("target_indices and squared_distances must be equal-length 1-D arrays")
-        if idx.shape[0] < 1:
+        idx = _array("target_indices", self.target_indices, np.int64, None)
+        sq = _array("squared_distances", self.squared_distances, np.float64, len(idx))
+        if len(idx) < 1:
             raise InvalidInputError("correspondence set must not be empty")
         if (sq < 0).any() or not np.isfinite(sq).all():
             raise InvalidInputError("squared distances must be finite and non-negative")
-        idx.setflags(write=False)
-        sq.setflags(write=False)
         object.__setattr__(self, "target_indices", idx)
         object.__setattr__(self, "squared_distances", sq)
 
@@ -123,9 +119,7 @@ class SpatialIndex:
         or infinite coordinate, or one beyond _REACH = 3*sqrt(3)*geometry.B,
         within which every distance is finite, raises InvalidInputError.
         """
-        pts = np.asarray(xyz, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise InvalidInputError(f"queries must have shape (m, 3), got {pts.shape}")
+        pts = _array("xyz", xyz, np.float64, None, 3)
         if not (np.abs(pts) <= _REACH).all():
             raise InvalidInputError(f"query coordinates must be finite and within ±{_REACH:g}")
         idx, _, _ = self._nearest(pts, 2)

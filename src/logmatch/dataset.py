@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _instance, _integer, _real
+from .errors import InvalidInputError, _instance, _integer, _items, _real
 from .predictor import LogRecord
 
 
@@ -30,15 +30,15 @@ class Dataset:
     product_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        records = tuple(self.records)
-        names = tuple(self.product_names)
+        records = _items("records", self.records, LogRecord)
+        names = _items("product_names", self.product_names, str)
         object.__setattr__(self, "records", records)
         object.__setattr__(self, "product_names", names)
         if not names:
             raise InvalidInputError("a dataset needs at least one product name")
         seen = set()
-        for k, rec in enumerate(records):
-            if _instance(f"records[{k}]", rec, LogRecord).id in seen:
+        for rec in records:
+            if rec.id in seen:
                 raise InvalidInputError(f"duplicate log id {rec.id!r}")
             seen.add(rec.id)
             if len(rec.basket) != len(names):

@@ -1,9 +1,11 @@
 """Exception types shared across the package, and its checks of public
 arguments: counts and indices (_integer), reals (_real), flags (_flag),
-objects of one class (_instance) and configs that default when None
-(_config). Each returns the value as the type it stands for."""
+objects of one class (_instance), configs that default when None
+(_config), sequences (_items) and arrays (_array). Each returns the value
+as the type it stands for."""
 
 import math
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -81,3 +83,51 @@ def _instance(name: str, value: object, cls: type) -> object:
 def _config(cfg: object, cls: type) -> object:
     """cfg, which must be an instance of cls, or cls() when it is None."""
     return cls() if cfg is None else _instance("cfg", cfg, cls)
+
+
+def _items(name: str, values: object, check: type | Callable[[object], object]) -> tuple:
+    """values as a tuple: any iterable but a str or bytes, generators and
+    numpy arrays included. check is a class, of which every item must be an
+    instance, or a function that returns each item checked; a TypeError or
+    ValueError that it raises on an item (one that does not unpack, say) is
+    refused in the name of values."""
+    kind = f" of {check.__name__}" if isinstance(check, type) else ""
+    # A 0-d numpy array is Iterable by its type, but iterating it fails.
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable) or getattr(values, "ndim", 1) == 0:
+        raise InvalidInputError(f"{name} must be a sequence{kind}, got {type(values).__name__}")
+    if kind:
+        return tuple(_instance(f"{name}[{k}]", item, check) for k, item in enumerate(values))
+    try:
+        return tuple(map(check, values))
+    except LogmatchError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} holds a malformed item: {exc}") from None
+
+
+# The cells each array dtype takes, and their name in messages.
+_CELLS = {np.int64: ("integers", (int, np.integer)), np.float64: ("reals", (int, float, np.integer, np.floating))}
+
+
+def _array(name: str, value: object, dtype: type, *shape: int | None) -> np.ndarray:
+    """value as a new read-only, C-ordered array of dtype (np.int64 or
+    np.float64) whose shape is shape, None standing for any length: an array
+    or nested sequence of integers, or of integers and reals for float64.
+    Bools, strings, other objects and ragged sequences are refused."""
+    kind, numbers = _CELLS[dtype]
+    if not isinstance(value, np.ndarray):
+        # Each cell as given, so that a bool or a string is seen before it converts.
+        value = np.array(value, dtype=object)
+        for cell in value.flat:
+            if isinstance(cell, bool) or not isinstance(cell, numbers):
+                raise InvalidInputError(f"{name} must be a rectangular array of {kind}, got {cell!r}")
+    elif value.dtype.kind == "b" or not np.can_cast(value.dtype, dtype):
+        raise InvalidInputError(f"{name} must be an array of {kind}, got an array of {value.dtype}")
+    try:
+        array = value.astype(dtype, order="C")
+    except OverflowError:
+        raise InvalidInputError(f"{name} holds a value beyond {np.dtype(dtype)}") from None
+    if array.ndim != len(shape) or any(want not in (None, got) for want, got in zip(shape, array.shape)):
+        raise InvalidInputError(f"{name} must have shape {shape} (None for any length), got {array.shape}")
+    array.setflags(write=False)
+    return array

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, _instance, _real
+from .errors import InvalidInputError, _array, _instance, _real
 
 # Constructor tolerance on the quaternion sum of squares.
 _UNIT_SUMSQ_TOL = 1e-9
@@ -53,18 +53,12 @@ class PointCloud:
     xyz: np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            arr = np.array(self.xyz, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InvalidInputError(f"point cloud must be an array of reals: {exc}") from None
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise InvalidInputError(f"point cloud must have shape (n, 3), got {arr.shape}")
+        arr = _array("point cloud", self.xyz, np.float64, None, 3)
         if arr.shape[0] < 1:
             raise InvalidInputError("point cloud must contain at least one point")
         # NaN fails this test too: the extremes of an array holding one are NaN.
         if not (-B <= arr.min() and arr.max() <= B):
             raise InvalidInputError(f"point cloud has coordinates that are not finite or beyond ±{B:g}")
-        arr.setflags(write=False)
         object.__setattr__(self, "xyz", arr)
 
     def __len__(self) -> int:
@@ -72,20 +66,10 @@ class PointCloud:
 
 
 def _canonical_sign(q0: float, q1: float, q2: float, q3: float) -> tuple[float, float, float, float]:
-    """Pick the canonical representative of {q, -q}.
-
-    q0 > 0 wins; when q0 == 0 the first nonzero of (q1, q2, q3) must be
-    positive so that every rotation has exactly one stored representation.
-    """
-    if q0 != 0.0:
-        flip = q0 < 0.0
-    else:
-        flip = False
-        for c in (q1, q2, q3):
-            if c != 0.0:
-                flip = c < 0.0
-                break
-    if flip:
+    """Pick the canonical representative of {q, -q}: the one whose first
+    nonzero component is positive, so that every rotation has exactly one
+    stored representation."""
+    if next((c for c in (q0, q1, q2, q3) if c != 0.0), 0.0) < 0.0:
         return (-q0, -q1, -q2, -q3)
     return (q0, q1, q2, q3)
 
@@ -120,7 +104,7 @@ class UnitQuaternion:
     @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "UnitQuaternion":
         """Rotation of `angle` radians about `axis` (need not be unit length)."""
-        ax = np.asarray(axis, dtype=np.float64).reshape(3)
+        ax = _array("axis", axis, np.float64, 3)
         norm = float(np.linalg.norm(ax))
         if norm < 1e-12:
             raise InvalidInputError("rotation axis must be nonzero")
@@ -168,12 +152,9 @@ class RigidTransform:
 
     def __post_init__(self) -> None:
         _instance("rotation", self.rotation, UnitQuaternion)
-        t = np.array(self.translation, dtype=np.float64).reshape(-1)
-        if t.shape != (3,):
-            raise InvalidInputError(f"translation must be a 3-vector, got shape {t.shape}")
+        t = _array("translation", self.translation, np.float64, 3)
         if not np.isfinite(t).all():
             raise InvalidInputError("translation contains non-finite components")
-        t.setflags(write=False)
         object.__setattr__(self, "translation", t)
 
     @classmethod

@@ -20,9 +20,9 @@ empty basket and scores 1 (distances 0) everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
-from .errors import InvalidInputError, _config, _flag, _instance, _integer, _real
+from .errors import InvalidInputError, _config, _flag, _instance, _integer, _items, _real
 from .predictor import ProductBasket
 
 
@@ -162,16 +162,17 @@ def area_score(pair: ScoredPair, cfg: MetricConfig | None = None) -> float:
     return prediction_score(pair, cfg) * production_score(pair, cfg)
 
 
-def evaluate(pairs: Sequence[ScoredPair], cfg: MetricConfig | None = None) -> ScoreReport:
+def evaluate(pairs: Iterable[ScoredPair], cfg: MetricConfig | None = None) -> ScoreReport:
     """Score every pair and average, reporting Table-style values.
 
     Filtering (when enabled) happens per pair. The area column is the mean
     of the per-pair products, not the product of the means.
     """
     cfg = _config(cfg, MetricConfig)
-    if len(pairs) == 0:
-        raise InvalidInputError("cannot evaluate an empty pair sequence")
-    widths = {len(_instance(f"pairs[{k}]", pair, ScoredPair)) for k, pair in enumerate(pairs)}
+    pairs = _items("pairs", pairs, ScoredPair)
+    if not pairs:
+        raise InvalidInputError("pairs must not be empty")
+    widths = {len(pair) for pair in pairs}
     if len(widths) > 1:
         raise InvalidInputError(f"pairs have inconsistent basket lengths: {sorted(widths)}")
 

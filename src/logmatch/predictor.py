@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, _instance, _integer, _real
+from .errors import InvalidInputError, _array, _instance, _integer, _items, _real
 from .geometry import PointCloud
 from .registration import IcpConfig, icp_distance_matrix
 
@@ -45,14 +45,8 @@ class ProductBasket:
     quantities: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cleaned = []
-        for q in self.quantities:
-            if isinstance(q, (bool, float, np.floating)) or not isinstance(q, (int, np.integer)):
-                raise InvalidInputError(f"basket quantities must be integers, got {q!r}")
-            if q < 0:
-                raise InvalidInputError(f"basket quantities must be non-negative, got {q!r}")
-            cleaned.append(int(q))
-        object.__setattr__(self, "quantities", tuple(cleaned))
+        quantities = _items("basket quantities", self.quantities, lambda q: _integer("basket quantities", q, 0))
+        object.__setattr__(self, "quantities", quantities)
 
     def __len__(self) -> int:
         return len(self.quantities)
@@ -135,13 +129,14 @@ def _round_half_up(values: np.ndarray) -> np.ndarray:
     return np.floor(values + 0.5).astype(np.int64)
 
 
-def _check_train(train: Sequence[LogRecord]) -> None:
-    if len(train) == 0:
+def _check_train(train: Sequence[LogRecord]) -> tuple[LogRecord, ...]:
+    """train as a tuple of records, refused when empty or when its baskets differ in length."""
+    train = _items("train", train, LogRecord)
+    if not train:
         raise InvalidInputError("training set must not be empty")
-    for k, rec in enumerate(train):
-        _instance(f"train[{k}]", rec, LogRecord)
     if len({len(rec.basket) for rec in train}) > 1:
         raise InvalidInputError("training baskets must all have the same length")
+    return train
 
 
 def mean_predict(train: Sequence[LogRecord]) -> ProductBasket:
@@ -149,7 +144,7 @@ def mean_predict(train: Sequence[LogRecord]) -> ProductBasket:
 
     The same constant basket answers every query.
     """
-    _check_train(train)
+    train = _check_train(train)
     return _mean_basket(np.stack([rec.basket.as_array() for rec in train]))
 
 
@@ -172,10 +167,10 @@ def icp_nn_predict_batch(
     table with nn_predict_from_distances, under the tie rule that
     knn_feature_predict shares. Results do not depend on the worker count.
     """
-    _check_train(train)
+    train = _check_train(train)
     n = len(train)
-    queries = [_instance(f"queries[{k}]", query, PointCloud) for k, query in enumerate(queries)]
-    scans = [rec.scan for rec in train] + queries
+    queries = _items("queries", queries, PointCloud)
+    scans = [rec.scan for rec in train] + list(queries)
     pairs = [(n + q, t) for q in range(len(queries)) for t in range(n)]
     distances = icp_distance_matrix(scans, pairs, cfg, jobs)
     return nn_predict_from_distances(train, distances.reshape(len(queries), n))
@@ -191,12 +186,8 @@ def nn_predict_from_distances(
     lowest column, that is the lowest training index, as in
     knn_feature_predict, which picks from its table the same way.
     """
-    _check_train(train)
-    distances = np.asarray(distances, dtype=np.float64)
-    if distances.ndim != 2 or distances.shape[1] != len(train):
-        raise InvalidInputError(
-            f"distances must have shape (queries, {len(train)}), got {distances.shape}"
-        )
+    train = _check_train(train)
+    distances = _array("distances", distances, np.float64, None, len(train))
     if np.isnan(distances).any():
         raise InvalidInputError("distances must not be NaN")
     return _pick_neighbours(train, distances, 1)
@@ -381,10 +372,10 @@ def knn_feature_predict(
     standardized feature space, not mm^2. A query with a z-score beyond
     _Z_REACH (1.5e153) is refused first, named by query_ids.
     """
-    _check_train(train)
-    for name, features in (("train_features", train_features), ("query_features", query_features)):
-        if isinstance(features, LogFeatures) or not all(isinstance(f, LogFeatures) for f in features):
-            raise InvalidInputError(f"{name} must be a sequence of LogFeatures")
+    train = _check_train(train)
+    train_features = _items("train_features", train_features, LogFeatures)
+    query_features = _items("query_features", query_features, LogFeatures)
+    query_ids = None if query_ids is None else _items("query_ids", query_ids, str)
     if len(train_features) != len(train):
         raise InvalidInputError(f"{len(train_features)} train_features for {len(train)} training records")
     if query_ids is not None and len(query_ids) != len(query_features):

@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .correspondence import CorrespondenceSet, SpatialIndex, _NeighbourCache, _SCAN_MAX, build_index
-from .errors import InvalidInputError, NumericalError, _config, _flag, _instance, _integer, _real
+from .errors import InvalidInputError, NumericalError, _array, _config, _flag, _instance, _integer, _items, _real
 from .geometry import PointCloud, RigidTransform, UnitQuaternion, _rotation_matrix, _squared_distances
 
 _SYMMETRY_TOL = 1e-9
@@ -120,17 +120,16 @@ class IcpTrace:
     terminal_reason: TerminalReason
 
     def __post_init__(self) -> None:
-        if not self.iterations:
+        iterations = _items("iterations", self.iterations, IcpIteration)
+        if not iterations:
             raise InvalidInputError("trace must contain at least one iteration")
         _instance("terminal_reason", self.terminal_reason, TerminalReason)
-        previous = None
-        for k, entry in enumerate(self.iterations):
-            _instance(f"iterations[{k}]", entry, IcpIteration)
-            if previous is not None and entry.mse > previous:
+        for previous, entry in zip(iterations, iterations[1:]):
+            if entry.mse > previous.mse:
                 raise NumericalError(
-                    f"mean-square error increased at iteration {entry.index}: {previous!r} -> {entry.mse!r}"
+                    f"mean-square error increased at iteration {entry.index}: {previous.mse!r} -> {entry.mse!r}"
                 )
-            previous = entry.mse
+        object.__setattr__(self, "iterations", iterations)
 
     def errors(self) -> np.ndarray:
         return np.array([entry.mse for entry in self.iterations], dtype=np.float64)
@@ -175,9 +174,7 @@ def max_eigenvector(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     The input must be symmetric within 1e-9 (scaled by its magnitude).
     Degenerate spectra are fine; any maximizing eigenvector is returned.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.shape != (4, 4):
-        raise InvalidInputError(f"expected a 4x4 matrix, got shape {m.shape}")
+    m = _array("matrix", matrix, np.float64, 4, 4)
     if not np.isfinite(m).all():
         raise InvalidInputError("matrix contains non-finite entries")
     magnitude = float(np.abs(m).max())
@@ -527,10 +524,14 @@ def icp_distance_matrix(
     """
     jobs = _integer("jobs", jobs, 1)
     cfg = _config(cfg, IcpConfig)
+    scans = _items("scans", scans, PointCloud)
     n = len(scans)
-    listed = [(_integer("pair id", i, 0, n), _integer("pair id", j, 0, n)) for i, j in pairs]
+
+    def ids(pair):
+        i, j = pair
+        return _integer("pair id", i, 0, n), _integer("pair id", j, 0, n)
+
+    listed = _items("pairs", pairs, ids)
     wanted = sorted(set(listed))
-    for k in sorted({k for pair in wanted for k in pair}):
-        _instance(f"scans[{k}]", scans[k], PointCloud)
     at = {pair: k for k, pair in enumerate(wanted)}
     return _align_pairs(scans, wanted, cfg, jobs=jobs).mse[[at[pair] for pair in listed]]

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from logmatch import (
     apply_transform,
     quaternion_to_rotation,
 )
+from logmatch import geometry
 from logmatch.geometry import B
 from synthdata import box_cloud, random_transform
 
@@ -95,6 +97,34 @@ class TestUnitQuaternion:
         q = UnitQuaternion(0.0, 0.0, -1.0, 0.0)
         assert q.q0 == 0.0
         assert q.q2 == 1.0
+
+    @pytest.mark.parametrize("q, want", [
+        ((-0.0, -0.0, -0.5, 0.5), (0.0, 0.0, 0.5, -0.5)),
+        ((0.0, -0.0, 0.0, -0.5), (-0.0, 0.0, -0.0, 0.5)),
+        ((-0.0, 0.5, -0.0, -0.5), (-0.0, 0.5, -0.0, -0.5)),
+        ((-0.0, -0.0, -0.0, -0.0), (-0.0, -0.0, -0.0, -0.0)),
+        ((-0.5, 0.0, -0.0, 0.5), (0.5, -0.0, 0.0, -0.5)),
+    ])
+    def test_canonical_sign_skips_signed_zeros(self, q, want):
+        # A zero of either sign is not the first nonzero component, and a
+        # flip negates every component, zeros included.
+        assert repr(geometry._canonical_sign(*q)) == repr(want)
+
+    def test_canonical_sign_matches_the_case_analysis(self):
+        def by_cases(q0, q1, q2, q3):
+            # q0 decides when nonzero; else the first nonzero of q1..q3.
+            if q0 != 0.0:
+                flip = q0 < 0.0
+            else:
+                flip = False
+                for c in (q1, q2, q3):
+                    if c != 0.0:
+                        flip = c < 0.0
+                        break
+            return (-q0, -q1, -q2, -q3) if flip else (q0, q1, q2, q3)
+
+        for q in itertools.product([0.0, -0.0, 0.5, -0.5], repeat=4):
+            assert repr(geometry._canonical_sign(*q)) == repr(by_cases(*q))
 
     def test_rejects_non_unit(self):
         with pytest.raises(InvalidInputError):

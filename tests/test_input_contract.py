@@ -6,6 +6,8 @@ a finite Python or numpy real, not a bool or a string; flags take a bool.
 Anything else raises InvalidInputError naming the argument. A name with no
 scalar parameter has an empty row, so a new public name fails
 test_every_public_name_has_a_row until its parameters are listed here.
+Object arguments are listed in OBJECTS, and sequence and array arguments,
+with the forms each refuses and accepts, in SEQUENCES.
 """
 
 import math
@@ -18,6 +20,7 @@ import pytest
 
 import logmatch
 from logmatch import (
+    CorrespondenceSet,
     Dataset,
     IcpConfig,
     IcpIteration,
@@ -53,6 +56,7 @@ from logmatch import (
     icp_nn_predict_batch,
     knn_feature_predict,
     match_correspondences,
+    max_eigenvector,
     mean_predict,
     nn_predict_from_distances,
     prediction_score,
@@ -308,3 +312,180 @@ def test_none_selects_the_default_config():
     for scorer in (prediction_score, production_score, area_score):
         assert scorer(_PAIR, None) == scorer(_PAIR, MetricConfig())
     assert icp_distance(_CLOUD, _SCANS[1], None) == icp_distance(_CLOUD, _SCANS[1], IcpConfig())
+
+
+# Sequence and array arguments. A sequence is any iterable but a str or
+# bytes, and every item is checked; an array is an array or nested sequence
+# of integers (of reals where the values are reals) of the documented shape,
+# never bools, strings, other objects or ragged rows. Each row names the
+# parameter as its messages do, passes value for it and valid values for
+# every other argument, and gives a single item where the sequence or array
+# is expected.
+ITEMS, REALS, IDS = "items", "reals", "ids"
+
+
+class Argument(NamedTuple):
+    says: str
+    kind: str
+    valid: object
+    single: object
+    call: Callable[[object], object]
+    iterable: bool = False  # documented Iterable: generators are accepted
+    optional: bool = False  # None selects a default
+
+
+_FEATURE = LogFeatures(**_FEATURES)
+_ITERATION = IcpIteration(0, 1.0, RigidTransform.identity())
+_INDEX = build_index(_CLOUD)
+
+SEQUENCES: dict[str, Argument] = {
+    "mean_predict.train": Argument("train", ITEMS, _RECORDS, _RECORDS[0], mean_predict),
+    "icp_nn_predict_batch.train": Argument(
+        "train", ITEMS, _RECORDS[:2], _RECORDS[0], lambda v: icp_nn_predict_batch(v, [_SCANS[2]])),
+    "icp_nn_predict_batch.queries": Argument(
+        "queries", ITEMS, [_SCANS[2]], _SCANS[2], lambda v: icp_nn_predict_batch(_RECORDS[:2], v)),
+    "nn_predict_from_distances.train": Argument(
+        "train", ITEMS, _RECORDS, _RECORDS[0], lambda v: nn_predict_from_distances(v, [[3.0, 1.0, 2.0]])),
+    "nn_predict_from_distances.distances": Argument(
+        "distances", REALS, [[3.0, 1.0, 2.0], [0.0, 5.0, 5.0]], 1.0,
+        lambda v: nn_predict_from_distances(_RECORDS, v)),
+    "knn_feature_predict.train": Argument(
+        "train", ITEMS, _RECORDS, _RECORDS[0], lambda v: knn_feature_predict(v, [_FEATURE] * 3, [_FEATURE], 1)),
+    "knn_feature_predict.train_features": Argument(
+        "train_features", ITEMS, [_FEATURE] * 3, _FEATURE, lambda v: knn_feature_predict(_RECORDS, v, [_FEATURE], 1)),
+    "knn_feature_predict.query_features": Argument(
+        "query_features", ITEMS, [_FEATURE], _FEATURE,
+        lambda v: knn_feature_predict(_RECORDS, [_FEATURE] * 3, v, 1)),
+    "knn_feature_predict.query_ids": Argument(
+        "query_ids", ITEMS, ["q"], "q", lambda v: knn_feature_predict(_RECORDS, [_FEATURE] * 3, [_FEATURE], 1, v),
+        optional=True),
+    "icp_distance_matrix.scans": Argument(
+        "scans", ITEMS, _SCANS, _SCANS[0], lambda v: icp_distance_matrix(v, [(1, 0)])),
+    "icp_distance_matrix.pairs": Argument(
+        "pairs", ITEMS, [(1, 0), (2, 1), (1, 0)], (1, 0), lambda v: icp_distance_matrix(_SCANS, v), iterable=True),
+    "evaluate.pairs": Argument("pairs", ITEMS, [_PAIR, _PAIR], _PAIR, evaluate, iterable=True),
+    "Dataset.records": Argument("records", ITEMS, _RECORDS, _RECORDS[0], lambda v: Dataset(v, ("p",))),
+    "Dataset.product_names": Argument(
+        "product_names", ITEMS, ("p",), "p", lambda v: Dataset(_RECORDS, v)),
+    "IcpTrace.iterations": Argument(
+        "iterations", ITEMS, [_ITERATION], _ITERATION, lambda v: IcpTrace(v, TerminalReason.CONVERGED)),
+    "ProductBasket.quantities": Argument("quantities", ITEMS, [1, 0, 2], 1, ProductBasket),
+    "PointCloud.xyz": Argument("point cloud", REALS, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], 1.0, PointCloud),
+    "RigidTransform.translation": Argument(
+        "translation", REALS, [1.0, 2.0, 3.0], 1.0, lambda v: RigidTransform(UnitQuaternion.identity(), v)),
+    "UnitQuaternion.from_axis_angle.axis": Argument(
+        "axis", REALS, [0.0, 1.0, 2.0], 1.0, lambda v: UnitQuaternion.from_axis_angle(v, 1.0)),
+    "CorrespondenceSet.target_indices": Argument(
+        "target_indices", IDS, [2, 0], 1, lambda v: CorrespondenceSet(v, [1.0, 0.0])),
+    "CorrespondenceSet.squared_distances": Argument(
+        "squared_distances", REALS, [1.0, 0.0], 1.0, lambda v: CorrespondenceSet([2, 0], v)),
+    "SpatialIndex.query_batch.xyz": Argument(
+        "xyz", REALS, [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], 1.0, _INDEX.query_batch),
+    "max_eigenvector.matrix": Argument(
+        "matrix", REALS, np.diag([1.0, 2.0, 3.0, 4.0]).tolist(), 1.0, max_eigenvector),
+}
+
+
+def _cells(value, f):
+    """value, a nested list, with f applied to every cell."""
+    return [_cells(v, f) for v in value] if isinstance(value, list) else f(value)
+
+
+def _ragged(value):
+    """value with its first cell widened into a row of two."""
+    return [_ragged(value[0]), *value[1:]] if isinstance(value[0], list) else [[value[0]] * 2, *value[1:]]
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def _wrong(arg: Argument) -> dict[str, object]:
+    wrong = {"string": "abc", "bytes": b"abc", "single": arg.single}
+    if not arg.optional:
+        wrong["None"] = None
+    if arg.kind != ITEMS:
+        bool_cell = np.array(arg.valid, dtype=object)
+        bool_cell.flat[0] = True
+        wrong.update({
+            "bools": _cells(arg.valid, lambda _: True),
+            "bool-array": np.array(_cells(arg.valid, lambda _: True)),
+            "a-bool-cell": bool_cell.tolist(),
+            "strings": _cells(arg.valid, str),
+            "string-array": np.array(_cells(arg.valid, str)),
+            "objects": np.array(arg.valid, dtype=object),
+            "ragged": _ragged(arg.valid),
+            "wrong-shape": [arg.valid],
+        })
+    if arg.kind == IDS:
+        wrong.update({"floats": _cells(arg.valid, lambda c: c + 0.9), "float-array": np.array(arg.valid) + 0.9})
+    return wrong
+
+
+def _accepted(arg: Argument) -> dict[str, object]:
+    forms = {"tuple": _tuples(arg.valid)}
+    if arg.iterable:
+        forms["generator"] = (item for item in arg.valid)
+    if all(isinstance(item, (int, float, list, tuple)) for item in arg.valid):
+        forms["numpy"] = np.array(arg.valid)  # numbers, rows or pairs
+    elif not isinstance(arg.valid[0], str):
+        forms["object-array"] = np.empty(len(arg.valid), dtype=object)
+        forms["object-array"][:] = arg.valid
+    if arg.kind == REALS:
+        forms["integer-array"] = np.array(arg.valid).astype(np.int32)
+    return forms
+
+
+WRONG_SEQUENCES = [(name, form, value) for name, arg in SEQUENCES.items() for form, value in _wrong(arg).items()]
+ACCEPTED = [(name, form, value) for name, arg in SEQUENCES.items() for form, value in _accepted(arg).items()]
+
+
+@pytest.mark.parametrize("name, form, value", WRONG_SEQUENCES, ids=[f"{n}={f}" for n, f, _ in WRONG_SEQUENCES])
+def test_wrong_sequence_or_array_is_refused_by_name(name, form, value):
+    arg = SEQUENCES[name]
+    with pytest.raises(InvalidInputError, match=rf"\b{arg.says}\b"):
+        arg.call(value)
+
+
+@pytest.mark.parametrize("name, form, value", ACCEPTED, ids=[f"{n}:{f}" for n, f, _ in ACCEPTED])
+def test_accepted_forms_give_the_same_result(name, form, value):
+    arg = SEQUENCES[name]
+    assert repr(arg.call(value)) == repr(arg.call(arg.valid))
+
+
+# Calls that once escaped as a bare TypeError or ValueError, or were taken
+# as something else, each refused by the name of its argument.
+ONCE_ESCAPED = {
+    "PointCloud(strings)": ("point cloud", lambda: PointCloud([["1", "2", "3"]])),
+    "PointCloud(bools)": ("point cloud", lambda: PointCloud([[True, False, True]])),
+    "CorrespondenceSet(float ids)": ("target_indices", lambda: CorrespondenceSet([0.9, 1.9, 2.9], [0.0] * 3)),
+    "Dataset(product_names=str)": ("product_names", lambda: Dataset((), "ab")),
+    "icp_distance_matrix(pairs=[triple])": ("pairs", lambda: icp_distance_matrix(_SCANS, [(0, 1, 2)])),
+    "icp_nn_predict_batch(queries=PointCloud)": ("queries", lambda: icp_nn_predict_batch(_RECORDS, _CLOUD)),
+    "mean_predict(None)": ("train", lambda: mean_predict(None)),
+    "evaluate(empty generator)": ("pairs", lambda: evaluate(pair for pair in ())),
+    "query_batch(strings)": ("xyz", lambda: _INDEX.query_batch([["a", "b", "c"]])),
+    "from_axis_angle(2-vector)": ("axis", lambda: UnitQuaternion.from_axis_angle([1, 2], 1.0)),
+    "ProductBasket(None)": ("quantities", lambda: ProductBasket(None)),
+}
+
+
+@pytest.mark.parametrize("says, call", ONCE_ESCAPED.values(), ids=ONCE_ESCAPED.keys())
+def test_once_escaped_calls_are_refused_by_name(says, call):
+    with pytest.raises(InvalidInputError, match=rf"\b{says}\b"):
+        call()
+
+
+@pytest.mark.parametrize("make, fields", [
+    (lambda a, b: PointCloud(a), ("xyz",)),
+    (lambda a, b: RigidTransform(UnitQuaternion.identity(), a[0]), ("translation",)),
+    (lambda a, b: CorrespondenceSet(b, a[:, 0]), ("target_indices", "squared_distances")),
+], ids=["PointCloud", "RigidTransform", "CorrespondenceSet"])
+def test_value_types_copy_and_freeze_their_arrays(make, fields):
+    coords, ids = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), np.array([1, 0])
+    value = make(coords, ids)
+    assert coords.flags.writeable and ids.flags.writeable
+    for name in fields:
+        stored = getattr(value, name)
+        assert not stored.flags.writeable and stored.flags.c_contiguous
+        assert not np.shares_memory(stored, coords) and not np.shares_memory(stored, ids)

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -628,6 +629,83 @@ class TestNeighbourCertificates:
         every_point = [run * len(scans[i]) for run, (i, _) in zip(uncached.iterations, pairs)]
         np.testing.assert_array_equal(uncached.queried, every_point)
         assert cached.queried.sum() <= 0.6 * uncached.queried.sum()
+
+
+def spied_alone(scans, pairs, cfg, monkeypatch):
+    """Each pair aligned alone with record=True, and per pair, per iteration:
+    the recorded error, the fitted error, the incumbent error (the mean of
+    the matcher's squared distances) and the matched model points."""
+    fits, matches = [], []
+    fit, match = registration._fit, correspondence._NeighbourCache.match
+
+    def spy_fit(stack, matched):
+        result = fit(stack, matched)
+        fits.append(float(result[3][0]))
+        return result
+
+    def spy_match(self, placed, starts, model_of, certify, matched):
+        squared, sent = match(self, placed, starts, model_of, certify, matched)
+        count = np.array([len(squared)])
+        matches.append((float(registration._segment_means(squared, np.zeros(1, dtype=np.intp), count)[0]),
+                        matched.copy()))
+        return squared, sent
+
+    monkeypatch.setattr(registration, "_fit", spy_fit)
+    monkeypatch.setattr(correspondence._NeighbourCache, "match", spy_match)
+    runs = []
+    for pair in pairs:
+        fits.clear()
+        matches.clear()
+        recorded = [e for e, _, _ in _align_pairs(scans, [pair], cfg, record=True).history[0]]
+        assert len(recorded) == len(fits) == len(matches)
+        runs.append(list(zip(recorded, fits, *zip(*matches))))
+    return runs
+
+
+def refusing_case(cfg, offset):
+    """far_engine_case in boxes 1e3 ulps wide, where rounding makes the
+    engine refuse fits at offsets of 1e9 and 1e12 mm."""
+    return far_engine_case(np.random.default_rng(36), (1, _CACHE_NEIGHBOURS, 40, 90, 300), offset, 1e3, cfg)
+
+
+def origin_case(cfg):
+    return (*engine_case(np.random.default_rng(32)), cfg)
+
+
+REFUSING = [pytest.param(offset, id=f"{offset:.0e}") for offset in (1e9, 1e12)]
+
+
+class TestTheFitIsKeptOnlyWhenNoWorse:
+    """Far from the origin, in boxes a thousand ulps wide, rounding makes
+    some closed-form fits worse than the incumbent placement: the engine
+    must keep the incumbent there. And the errors it compares must be sums
+    of the same terms in the same order."""
+
+    @pytest.mark.parametrize("offset", REFUSING)
+    @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
+    def test_each_error_is_the_smaller_of_the_fit_and_the_incumbent(self, cfg, offset, monkeypatch):
+        refused = 0
+        for run in spied_alone(*refusing_case(cfg, offset), monkeypatch):
+            for recorded, fitted, incumbent, _ in run:
+                assert recorded.hex() == min(fitted, incumbent).hex()
+                refused += fitted > incumbent
+        assert refused > 0
+
+    @pytest.mark.parametrize("case", [pytest.param(origin_case, id="origin")] + [
+        pytest.param(partial(refusing_case, offset=p.values[0]), id=p.id) for p in REFUSING])
+    @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
+    def test_unchanged_matches_score_the_kept_placement_alike(self, cfg, case, monkeypatch):
+        # Whenever the matches stay the same, the next iteration's incumbent
+        # error sums the same squared distances, in the same order, as the
+        # error kept for the placement. Far from the origin every such sum is
+        # exact, whatever its order; near it, rounding tells orders apart.
+        same = 0
+        for run in spied_alone(*case(cfg), monkeypatch):
+            for (kept, _, _, before), (_, _, incumbent, after) in zip(run, run[1:]):
+                if np.array_equal(before, after):
+                    assert incumbent.hex() == kept.hex()
+                    same += 1
+        assert same > 0
 
 
 def small_engine_case(rng):
