@@ -230,7 +230,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _metric_config(args)
     predictions = io_mod.load_predictions(args.predictions)
-    truth = io_mod.load_baskets(args.truth)
+    _, truth = io_mod.load_baskets(args.truth)
     missing_truth = sorted(set(predictions) - set(truth))
     missing_predictions = sorted(set(truth) - set(predictions))
     if missing_truth or missing_predictions:
@@ -241,7 +241,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     pairs = [ScoredPair(truth[log_id], outcome.predicted) for log_id, outcome in predictions.items()]
     report = metrics_mod.evaluate(pairs, cfg)
-    io_mod.write_report(report, args.output, args.format, labels=args.label)
+    io_mod.write_report([(args.label, report)], args.output, args.format)
     return 0
 
 
@@ -303,8 +303,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         print(f"aligned {len(set(pairs))} distinct pairs for {len(pairs)} requested over {spec.runs} runs",
               file=sys.stderr)
 
-    labels: list[str] = []
-    reports: list[ScoreReport] = []
+    rows: list[tuple[str, ScoreReport]] = []
     by_predictor: dict[str, list[ScoreReport]] = {name: [] for name in predictors}
     for run, (train_idx, test_idx) in enumerate(splits):
         train = [ds.records[i] for i in train_idx]
@@ -324,22 +323,18 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                     [rec.id for rec in test])
             scored = [ScoredPair(rec.basket, outcome.predicted) for rec, outcome in zip(test, outcomes)]
             report = metrics_mod.evaluate(scored, metric_cfg)
-            labels.append(f"{name}:run{run}")
-            reports.append(report)
+            rows.append((f"{name}:run{run}", report))
             by_predictor[name].append(report)
         print(f"run {run + 1}/{spec.runs} done", file=sys.stderr)
-    for name in predictors:
-        labels.append(f"{name}:mean")
-        reports.append(_mean_report(by_predictor[name]))
-    io_mod.write_report(reports, args.output, args.format, labels=labels)
+    rows += [(f"{name}:mean", _mean_report(by_predictor[name])) for name in predictors]
+    io_mod.write_report(rows, args.output, args.format)
     return 0
 
 
 def cmd_split(args: argparse.Namespace) -> int:
     spec = dataset_mod.SplitSpec(train_fraction=args.train_frac, seed=args.seed, runs=args.runs)
-    manifest = io_mod.load_manifest(args.manifest, args.baskets)
-    ids = [entry.id for entry in manifest.entries
-           if not (args.drop_empty and entry.basket.is_empty())]
+    _, rows = io_mod.load_manifest(args.manifest, args.baskets)
+    ids = [log_id for log_id, _, basket in rows if not (args.drop_empty and basket.is_empty())]
     runs = range(spec.runs) if args.run_index is None else [args.run_index]
     # Every split is drawn, and checked, before the output is opened.
     splits = [(run, *dataset_mod.split_indices(len(ids), spec, run)) for run in runs]

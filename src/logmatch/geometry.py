@@ -103,11 +103,20 @@ class UnitQuaternion:
 
     @classmethod
     def from_axis_angle(cls, axis, angle: float) -> "UnitQuaternion":
-        """Rotation of `angle` radians about `axis` (need not be unit length)."""
+        """Rotation of `angle` radians about `axis`: finite, not all zero,
+        of any length."""
         ax = _array("axis", axis, np.float64, 3)
-        norm = float(np.linalg.norm(ax))
-        if norm < 1e-12:
+        if not np.isfinite(ax).all():
+            raise InvalidInputError(f"axis must be finite, got {ax.tolist()}")
+        if not ax.any():
             raise InvalidInputError("rotation axis must be nonzero")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(ax))
+        if not 1e-12 <= norm < math.inf:
+            # The squares overflow, or the axis is too short for its norm to
+            # be trusted: scale it by its largest component first.
+            ax = ax / np.abs(ax).max()
+            norm = float(np.linalg.norm(ax))
         ax = ax / norm
         half = 0.5 * _real("angle", angle)
         s = math.sin(half)

@@ -13,9 +13,10 @@ Formats are deliberately small and exact:
   a ``PredictionOutcome`` per id. Neighbour and distance are both present
   or both empty, and the distance is finite and >= 0; any other row is a
   parse error at its line.
-- score reports: csv ``predictor,s_z,one_minus_dH,one_minus_dHplus,s_pre,
-  s_pro,s_pro_x_pre,n`` with fixed 4-decimal scores, or json mirroring the
-  same field names.
+- score reports: a labelled row per report, as csv ``predictor,s_z,
+  one_minus_dH,one_minus_dHplus,s_pre,s_pro,s_pro_x_pre,n`` with fixed
+  4-decimal scores, or as json mirroring the same field names: an object
+  for one row, an array otherwise.
 
 Baskets, manifests and predictions are id-keyed tables, read by one
 reader. Blank lines are skipped. The first row is the header; its cells
@@ -51,7 +52,6 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -338,12 +338,9 @@ def write_scan(cloud: PointCloud, path) -> None:
 # baskets
 
 
-def load_baskets(path) -> dict[str, ProductBasket]:
-    """Integer baskets keyed by log id, from a csv with header id,<product...>."""
-    return _read_basket_table(path)[1]
-
-
-def _read_basket_table(path) -> tuple[tuple[str, ...], dict[str, ProductBasket]]:
+def load_baskets(path) -> tuple[tuple[str, ...], dict[str, ProductBasket]]:
+    """The product names and the integer baskets keyed by log id, from a csv
+    with header id,<product...>."""
     header, rows = _read_table(path, lambda header: len(header) >= 2 and header[0] == "id",
                                "id,<product columns>")
     return tuple(header[1:]), {log_id: _basket(path, line, cells) for line, log_id, cells in rows}
@@ -395,23 +392,6 @@ def _basket(path, line: int, cells: Sequence[str]) -> ProductBasket:
 # manifests
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
-    """One manifest row: the log id, its scan file, its basket."""
-
-    id: str
-    scan_path: Path
-    basket: ProductBasket
-
-
-@dataclass(frozen=True, eq=False)
-class Manifest:
-    """A validated list of scans with baskets; all referenced files exist."""
-
-    product_names: tuple[str, ...]
-    entries: tuple[ManifestEntry, ...]
-
-
 def default_baskets_path(manifest_path) -> Path:
     """Sibling baskets table of a manifest: <name>.baskets.csv."""
     return Path(manifest_path).with_suffix(".baskets.csv")
@@ -428,17 +408,17 @@ def _read_manifest_rows(path) -> list[tuple[str, Path]]:
     return out
 
 
-def load_manifest(manifest_path, baskets_path=None) -> Manifest:
-    """Validate a manifest against its baskets table without loading scans."""
+def load_manifest(manifest_path, baskets_path=None) -> tuple[tuple[str, ...], list[tuple[str, Path, ProductBasket]]]:
+    """Validate a manifest against its baskets table without loading scans:
+    the product names and an (id, scan path, basket) row per log, in file
+    order."""
     rows = _read_manifest_rows(manifest_path)
     baskets = default_baskets_path(manifest_path) if baskets_path is None else Path(baskets_path)
-    names, table = _read_basket_table(baskets)
-    entries = []
-    for log_id, scan_path in rows:
+    names, table = load_baskets(baskets)
+    for log_id, _ in rows:
         if log_id not in table:
             raise ParseError(manifest_path, f"id {log_id!r} has no row in {baskets}")
-        entries.append(ManifestEntry(log_id, scan_path, table[log_id]))
-    return Manifest(names, tuple(entries))
+    return names, [(log_id, scan_path, table[log_id]) for log_id, scan_path in rows]
 
 
 def load_scans(manifest_path) -> list[tuple[str, PointCloud]]:
@@ -448,11 +428,9 @@ def load_scans(manifest_path) -> list[tuple[str, PointCloud]]:
 
 def load_dataset(manifest_path, baskets_path=None) -> Dataset:
     """Assemble a full dataset: manifest rows, scans, and baskets."""
-    manifest = load_manifest(manifest_path, baskets_path)
-    records = tuple(
-        LogRecord(entry.id, load_scan(entry.scan_path), entry.basket) for entry in manifest.entries
-    )
-    return Dataset(records, manifest.product_names)
+    names, rows = load_manifest(manifest_path, baskets_path)
+    records = tuple(LogRecord(log_id, load_scan(scan_path), basket) for log_id, scan_path, basket in rows)
+    return Dataset(records, names)
 
 
 # ---------------------------------------------------------------------------
@@ -522,42 +500,26 @@ def _outcome(path, line: int, cells: Sequence[str]) -> PredictionOutcome:
 # score reports
 
 
-def write_report(
-    reports: ScoreReport | Sequence[ScoreReport],
-    path,
-    format: str = "csv",
-    labels: str | Sequence[str] | None = None,
-) -> None:
-    """Serialize score reports with fixed 4-decimal scores.
+def write_report(rows: Sequence[tuple[str, ScoreReport]], path, format: str = "csv") -> None:
+    """Serialize (label, report) rows with fixed 4-decimal scores.
 
     csv columns: predictor,s_z,one_minus_dH,one_minus_dHplus,s_pre,s_pro,
-    s_pro_x_pre,n; one row per report in input order. json mirrors the same
-    field names (an object for a single report, an array for a sequence).
-    The labels fill the predictor column.
+    s_pro_x_pre,n; one row per report in input order, the label filling the
+    predictor column. json mirrors the same field names: an object for a
+    single row, an array otherwise.
     """
-    single = isinstance(reports, ScoreReport)
-    items: list[ScoreReport] = [reports] if single else list(reports)
-    if labels is None:
-        names = [""] * len(items)
-    elif isinstance(labels, str):
-        names = [labels] * len(items)
-    else:
-        names = [str(label) for label in labels]
-    if len(names) != len(items):
-        raise InvalidInputError(f"{len(names)} labels for {len(items)} reports")
-
     if format == "csv":
         _write_rows(path, REPORT_COLUMNS, (
             [label, *(f"{value:.4f}" for value in report.values()), report.n_evaluated]
-            for label, report in zip(names, items)
+            for label, report in rows
         ))
     elif format == "json":
         payload: object = [
             dict(zip(REPORT_COLUMNS, [label, *(round(value, 4) for value in report.values()),
                                       report.n_evaluated]))
-            for label, report in zip(names, items)
+            for label, report in rows
         ]
-        if single:
+        if len(payload) == 1:
             payload = payload[0]
         with _open_out(path) as handle:
             json.dump(payload, handle, indent=2)

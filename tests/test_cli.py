@@ -487,6 +487,144 @@ class TestSplit:
         assert "empty" not in out
 
 
+GOLDEN_EXPERIMENT = """\
+[
+  {
+    "predictor": "icp:run0",
+    "s_z": 0.25,
+    "one_minus_dH": 0.25,
+    "one_minus_dHplus": 0.25,
+    "s_pre": 0.75,
+    "s_pro": 0.5,
+    "s_pro_x_pre": 0.4167,
+    "n": 4
+  },
+  {
+    "predictor": "mean:run0",
+    "s_z": 0.0,
+    "one_minus_dH": 0.0,
+    "one_minus_dHplus": 0.0,
+    "s_pre": 0.75,
+    "s_pro": 0.25,
+    "s_pro_x_pre": 0.1667,
+    "n": 4
+  },
+  {
+    "predictor": "icp:run1",
+    "s_z": 1.0,
+    "one_minus_dH": 1.0,
+    "one_minus_dHplus": 1.0,
+    "s_pre": 1.0,
+    "s_pro": 1.0,
+    "s_pro_x_pre": 1.0,
+    "n": 4
+  },
+  {
+    "predictor": "mean:run1",
+    "s_z": 0.0,
+    "one_minus_dH": 0.0,
+    "one_minus_dHplus": 0.0833,
+    "s_pre": 0.5,
+    "s_pro": 0.5833,
+    "s_pro_x_pre": 0.1944,
+    "n": 4
+  },
+  {
+    "predictor": "icp:mean",
+    "s_z": 0.625,
+    "one_minus_dH": 0.625,
+    "one_minus_dHplus": 0.625,
+    "s_pre": 0.875,
+    "s_pro": 0.75,
+    "s_pro_x_pre": 0.7083,
+    "n": 8
+  },
+  {
+    "predictor": "mean:mean",
+    "s_z": 0.0,
+    "one_minus_dH": 0.0,
+    "one_minus_dHplus": 0.0417,
+    "s_pre": 0.625,
+    "s_pro": 0.4167,
+    "s_pro_x_pre": 0.1806,
+    "n": 8
+  }
+]
+"""
+
+GOLDEN_EVALUATE = """\
+{
+  "predictor": "golden",
+  "s_z": 0.0,
+  "one_minus_dH": 0.1667,
+  "one_minus_dHplus": 0.4167,
+  "s_pre": 0.5833,
+  "s_pro": 0.8333,
+  "s_pro_x_pre": 0.4722,
+  "n": 2
+}
+"""
+
+GOLDEN_SPLIT = """\
+run,role,id
+0,train,log1
+0,train,log2
+0,train,log0
+0,test,log5
+0,test,log4
+0,test,log3
+1,train,log1
+1,train,log4
+1,train,log2
+1,test,log5
+1,test,log3
+1,test,log0
+"""
+
+
+class TestGoldenBytes:
+    """Report and partition bytes written out in full. The nine logs are
+    three copies each of three shapes of distinct size, shifted along x by
+    quarter millimetres; every coordinate is exact in binary, a copy aligns
+    onto its own shape at distance 0 and onto any other far from it, and
+    the third shape's basket is empty."""
+
+    @pytest.fixture()
+    def manifest(self, tmp_path):
+        shapes = [[(k * size, (k * k) % 7 * size, (3 * k) % 5 * size) for k in range(12)]
+                  for size in (1.0, 3.0, 9.0)]
+        baskets = [ProductBasket((2, 0, 1)), ProductBasket((0, 3, 0)), ProductBasket((0, 0, 0))]
+        entries = [(f"log{3 * s + c}", PointCloud(np.array(shapes[s]) + [0.25 * c, 0.0, 0.0]), baskets[s])
+                   for s in range(3) for c in range(3)]
+        return write_dataset_files(tmp_path, entries)
+
+    def test_experiment_json_is_an_array(self, manifest, tmp_path, capsys):
+        output = tmp_path / "experiment.json"
+        code, _, _ = run_cli(capsys, "experiment", manifest, "--predictor", "icp,mean", "--runs", 2,
+                             "--seed", 4, "--jobs", 1, "--format", "json", "--output", output)
+        assert code == 0
+        assert output.read_bytes() == GOLDEN_EXPERIMENT.encode()
+
+    def test_evaluate_json_is_an_object(self, tmp_path, capsys):
+        predictions = tmp_path / "pred.csv"
+        write_predictions({"a": PredictionOutcome(ProductBasket((2, 1, 0)), "t", 0.5),
+                           "b": PredictionOutcome(ProductBasket((2, 0, 0)))}, ("p1", "p2", "p3"), predictions)
+        truth = tmp_path / "truth.csv"
+        truth.write_text("id,p1,p2,p3\na,2,0,1\nb,4,0,0\n")
+        output = tmp_path / "evaluate.json"
+        code, _, _ = run_cli(capsys, "evaluate", predictions, truth, "--label", "golden", "--format", "json",
+                             "--output", output)
+        assert code == 0
+        assert output.read_bytes() == GOLDEN_EVALUATE.encode()
+
+    def test_split_drop_empty(self, manifest, tmp_path, capsys):
+        output = tmp_path / "split.csv"
+        code, _, _ = run_cli(capsys, "split", manifest, "--runs", 2, "--seed", 4, "--drop-empty",
+                             "--output", output)
+        assert code == 0
+        assert output.read_bytes() == GOLDEN_SPLIT.encode()
+
+
 class TestCsvFieldLimit:
     """A csv cell over the csv module's field size limit is a located parse
     error (exit 2), never a traceback."""

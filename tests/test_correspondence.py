@@ -228,6 +228,39 @@ class TestNeighbourCertificates:
         assert sent == 1
         np.testing.assert_array_equal(matched[:, 0], model[0])
 
+    def test_a_bound_off_by_an_ulp_of_the_coordinate_is_not_trusted(self, monkeypatch):
+        """A model of the rounding that _ABS_MARGIN absorbs, not a real case
+        of it: the tree reports the (K + 1)-th distance one ulp of the
+        coordinate too far, as a value derived from a split plane may be.
+        At x = 1e8 that ulp is 1.5e-8 mm, 1.5e-5 of the 1e-3 mm distance and
+        far beyond the relative margin. A placement whose nearest model
+        point is that (K + 1)-th one must then go back to the index."""
+        monkeypatch.setattr(correspondence, "_SCAN_MAX", 0)
+        nearest = correspondence.SpatialIndex._nearest
+
+        def off_by_an_ulp(index, pts, k):
+            idx, dist, nbr = nearest(index, pts, k)
+            dist = dist.copy()
+            dist[:, k - 1] += np.spacing(np.abs(pts).max(axis=1))
+            return idx, dist, nbr
+
+        monkeypatch.setattr(correspondence.SpatialIndex, "_nearest", off_by_an_ulp)
+        x, d, step = 1e8, 1e-3, 2e-4
+        ulp = float(np.spacing(x))
+        # Kept from (x, 0, 0): four points within d; the fifth, q, lies at d.
+        # At (x, step, 0), q is nearer than the first kept point by ulp / 2,
+        # and the kept point's distance plus the step exceeds d by ulp / 2.
+        u = d - 2 * step + ulp / 2
+        model = np.array([[x, -u, 0.0], [x, -6.5e-4, 0.0], [x, 0.0, 9e-4], [x, 0.0, -9e-4], [x, d, 0.0]])
+        cache = _NeighbourCache([build_index(PointCloud(model))], [0], 1)
+        match_round(cache, np.array([[x, 0.0, 0.0]]), certify=False)
+        assert certificate(cache, np.array([[x, 1e-5, 0.0]]))[0][0]
+        placed = np.array([[x, step, 0.0]])
+        assert not certificate(cache, placed)[0][0]
+        matched, _, sent = match_round(cache, placed, certify=True)
+        assert sent == 1
+        np.testing.assert_array_equal(matched[:, 0], model[4])
+
 
 class TestOverflow:
     """Coordinates at the bound B: the farthest placements ICP can make

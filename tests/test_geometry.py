@@ -140,6 +140,18 @@ class TestUnitQuaternion:
             UnitQuaternion.from_axis_angle([0.0, 0.0, 0.0], 1.0)
         assert UnitQuaternion.from_axis_angle([0.0, 0.0, 2.0], 0.0) == UnitQuaternion.identity()
 
+    def test_from_axis_angle_keeps_the_bits_of_a_normable_axis(self):
+        """An axis whose norm is at least 1e-12 and finite is divided by
+        that norm, as it always was, so its quaternion keeps every bit."""
+        rng = np.random.default_rng(8)
+        axes = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-11.0, 153.0, (300, 1))
+        edges = [[1e-12, 0.0, 0.0], [-1e-12, 1e-300, 0.0], [1e154, 0.0, 0.0], [1e154, -1e153, 0.0]]
+        for axis in [*axes, *np.array(edges)]:
+            half = 0.5 * 0.7
+            unit = axis / np.linalg.norm(axis)
+            expected = UnitQuaternion(math.cos(half), *(math.sin(half) * unit))
+            assert UnitQuaternion.from_axis_angle(axis, 0.7) == expected
+
     def test_rotation_guard_on_bad_norm(self):
         q = UnitQuaternion.identity()
         object.__setattr__(q, "q0", 1.01)

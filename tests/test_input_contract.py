@@ -476,6 +476,38 @@ def test_once_escaped_calls_are_refused_by_name(says, call):
         call()
 
 
+# Calls refused with exactly this message: values that convert but not to
+# the array's dtype, and axes with no direction.
+REFUSED = {
+    "CorrespondenceSet(id beyond int64)": (
+        "target_indices holds a value beyond int64", lambda: CorrespondenceSet([2**70], [0.0])),
+    "PointCloud(integer beyond float64)": (
+        "point cloud holds a value beyond float64", lambda: PointCloud([[10**400, 0, 0]])),
+    "from_axis_angle(nan axis)": (
+        "axis must be finite, got [nan, 0.0, 0.0]", lambda: UnitQuaternion.from_axis_angle([math.nan, 0, 0], 1.0)),
+    "from_axis_angle(inf axis)": (
+        "axis must be finite, got [0.0, -inf, 0.0]", lambda: UnitQuaternion.from_axis_angle([0, -math.inf, 0], 1.0)),
+    "from_axis_angle(zero axis)": (
+        "rotation axis must be nonzero", lambda: UnitQuaternion.from_axis_angle([0.0, -0.0, 0.0], 1.0)),
+}
+
+
+@pytest.mark.parametrize("message, call", REFUSED.values(), ids=REFUSED.keys())
+def test_refused_with_this_message(message, call):
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("axis, same", [
+    ([1e200, 1e200, 0.0], [1.0, 1.0, 0.0]),
+    ([1e-200, 0.0, 0.0], [1.0, 0.0, 0.0]),
+    ([-1e308, 0.0, 1e308], [-1.0, 0.0, 1.0]),
+    ([0.0, 5e-324, 0.0], [0.0, 1.0, 0.0]),
+], ids=["huge", "tiny", "near-overflow", "subnormal"])
+def test_an_axis_of_any_length_gives_its_direction(axis, same):
+    assert UnitQuaternion.from_axis_angle(axis, 0.7) == UnitQuaternion.from_axis_angle(same, 0.7)
+
+
 @pytest.mark.parametrize("make, fields", [
     (lambda a, b: PointCloud(a), ("xyz",)),
     (lambda a, b: RigidTransform(UnitQuaternion.identity(), a[0]), ("translation",)),

@@ -13,6 +13,7 @@ from logmatch import InvalidInputError, ParseError, PointCloud, PredictionOutcom
 from logmatch import io
 from logmatch.geometry import B
 from logmatch.io import (
+    REPORT_COLUMNS,
     default_baskets_path,
     load_baskets,
     load_dataset,
@@ -434,8 +435,7 @@ class TestBaskets:
     def test_basic_table(self, tmp_path):
         path = tmp_path / "baskets.csv"
         path.write_text("id,p1,p2\nA,1,0\n")
-        table = load_baskets(path)
-        assert table == {"A": ProductBasket((1, 0))}
+        assert load_baskets(path) == (("p1", "p2"), {"A": ProductBasket((1, 0))})
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "baskets.csv"
@@ -476,6 +476,16 @@ class TestManifest:
         assert ds.product_names == ("p1", "p2")
         np.testing.assert_array_equal(ds.records[2].scan.xyz, entries[2][1].xyz)
         assert ds.records[3].basket.quantities == (3, 1)
+
+    def test_manifest_rows_in_file_order(self, tmp_path):
+        (tmp_path / "b.xyz").write_text("0 0 0\n")
+        (tmp_path / "a.xyz").write_text("1 1 1\n")
+        (tmp_path / "m.csv").write_text("id,scan_path\nB,b.xyz\nA,a.xyz\n")
+        (tmp_path / "m.baskets.csv").write_text("id,p1,p2\nA,1,0\nB,0,0\nC,2,2\n")
+        assert load_manifest(tmp_path / "m.csv") == (("p1", "p2"), [
+            ("B", tmp_path / "b.xyz", ProductBasket((0, 0))),
+            ("A", tmp_path / "a.xyz", ProductBasket((1, 0))),
+        ])
 
     def test_default_baskets_path(self):
         assert default_baskets_path("dir/train.csv").name == "train.baskets.csv"
@@ -605,11 +615,8 @@ class TestReports:
 
     def test_csv_layout_and_rounding(self, tmp_path):
         path = tmp_path / "report.csv"
-        write_report(
-            [self.report(1.0), ScoreReport(0.5, 1 / 3, 2 / 3, 0.66666, 0.12344, 0.9, n_evaluated=7)],
-            path,
-            labels=["icp", "mean"],
-        )
+        other = ScoreReport(0.5, 1 / 3, 2 / 3, 0.66666, 0.12344, 0.9, n_evaluated=7)
+        write_report([("icp", self.report(1.0)), ("mean", other)], path)
         lines = path.read_text().splitlines()
         assert lines[0] == "predictor,s_z,one_minus_dH,one_minus_dHplus,s_pre,s_pro,s_pro_x_pre,n"
         assert lines[1] == "icp,1.0000,1.0000,1.0000,1.0000,1.0000,1.0000,3"
@@ -618,7 +625,7 @@ class TestReports:
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "report.json"
         report = ScoreReport(0.25, 0.5, 0.75, 1.0, 0.1, 0.025, n_evaluated=4)
-        write_report(report, path, format="json", labels="icp")
+        write_report([("icp", report)], path, format="json")
         loaded = json.loads(path.read_text())
         assert loaded == {
             "predictor": "icp",
@@ -633,24 +640,25 @@ class TestReports:
 
     def test_sequence_keeps_order(self, tmp_path):
         path = tmp_path / "report.json"
-        write_report([self.report(n=1), self.report(n=2)], path, format="json", labels=["a", "b"])
+        write_report([("a", self.report(n=1)), ("b", self.report(n=2))], path, format="json")
         loaded = json.loads(path.read_text())
         assert [row["n"] for row in loaded] == [1, 2]
         assert [row["predictor"] for row in loaded] == ["a", "b"]
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_json_is_an_object_for_one_row_and_an_array_otherwise(self, tmp_path, count):
+        path = tmp_path / "report.json"
+        write_report([("a", self.report(n=1))] * count, path, format="json")
+        row = dict(zip(REPORT_COLUMNS, ["a", 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1]))
+        assert json.loads(path.read_text()) == (row if count == 1 else [row] * count)
+
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            write_report(self.report(), tmp_path / "missing_dir" / "report.csv")
+            write_report([("icp", self.report())], tmp_path / "missing_dir" / "report.csv")
 
     def test_unknown_format_is_refused(self, tmp_path):
         with pytest.raises(InvalidInputError, match="^unknown report format 'xml'; expected 'csv' or 'json'$"):
-            write_report(self.report(), tmp_path / "r.xml", format="xml")
-
-    def test_label_count_must_match(self, tmp_path):
-        from logmatch import InvalidInputError
-
-        with pytest.raises(InvalidInputError):
-            write_report([self.report(), self.report()], tmp_path / "r.csv", labels=["only-one"])
+            write_report([("icp", self.report())], tmp_path / "r.xml", format="xml")
 
 
 class TestFormatInference:
