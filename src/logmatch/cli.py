@@ -25,7 +25,7 @@ from . import dataset as dataset_mod
 from . import io as io_mod
 from . import metrics as metrics_mod
 from . import predictor as predictor_mod
-from .errors import InvalidInputError, NumericalError, ParseError
+from .errors import InvalidInputError, NumericalError, ParseError, _integer
 from .metrics import MetricConfig, ScoredPair, ScoreReport
 from .geometry import PointCloud
 from .predictor import LogFeatures, PredictionOutcome
@@ -229,8 +229,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _metric_config(args)
-    predictions = io_mod.load_predictions(args.predictions)
-    _, truth = io_mod.load_baskets(args.truth)
+    predicted_names, predictions = io_mod.load_predictions(args.predictions)
+    names, truth = io_mod.load_baskets(args.truth)
+    if predicted_names != names:
+        raise InvalidInputError(f"prediction and truth products differ: {list(predicted_names)} vs {list(names)}")
     missing_truth = sorted(set(predictions) - set(truth))
     missing_predictions = sorted(set(truth) - set(predictions))
     if missing_truth or missing_predictions:
@@ -276,7 +278,7 @@ def _check_runs(
     for run, (train_idx, test_idx) in enumerate(splits):
         if len(train_idx) == 0 or len(test_idx) == 0:
             raise InvalidInputError(f"run {run} produced an empty train or test set")
-        if "knn" in predictors and not 1 <= k <= len(train_idx):
+        if "knn" in predictors and _integer("k", k, 1) > len(train_idx):
             raise InvalidInputError(f"k must be in [1, {len(train_idx)}], got {k}")
 
 

@@ -192,9 +192,6 @@ _CACHE_NEIGHBOURS = 4
 # kept ids), so a block holds about 5 MB whatever the stack's size. It is the
 # engine's batch size, so only a pair larger than a batch is cut.
 _QUERY_ROWS = 1 << 15
-# False sends every stacked point to the index at every round; tests use it
-# to compare the engine with and without certificates.
-_CERTIFY = True
 # Rounding margins of the certificate, derived in _NeighbourCache.
 _REL_MARGIN = 1e-12
 _ABS_MARGIN = 1e-13
@@ -266,13 +263,13 @@ class _NeighbourCache:
         """Fill matched (3, N) with the exact nearest model point of every
         stacked point placed at placed (3, N), pairs starting at starts and
         sorted by model_of. Uncertified points, or all of them unless
-        certify and _CERTIFY, go to their model's index in blocks of at most
+        certify, go to their model's index in blocks of at most
         _QUERY_ROWS rows; each row's answer depends on that row alone.
         Returns the squared distances (N,) and the points each pair sent to
         an index (B,).
         """
         points = placed.shape[1]
-        if certify and _CERTIFY:
+        if certify:
             certified, nearest = self._certify(placed, matched)
             miss = np.flatnonzero(~certified)
         else:

@@ -476,13 +476,14 @@ def write_predictions(predictions: Mapping[str, PredictionOutcome], product_name
         cells(log_id, outcome) for log_id, outcome in predictions.items()))
 
 
-def load_predictions(path) -> dict[str, PredictionOutcome]:
-    """Read a predictions csv back into outcomes keyed by log id, in file order."""
-    _, rows = _read_table(
+def load_predictions(path) -> tuple[tuple[str, ...], dict[str, PredictionOutcome]]:
+    """The product names and the outcomes keyed by log id, in file order,
+    from a predictions csv."""
+    header, rows = _read_table(
         path, lambda header: header[:3] == ["id", "neighbor_id", "distance"] and len(header) >= 4,
         "id,neighbor_id,distance,<product columns>",
     )
-    return {log_id: _outcome(path, line, cells) for line, log_id, cells in rows}
+    return tuple(header[3:]), {log_id: _outcome(path, line, cells) for line, log_id, cells in rows}
 
 
 def _outcome(path, line: int, cells: Sequence[str]) -> PredictionOutcome:

@@ -301,37 +301,10 @@ def compute_registration(
     return RegistrationResult(RigidTransform(UnitQuaternion(*quats[0]), trans[0]), float(error[0]))
 
 
-@dataclass(frozen=True, eq=False)
-class _Alignments:
-    """Per-pair record of the engine, in pair order, as a pool worker returns
-    it: final mse, iterations run, converged (else cfg.max_iterations was
-    reached) and queried, the moving points sent to the index. history, if
-    recorded, holds each pair's (mse, quaternion, translation) per iteration."""
-
-    mse: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    queried: np.ndarray
-    history: list[list[tuple[float, np.ndarray, np.ndarray]]] | None
-
-    @classmethod
-    def empty(cls, n: int, record: bool = False) -> _Alignments:
-        """A record of n pairs to fill, with empty histories if record."""
-        return cls(
-            mse=np.empty(n),
-            iterations=np.empty(n, dtype=np.int64),
-            converged=np.empty(n, dtype=bool),
-            queried=np.empty(n, dtype=np.int64),
-            history=[[] for _ in range(n)] if record else None,
-        )
-
-    def scatter(self, at: list[int], part: _Alignments) -> None:
-        """Copy part, the record of the pairs at positions at, into place."""
-        for name in ("mse", "iterations", "converged", "queried"):
-            getattr(self, name)[at] = getattr(part, name)
-        if self.history is not None:
-            for k, history in zip(at, part.history):
-                self.history[k] = history
+# The engine's per-pair record, in pair order, as a pool worker returns it:
+# final mse, iterations run, converged (else cfg.max_iterations was reached)
+# and queried, the moving points sent to the index.
+_PAIR_RECORD = np.dtype([("mse", np.float64), ("iterations", np.int64), ("converged", bool), ("queried", np.int64)])
 
 
 def _align_pairs(
@@ -340,16 +313,18 @@ def _align_pairs(
     cfg: IcpConfig,
     record: bool = False,
     jobs: int = 1,
-) -> _Alignments:
+) -> tuple[np.ndarray, list[list[tuple[float, np.ndarray, np.ndarray]]] | None]:
     """Align scans[i] onto scans[j] for every (i, j) in pairs, in lockstep;
     scans is icp_distance_matrix's, or a slice of it keyed by the same ids.
-    Every alignment of the package runs here.
+    Every alignment of the package runs here. Returns the _PAIR_RECORD of
+    every pair and, if record, each pair's (mse, quaternion, translation)
+    per iteration, else None.
 
     With jobs > 1, the models (the j's) are dealt round-robin, in index
     order, to up to jobs worker processes of one pool, forked where the
     platform can fork and spawned elsewhere. Each worker runs _align_pairs
     with jobs=1 on the pairs of its models and the slice of scans they
-    name, and its record is scattered back into pair order.
+    name, and its record and histories are copied back into pair order.
 
     Otherwise pairs are grouped by model, whose exact index is built here,
     and cut into batches of at most _BATCH_POINTS stacked points. Within a
@@ -361,7 +336,8 @@ def _align_pairs(
     """
     n = len(pairs)
     models = sorted({j for _, j in pairs})
-    out = _Alignments.empty(n, record)
+    out = np.empty(n, _PAIR_RECORD)
+    history = [[] for _ in range(n)] if record else None
     workers = min(jobs, len(models))
     if workers > 1:
         shares: list[list[int]] = [[] for _ in range(workers)]
@@ -382,8 +358,11 @@ def _align_pairs(
                 futures.append(pool.submit(_align_pairs, {i: scans[i] for pair in task for i in pair},
                                            task, cfg, record))
             for share, future in zip(shares, futures):
-                out.scatter(share, future.result())
-        return out
+                part, part_history = future.result()
+                out[share] = part
+                for k, steps in zip(share, part_history or ()):
+                    history[k] = steps
+        return out, history
     indices = {j: build_index(scans[j]) for j in models}
     strided = {i: scans[i].xyz[:: cfg.stride] for i in {i for i, _ in pairs}}
     order = sorted(range(n), key=lambda k: pairs[k][1])
@@ -392,13 +371,13 @@ def _align_pairs(
     for k in order:
         points = len(strided[pairs[k][0]])
         if batch and size + points > _BATCH_POINTS:
-            _lockstep(strided, indices, pairs, batch, cfg, out)
+            _lockstep(strided, indices, pairs, batch, cfg, out, history)
             batch, size = [], 0
         batch.append(k)
         size += points
     if batch:
-        _lockstep(strided, indices, pairs, batch, cfg, out)
-    return out
+        _lockstep(strided, indices, pairs, batch, cfg, out, history)
+    return out, history
 
 
 def _lockstep(
@@ -407,9 +386,11 @@ def _lockstep(
     pairs: Sequence[tuple[int, int]],
     batch: list[int],
     cfg: IcpConfig,
-    out: _Alignments,
+    out: np.ndarray,
+    history: list[list[tuple[float, np.ndarray, np.ndarray]]] | None,
 ) -> None:
-    """Run one batch of pairs, sorted by model, to completion into out."""
+    """Run one batch of pairs, sorted by model, to completion into out and,
+    unless it is None, history."""
     ids = np.array(batch, dtype=np.intp)
     model_of = np.array([pairs[k][1] for k in batch], dtype=np.intp)
     stack = _Stack([strided[pairs[k][0]] for k in batch])
@@ -447,9 +428,9 @@ def _lockstep(
             rows = np.repeat(accept, stack.counts)
             current[:, rows] = placed[:, rows]
         del placed
-        if out.history is not None:
+        if history is not None:
             for k, e, q, t in zip(ids.tolist(), error.tolist(), quats, trans):
-                out.history[k].append((e, q.copy(), t.copy()))
+                history[k].append((e, q.copy(), t.copy()))
 
         converged = previous - error < cfg.tau
         done = converged | (iteration == cfg.max_iterations)
@@ -457,10 +438,10 @@ def _lockstep(
         if not done.any():
             continue
         finished = ids[done]
-        out.mse[finished] = error[done]
-        out.iterations[finished] = iteration
-        out.converged[finished] = converged[done]
-        out.queried[finished] = queried[done]
+        out["mse"][finished] = error[done]
+        out["iterations"][finished] = iteration
+        out["converged"][finished] = converged[done]
+        out["queried"][finished] = queried[done]
         keep = ~done
         if not keep.any():
             return
@@ -488,12 +469,12 @@ def icp_align(
     This is the lockstep engine on a batch of one pair.
     """
     clouds = [_instance("moving", moving, PointCloud), _instance("model", model, PointCloud)]
-    run = _align_pairs(clouds, [(0, 1)], _config(cfg, IcpConfig), record=True)
+    record, history = _align_pairs(clouds, [(0, 1)], _config(cfg, IcpConfig), record=True)
     entries = tuple(
         IcpIteration(k, e, RigidTransform(UnitQuaternion(*q), t))
-        for k, (e, q, t) in enumerate(run.history[0])
+        for k, (e, q, t) in enumerate(history[0])
     )
-    reason = TerminalReason.CONVERGED if run.converged[0] else TerminalReason.MAX_ITERATIONS
+    reason = TerminalReason.CONVERGED if record["converged"][0] else TerminalReason.MAX_ITERATIONS
     trace = IcpTrace(entries, reason)
     return RegistrationResult(entries[-1].transform, entries[-1].mse), trace
 
@@ -534,4 +515,4 @@ def icp_distance_matrix(
     listed = _items("pairs", pairs, ids)
     wanted = sorted(set(listed))
     at = {pair: k for k, pair in enumerate(wanted)}
-    return _align_pairs(scans, wanted, cfg, jobs=jobs).mse[[at[pair] for pair in listed]]
+    return _align_pairs(scans, wanted, cfg, jobs=jobs)[0]["mse"][[at[pair] for pair in listed]]

@@ -105,7 +105,8 @@ class TestPredict:
         out_path = root / "pred.csv"
         code, _, _ = run_cli(capsys, "predict", train, test, "--output", out_path)
         assert code == 0
-        rows = load_predictions(out_path)
+        names, rows = load_predictions(out_path)
+        assert names == ("p1", "p2", "p3")
         assert list(rows) == ["test0", "test1", "test2"]
         assert rows["test0"].neighbor_id == "train0"
         assert rows["test0"].distance == 0.0
@@ -120,7 +121,7 @@ class TestPredict:
             capsys, "predict", train, test, "--predictor", "mean", "--output", out_path
         )
         assert code == 0
-        rows = load_predictions(out_path)
+        _, rows = load_predictions(out_path)
         assert {r.predicted.quantities for r in rows.values()} == {(1, 1, 2)}
         assert all(r.neighbor_id is None and r.distance is None for r in rows.values())
 
@@ -131,7 +132,7 @@ class TestPredict:
             capsys, "predict", train, test, "--predictor", "knn", "--k", "1", "--output", out_path
         )
         assert code == 0
-        assert len(load_predictions(out_path)) == 3
+        assert len(load_predictions(out_path)[1]) == 3
 
     def test_knn_k_is_checked_without_test_logs(self, tiny_dataset, capsys):
         train, _, root = tiny_dataset
@@ -248,6 +249,20 @@ class TestEvaluate:
         code, _, err = run_cli(capsys, "evaluate", pred, truth)
         assert code == 2
         assert "'c'" in err and "'b'" in err
+
+    @pytest.mark.parametrize("header, row, names", [
+        ("b,a", "1,0", ["b", "a"]),
+        ("q,r", "1,0", ["q", "r"]),
+        ("a", "1", ["a"]),
+    ], ids=["reordered", "renamed", "missing"])
+    def test_products_must_match_the_truth_in_order(self, tmp_path, capsys, header, row, names):
+        pred, truth, report = tmp_path / "pred.csv", tmp_path / "truth.csv", tmp_path / "report.csv"
+        pred.write_text(f"id,neighbor_id,distance,{header}\nx,,,{row}\n")
+        truth.write_text("id,a,b\nx,1,0\n")
+        code, out, err = run_cli(capsys, "evaluate", pred, truth, "--output", report)
+        assert (code, out) == (2, "")
+        assert err == f"error: prediction and truth products differ: {names} vs ['a', 'b']\n"
+        assert not report.exists()
 
     def test_json_format(self, tmp_path, capsys):
         pred, truth = self.write_tables(tmp_path, [("a", (1, 1, 1))], [("a", (1, 1, 1))])
@@ -761,6 +776,13 @@ class TestOptionErrors:
         train, _, _ = tiny_dataset
         assert run_cli(capsys, "experiment", train, "--predictor", value) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_knn_k_below_1_has_one_message(self, tiny_dataset, capsys, k):
+        train, test, _ = tiny_dataset
+        want = (2, "", f"error: k must be >= 1, got {k}\n")
+        assert run_cli(capsys, "predict", train, test, "--predictor", "knn", "--k", k) == want
+        assert run_cli(capsys, "experiment", train, "--predictor", "knn", "--k", k) == want
+
     def test_knn_on_a_scan_of_zero_extent_names_the_log(self, tiny_dataset, capsys):
         train, _, root = tiny_dataset
         flat = PointCloud(np.tile([1.0, 2.0, 3.0], (10, 1)))
@@ -991,7 +1013,7 @@ class TestHugeScans:
         (code, out, err), out_path = self.predict(
             capsys, tmp_path, self.normal_arrays(B, 300, 400, 350), "--predictor", "icp", "--jobs", jobs)
         assert (code, out, err) == (0, "", "")
-        assert all(math.isfinite(row.distance) for row in load_predictions(out_path).values())
+        assert all(math.isfinite(row.distance) for row in load_predictions(out_path)[1].values())
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("scale", BEYOND)
@@ -1005,7 +1027,7 @@ class TestHugeScans:
         arrays = self.normal_arrays(B, 60, 70, 80, 65, stretch=(10.0, 1.0, 1.0))
         (code, out, err), out_path = self.predict(capsys, tmp_path, arrays, "--predictor", "knn", "--k", 1)
         assert (code, out, err) == (0, "", "")
-        assert all(math.isfinite(row.distance) for row in load_predictions(out_path).values())
+        assert all(math.isfinite(row.distance) for row in load_predictions(out_path)[1].values())
 
     def test_predict_knn_at_1e60_is_refused_before_any_feature(self, tmp_path, capsys):
         # Unbounded, the training volumes' std would overflow to inf with a

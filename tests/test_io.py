@@ -519,7 +519,8 @@ class TestPredictions:
         }
         path = tmp_path / "pred.csv"
         write_predictions(predictions, ("p1", "p2"), path)
-        loaded = load_predictions(path)
+        names, loaded = load_predictions(path)
+        assert names == ("p1", "p2")
         assert loaded == predictions
         assert list(loaded) == ["b", "a"]
 

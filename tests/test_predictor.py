@@ -308,22 +308,22 @@ class TestDistanceMatrix:
         fields = ("mse", "iterations", "converged", "queried")
         wanted = sorted(set(pairs))
         distances = icp_distance_matrix(scans, pairs, cfg, jobs=1)
-        run = _align_pairs(scans, wanted, cfg, jobs=1)
-        assert distances.tolist() == [run.mse[wanted.index(pair)] for pair in pairs]
-        assert run.converged.any() and not run.converged.all()
-        assert run.history is None
+        run, history = _align_pairs(scans, wanted, cfg, jobs=1)
+        assert distances.tolist() == [run["mse"][wanted.index(pair)] for pair in pairs]
+        assert run["converged"].any() and not run["converged"].all()
+        assert history is None
         for k, (i, j) in enumerate(wanted):
-            alone = _align_pairs(scans, [(i, j)], cfg)
-            assert [getattr(run, name)[k] for name in fields] == [getattr(alone, name)[0] for name in fields]
+            alone, _ = _align_pairs(scans, [(i, j)], cfg)
+            assert [run[name][k] for name in fields] == [alone[name][0] for name in fields]
 
-        def as_bytes(run):
-            return [(getattr(run, name).dtype, getattr(run, name).tobytes()) for name in fields]
+        def as_bytes(record):
+            return [(record[name].dtype, record[name].tobytes()) for name in fields]
 
         serial = as_bytes(run)
         for jobs in (2, 3):
-            assert as_bytes(_align_pairs(scans, wanted, cfg, jobs=jobs)) == serial, f"jobs {jobs}"
+            assert as_bytes(_align_pairs(scans, wanted, cfg, jobs=jobs)[0]) == serial, f"jobs {jobs}"
         monkeypatch.setattr(registration, "_START_METHOD", "spawn")
-        assert as_bytes(_align_pairs(scans, wanted, cfg, jobs=2)) == serial
+        assert as_bytes(_align_pairs(scans, wanted, cfg, jobs=2)[0]) == serial
 
     def test_histories_through_the_pool(self):
         rng = np.random.default_rng(24)
@@ -331,13 +331,13 @@ class TestDistanceMatrix:
         pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
         cfg = IcpConfig(max_iterations=8)
 
-        def histories(run):
-            return [[(e, q.tobytes(), t.tobytes()) for e, q, t in history] for history in run.history]
+        def histories(history):
+            return [[(e, q.tobytes(), t.tobytes()) for e, q, t in steps] for steps in history]
 
-        serial = _align_pairs(scans, pairs, cfg, record=True, jobs=1)
-        pooled = _align_pairs(scans, pairs, cfg, record=True, jobs=2)
-        assert all(serial.history) and histories(pooled) == histories(serial)
-        assert [len(history) for history in pooled.history] == pooled.iterations.tolist()
+        _, serial = _align_pairs(scans, pairs, cfg, record=True, jobs=1)
+        pooled, pooled_history = _align_pairs(scans, pairs, cfg, record=True, jobs=2)
+        assert all(serial) and histories(pooled_history) == histories(serial)
+        assert [len(steps) for steps in pooled_history] == pooled["iterations"].tolist()
 
     def test_no_pairs_give_an_empty_array(self):
         scans = [box_cloud(np.random.default_rng(18), 5)]

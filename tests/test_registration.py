@@ -318,6 +318,32 @@ class TestIcpAlign:
         assert trace.terminal_reason is TerminalReason.MAX_ITERATIONS
         assert len(trace.iterations) == 5
 
+    def test_a_huge_iteration_cap_costs_nothing_until_it_is_reached(self):
+        # Nothing is sized by max_iterations: a pair that converges before
+        # the default cap gives the same trace, at about the same memory
+        # peak, under a cap of 10**12.
+        rng = np.random.default_rng(20)
+        model = box_cloud(rng, 48)
+        moving = jittered_copy(rng, model, math.radians(5.0), 5.0, 0.5)
+
+        def traced(cfg):
+            icp_align(moving, model, cfg)  # imports load outside the trace
+            tracemalloc.start()
+            try:
+                result, trace = icp_align(moving, model, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            steps = [(entry.index, entry.mse.hex(), entry.transform.rotation.as_array().tobytes(),
+                      entry.transform.translation.tobytes()) for entry in trace.iterations]
+            return (result.mse.hex(), trace.terminal_reason, steps), peak
+
+        default, default_peak = traced(IcpConfig())
+        huge, huge_peak = traced(IcpConfig(max_iterations=10**12))
+        assert default[1] is TerminalReason.CONVERGED and len(default[2]) < IcpConfig().max_iterations
+        assert huge == default
+        assert huge_peak <= 2 * default_peak
+
 
 class TestIcpDistance:
     def test_zero_for_equal_clouds(self):
@@ -478,8 +504,9 @@ def with_pairs(models, moving):
 def outcome(run, k):
     """A pair's record and its history, transforms included, from a run
     with record=True."""
-    return (run.mse[k].tobytes(), int(run.iterations[k]), bool(run.converged[k]), int(run.queried[k]),
-            [(e, q.tobytes(), t.tobytes()) for e, q, t in run.history[k]])
+    record, history = run
+    return (record["mse"][k].tobytes(), int(record["iterations"][k]), bool(record["converged"][k]),
+            int(record["queried"][k]), [(e, q.tobytes(), t.tobytes()) for e, q, t in history[k]])
 
 
 ENGINE_CONFIGS = [
@@ -501,7 +528,7 @@ class TestLockstepEngine:
         monkeypatch.setattr(registration, "_BATCH_POINTS", 64)
         chunked = _align_pairs(scans, pairs, cfg, record=True)
         n = len(pairs)
-        assert len({int(it) for it in together.iterations}) > 1
+        assert len({int(it) for it in together[0]["iterations"]}) > 1
         for k in range(n):
             assert outcome(together, k) == alone[k]
             assert outcome(backwards, n - 1 - k) == alone[k]
@@ -509,15 +536,15 @@ class TestLockstepEngine:
 
     def test_icp_align_is_a_batch_of_one(self):
         scans, pairs = engine_case(np.random.default_rng(33))
-        run = _align_pairs(scans, pairs, IcpConfig(), record=True)
+        record, history = _align_pairs(scans, pairs, IcpConfig(), record=True)
         for k, (i, j) in enumerate(pairs):
             result, trace = icp_align(scans[i], scans[j])
-            _, quat, trans = run.history[k][-1]
-            assert result.mse == run.mse[k]
+            _, quat, trans = history[k][-1]
+            assert result.mse == record["mse"][k]
             np.testing.assert_array_equal(result.transform.rotation.as_array(), UnitQuaternion(*quat).as_array())
             np.testing.assert_array_equal(result.transform.translation, trans)
-            assert len(trace.iterations) == run.iterations[k]
-            assert (trace.terminal_reason is TerminalReason.CONVERGED) == run.converged[k]
+            assert len(trace.iterations) == record["iterations"][k]
+            assert (trace.terminal_reason is TerminalReason.CONVERGED) == record["converged"][k]
 
     @pytest.mark.parametrize("method", ["fork", "spawn"])
     def test_a_pool_worker_returns_the_in_process_record(self, method):
@@ -526,14 +553,14 @@ class TestLockstepEngine:
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"this platform cannot {method}")
         scans, pairs = engine_case(np.random.default_rng(32))
-        here = _align_pairs(scans, pairs, IcpConfig())
+        here, _ = _align_pairs(scans, pairs, IcpConfig())
         context = multiprocessing.get_context(method)
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            there = pool.submit(_align_pairs, scans, pairs, IcpConfig()).result()
+            there, history = pool.submit(_align_pairs, scans, pairs, IcpConfig()).result()
         for name in ("mse", "iterations", "converged", "queried"):
-            assert getattr(there, name).dtype == getattr(here, name).dtype
-            assert getattr(there, name).tobytes() == getattr(here, name).tobytes()
-        assert there.history is None
+            assert there[name].dtype == here[name].dtype
+            assert there[name].tobytes() == here[name].tobytes()
+        assert history is None
 
 
 def recorded(run, k):
@@ -578,12 +605,22 @@ FAR = [pytest.param(offset, ulps, id=f"{offset:.0e}-{ulps:.0e}ulps") for offset 
        for ulps in (1e3, 1e6)]
 
 
+def certify_nothing(monkeypatch):
+    """Have the matcher certify no placement, so that every stacked point
+    goes to its index at every iteration."""
+    def nothing(cache, placed, gathered):
+        points = placed.shape[1]
+        return np.zeros(points, dtype=bool), np.empty(points, dtype=cache.ids.dtype)
+
+    monkeypatch.setattr(correspondence._NeighbourCache, "_certify", nothing)
+
+
 class TestNeighbourCertificates:
     @pytest.mark.parametrize("cfg", ENGINE_CONFIGS)
     def test_certificates_change_no_result(self, cfg, monkeypatch):
         scans, pairs = engine_case(np.random.default_rng(32))
         cached = arrangements(scans, pairs, cfg, monkeypatch)
-        monkeypatch.setattr(correspondence, "_CERTIFY", False)
+        certify_nothing(monkeypatch)
         uncached = arrangements(scans, pairs, cfg, monkeypatch)
         reference = uncached[0]
         for results in cached + uncached:
@@ -601,7 +638,7 @@ class TestNeighbourCertificates:
         scans, pairs, cfg = far_engine_case(
             np.random.default_rng(36), (1, _CACHE_NEIGHBOURS, 40, 90, 300), offset, ulps, cfg)
         cached = arrangements(scans, pairs, cfg, monkeypatch)
-        monkeypatch.setattr(correspondence, "_CERTIFY", False)
+        certify_nothing(monkeypatch)
         uncached = arrangements(scans, pairs, cfg, monkeypatch)
         reference = uncached[0]
         for results in cached + uncached:
@@ -618,17 +655,17 @@ class TestNeighbourCertificates:
                      entry.transform.translation.tobytes()) for entry in trace.iterations]
 
         cached = list(traces())
-        monkeypatch.setattr(correspondence, "_CERTIFY", False)
+        certify_nothing(monkeypatch)
         assert list(traces()) == cached
 
     def test_most_points_skip_the_tree(self, monkeypatch):
         scans, pairs = engine_case(np.random.default_rng(32))
-        cached = _align_pairs(scans, pairs, IcpConfig())
-        monkeypatch.setattr(correspondence, "_CERTIFY", False)
-        uncached = _align_pairs(scans, pairs, IcpConfig())
-        every_point = [run * len(scans[i]) for run, (i, _) in zip(uncached.iterations, pairs)]
-        np.testing.assert_array_equal(uncached.queried, every_point)
-        assert cached.queried.sum() <= 0.6 * uncached.queried.sum()
+        cached, _ = _align_pairs(scans, pairs, IcpConfig())
+        certify_nothing(monkeypatch)
+        uncached, _ = _align_pairs(scans, pairs, IcpConfig())
+        every_point = [run * len(scans[i]) for run, (i, _) in zip(uncached["iterations"], pairs)]
+        np.testing.assert_array_equal(uncached["queried"], every_point)
+        assert cached["queried"].sum() <= 0.6 * uncached["queried"].sum()
 
 
 def spied_alone(scans, pairs, cfg, monkeypatch):
@@ -656,7 +693,7 @@ def spied_alone(scans, pairs, cfg, monkeypatch):
     for pair in pairs:
         fits.clear()
         matches.clear()
-        recorded = [e for e, _, _ in _align_pairs(scans, [pair], cfg, record=True).history[0]]
+        recorded = [e for e, _, _ in _align_pairs(scans, [pair], cfg, record=True)[1][0]]
         assert len(recorded) == len(fits) == len(matches)
         runs.append(list(zip(recorded, fits, *zip(*matches))))
     return runs
@@ -740,7 +777,7 @@ class TestScanKernel:
         assert all(index._tree is None for index in built[:models])
         assert all(index._tree is not None for index in built[models:])
         assert len(built) == 2 * models
-        assert len({int(it) for it in scan_run.iterations}) > 1
+        assert len({int(it) for it in scan_run[0]["iterations"]}) > 1
         for k in range(len(pairs)):
             assert recorded(scan_run, k) == recorded(tree_run, k)
 
@@ -813,7 +850,7 @@ class TestTiesInTheEngine:
         cached = arrangements(scans, pairs, cfg, monkeypatch)
         if not cfg.pre_align:  # pre-aligned placements leave the grid
             assert tree_ties["ties"] > 0 and tree_ties["reranked"] > 0
-        monkeypatch.setattr(correspondence, "_CERTIFY", False)
+        certify_nothing(monkeypatch)
         uncached = arrangements(scans, pairs, cfg, monkeypatch)
         reference = uncached[0]
         for results in cached + uncached:
@@ -856,9 +893,9 @@ class TestWorkingSet:
         _align_pairs([box_cloud(rng, 10), model], [(0, 1)], cfg)  # imports load outside the trace
         tracemalloc.start()
         try:
-            run = _align_pairs([moving, model], [(0, 1)], cfg)
+            record, _ = _align_pairs([moving, model], [(0, 1)], cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert run.iterations[0] == 3
+        assert record["iterations"][0] == 3
         assert peak <= 200 * points
