@@ -24,7 +24,8 @@ from .predictor import LogRecord
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable collection of log records whose baskets each hold one
-    quantity per product name, in the order of product_names."""
+    quantity per product name, in the order of product_names; the names
+    are distinct and non-empty."""
 
     records: tuple[LogRecord, ...]
     product_names: tuple[str, ...]
@@ -36,6 +37,8 @@ class Dataset:
         object.__setattr__(self, "product_names", names)
         if not names:
             raise InvalidInputError("a dataset needs at least one product name")
+        if len(set(names)) < len(names) or not all(map(str.strip, names)):
+            raise InvalidInputError(f"product names must be distinct and non-empty, got {list(names)}")
         seen = set()
         for rec in records:
             if rec.id in seen:

@@ -20,7 +20,10 @@ Formats are deliberately small and exact:
 
 Baskets, manifests and predictions are id-keyed tables, read by one
 reader. Blank lines are skipped. The first row is the header; its cells
-are stripped and must match the table's own rule. Every later row has
+are stripped and must be the table's fixed leading columns, then, for
+baskets and predictions, at least one product name. Product names are
+distinct and non-empty; a header that repeats one or leaves one empty is
+a parse error naming its column. Every later row has
 exactly as many cells as the header, and its first cell, stripped, is a
 non-empty id no earlier row has. Quantities are non-negative integers.
 Predictions, csv reports and the partition lists of ``split`` are written
@@ -341,23 +344,32 @@ def write_scan(cloud: PointCloud, path) -> None:
 def load_baskets(path) -> tuple[tuple[str, ...], dict[str, ProductBasket]]:
     """The product names and the integer baskets keyed by log id, from a csv
     with header id,<product...>."""
-    header, rows = _read_table(path, lambda header: len(header) >= 2 and header[0] == "id",
-                               "id,<product columns>")
-    return tuple(header[1:]), {log_id: _basket(path, line, cells) for line, log_id, cells in rows}
+    names, rows = _read_table(path, ("id",), products=True)
+    return names, {log_id: _basket(path, line, cells) for line, log_id, cells in rows}
 
 
-def _read_table(path, header_ok, header_text: str):
-    """The stripped header of an id-keyed table and a generator of its rows
-    as (line, id, other cells) in file order. Each row is checked as it is
-    drawn, so the first defect by line is raised, the caller's included."""
+def _read_table(path, leading: tuple[str, ...], products: bool):
+    """The product names of an id-keyed table and a generator of its rows
+    as (line, id, other cells) in file order. The stripped header is the
+    leading columns, then, if products, at least one product name; the
+    names are distinct and non-empty. Each row is checked as it is drawn,
+    so the first defect by line is raised, the caller's included."""
     rows = ((line, row) for line, row in _csv_rows(path, _read_text(path).splitlines()) if row)
     line, header = next(rows, (1, None))
     if header is None:
         raise ParseError(path, "missing header", line)
     header = [cell.strip() for cell in header]
-    if not header_ok(header):
-        raise ParseError(path, f"expected header {header_text}", line)
-    return header, _table_rows(path, len(header), rows)
+    names = header[len(leading):]
+    if header[:len(leading)] != list(leading) or bool(names) != products:
+        expected = ",".join(leading) + (",<product columns>" if products else "")
+        raise ParseError(path, f"expected header {expected}", line)
+    seen = set()
+    for column, name in enumerate(names, start=len(leading) + 1):
+        if not name or name in seen:
+            problem = f"repeated product name {name!r}" if name else "empty product name"
+            raise ParseError(path, f"{problem} in column {column}", line)
+        seen.add(name)
+    return tuple(names), _table_rows(path, len(header), rows)
 
 
 def _table_rows(path, width: int, rows):
@@ -398,7 +410,7 @@ def default_baskets_path(manifest_path) -> Path:
 
 
 def _read_manifest_rows(path) -> list[tuple[str, Path]]:
-    _, rows = _read_table(path, lambda header: header == ["id", "scan_path"], "id,scan_path")
+    _, rows = _read_table(path, ("id", "scan_path"), products=False)
     out: list[tuple[str, Path]] = []
     for line, log_id, (cell,) in rows:
         scan_path = Path(path).parent / cell.strip()  # an absolute scan path stays as it is
@@ -479,11 +491,8 @@ def write_predictions(predictions: Mapping[str, PredictionOutcome], product_name
 def load_predictions(path) -> tuple[tuple[str, ...], dict[str, PredictionOutcome]]:
     """The product names and the outcomes keyed by log id, in file order,
     from a predictions csv."""
-    header, rows = _read_table(
-        path, lambda header: header[:3] == ["id", "neighbor_id", "distance"] and len(header) >= 4,
-        "id,neighbor_id,distance,<product columns>",
-    )
-    return tuple(header[3:]), {log_id: _outcome(path, line, cells) for line, log_id, cells in rows}
+    names, rows = _read_table(path, ("id", "neighbor_id", "distance"), products=True)
+    return names, {log_id: _outcome(path, line, cells) for line, log_id, cells in rows}
 
 
 def _outcome(path, line: int, cells: Sequence[str]) -> PredictionOutcome:

@@ -15,6 +15,10 @@ nothing about the predictor; by default they are removed per pair before
 scoring, which is exactly why disabling the filter can only inflate the
 ratio scores. A pair that filters down to nothing is a perfectly predicted
 empty basket and scores 1 (distances 0) everywhere.
+
+Each pair is scored in one pass over its products, which gives all five
+per-pair values at once; evaluate sums the pairs in input order and
+divides by their count.
 """
 
 from __future__ import annotations
@@ -80,21 +84,46 @@ class ScoreReport:
                 self.s_pre, self.s_pro, self.s_pro_x_pre)
 
 
+def _kept(real: tuple[int, ...], predicted: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The two quantity tuples without the products where both are zero."""
+    kept = [(y, yhat) for y, yhat in zip(real, predicted) if y != 0 or yhat != 0]
+    return tuple(y for y, _ in kept), tuple(yhat for _, yhat in kept)
+
+
+def _scores(real: tuple[int, ...], predicted: tuple[int, ...],
+            epsilon: float) -> tuple[int, float, float, float, float]:
+    """The zero-one hit, Hamming and augmented Hamming distances, and
+    prediction and production scores of two equal-length quantity tuples,
+    from one loop over their products. An empty pair is a hit with
+    distances 0 and ratio scores 1."""
+    n = len(real)
+    if n == 0:
+        return 1, 0.0, 0.0, 1.0, 1.0
+    wrong = 0
+    partial = pre = pro = 0.0
+    for y, yhat in zip(real, predicted):
+        if y != yhat:
+            wrong += 1
+            partial += 1.0 - min(y, yhat) / max(y, yhat)
+        pre += min(1.0, max(yhat, epsilon) / max(y, epsilon))
+        pro += min(1.0, max(y, epsilon) / max(yhat, epsilon))
+    return int(wrong == 0), wrong / n, partial / n, pre / n, pro / n
+
+
+def _pair_scores(pair: ScoredPair, cfg: MetricConfig | None = None) -> tuple[int, float, float, float, float]:
+    """_scores of a checked pair under a checked config."""
+    _instance("pair", pair, ScoredPair)
+    return _scores(pair.real.quantities, pair.predicted.quantities, _config(cfg, MetricConfig).epsilon)
+
+
 def filter_pairs(pair: ScoredPair) -> ScoredPair:
     """Drop every product where both real and predicted quantities are zero.
 
     Order is preserved; the result may be empty.
     """
     _instance("pair", pair, ScoredPair)
-    keep = [
-        (y, yhat)
-        for y, yhat in zip(pair.real.quantities, pair.predicted.quantities)
-        if y != 0 or yhat != 0
-    ]
-    return ScoredPair(
-        ProductBasket(tuple(y for y, _ in keep)),
-        ProductBasket(tuple(yhat for _, yhat in keep)),
-    )
+    real, predicted = _kept(pair.real.quantities, pair.predicted.quantities)
+    return ScoredPair(ProductBasket(real), ProductBasket(predicted))
 
 
 def zero_one(pair: ScoredPair) -> int:
@@ -102,17 +131,12 @@ def zero_one(pair: ScoredPair) -> int:
 
     An empty pair counts as hit: equal empty baskets.
     """
-    _instance("pair", pair, ScoredPair)
-    return 1 if pair.predicted.quantities == pair.real.quantities else 0
+    return _pair_scores(pair)[0]
 
 
 def hamming_distance(pair: ScoredPair) -> float:
     """Fraction of products whose quantity was predicted wrong (0 if empty)."""
-    _instance("pair", pair, ScoredPair)
-    if len(pair) == 0:
-        return 0.0
-    wrong = sum(1 for y, yhat in zip(pair.real.quantities, pair.predicted.quantities) if y != yhat)
-    return wrong / len(pair)
+    return _pair_scores(pair)[1]
 
 
 def augmented_hamming_distance(pair: ScoredPair) -> float:
@@ -121,14 +145,7 @@ def augmented_hamming_distance(pair: ScoredPair) -> float:
     Each product contributes 0 when exact, otherwise 1 - min(y, yhat)/max(y, yhat);
     the max is positive whenever the quantities differ. Empty pairs score 0.
     """
-    _instance("pair", pair, ScoredPair)
-    if len(pair) == 0:
-        return 0.0
-    total = 0.0
-    for y, yhat in zip(pair.real.quantities, pair.predicted.quantities):
-        if y != yhat:
-            total += 1.0 - min(y, yhat) / max(y, yhat)
-    return total / len(pair)
+    return _pair_scores(pair)[2]
 
 
 def prediction_score(pair: ScoredPair, cfg: MetricConfig | None = None) -> float:
@@ -136,15 +153,7 @@ def prediction_score(pair: ScoredPair, cfg: MetricConfig | None = None) -> float
 
     Per product: min(1, max(yhat, eps) / max(y, eps)). Empty pairs score 1.
     """
-    _instance("pair", pair, ScoredPair)
-    cfg = _config(cfg, MetricConfig)
-    if len(pair) == 0:
-        return 1.0
-    eps = cfg.epsilon
-    total = 0.0
-    for y, yhat in zip(pair.real.quantities, pair.predicted.quantities):
-        total += min(1.0, max(yhat, eps) / max(y, eps))
-    return total / len(pair)
+    return _pair_scores(pair, cfg)[3]
 
 
 def production_score(pair: ScoredPair, cfg: MetricConfig | None = None) -> float:
@@ -153,13 +162,13 @@ def production_score(pair: ScoredPair, cfg: MetricConfig | None = None) -> float
     Per product: min(1, max(y, eps) / max(yhat, eps)), the prediction score
     of the pair with its baskets swapped. Empty pairs score 1.
     """
-    _instance("pair", pair, ScoredPair)
-    return prediction_score(ScoredPair(pair.predicted, pair.real), cfg)
+    return _pair_scores(pair, cfg)[4]
 
 
 def area_score(pair: ScoredPair, cfg: MetricConfig | None = None) -> float:
     """prediction_score x production_score of the same pair."""
-    return prediction_score(pair, cfg) * production_score(pair, cfg)
+    *_, pre, pro = _pair_scores(pair, cfg)
+    return pre * pro
 
 
 def evaluate(pairs: Iterable[ScoredPair], cfg: MetricConfig | None = None) -> ScoreReport:
@@ -178,14 +187,11 @@ def evaluate(pairs: Iterable[ScoredPair], cfg: MetricConfig | None = None) -> Sc
 
     sums = [0.0] * 6
     for pair in pairs:
-        scored = filter_pairs(pair) if cfg.filter_zero_pairs else pair
-        pre = prediction_score(scored, cfg)
-        pro = production_score(scored, cfg)
-        sums[0] += zero_one(scored)
-        sums[1] += 1.0 - hamming_distance(scored)
-        sums[2] += 1.0 - augmented_hamming_distance(scored)
-        sums[3] += pre
-        sums[4] += pro
-        sums[5] += pre * pro
+        real, predicted = pair.real.quantities, pair.predicted.quantities
+        if cfg.filter_zero_pairs:
+            real, predicted = _kept(real, predicted)
+        hit, d_h, d_hp, pre, pro = _scores(real, predicted, cfg.epsilon)
+        for k, value in enumerate((hit, 1.0 - d_h, 1.0 - d_hp, pre, pro, pre * pro)):
+            sums[k] += value
     n = len(pairs)
     return ScoreReport(*(total / n for total in sums), n_evaluated=n)

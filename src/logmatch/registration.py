@@ -483,10 +483,11 @@ def icp_distance(a: PointCloud, b: PointCloud, cfg: IcpConfig | None = None) -> 
     """Converged mean-square error (mm^2) of aligning a onto b.
 
     Directional: a is the moving cloud. Rigid only, so shapes differing by
-    scale keep a strictly positive distance.
+    scale keep a strictly positive distance. It is icp_align's mse, from
+    the engine run without a history.
     """
-    result, _ = icp_align(a, b, cfg)
-    return result.mse
+    clouds = [_instance("moving", a, PointCloud), _instance("model", b, PointCloud)]
+    return float(_align_pairs(clouds, [(0, 1)], _config(cfg, IcpConfig))[0]["mse"][0])
 
 
 def icp_distance_matrix(

@@ -264,11 +264,51 @@ class TestEvaluate:
         assert err == f"error: prediction and truth products differ: {names} vs ['a', 'b']\n"
         assert not report.exists()
 
+    @pytest.mark.parametrize("pred_header, truth_header, path, message", [
+        ("a,b", "a,a", "truth", "repeated product name 'a' in column 3"),
+        ("a,a", "a,b", "pred", "repeated product name 'a' in column 5"),
+        ("a,b", "a,", "truth", "empty product name in column 3"),
+        ("a,b", " ,b", "truth", "empty product name in column 2"),
+    ], ids=["repeated", "repeated-prediction", "empty", "blank"])
+    def test_product_names_must_be_distinct_and_non_empty(self, tmp_path, capsys, pred_header,
+                                                           truth_header, path, message):
+        paths = {"pred": tmp_path / "pred.csv", "truth": tmp_path / "truth.csv"}
+        paths["pred"].write_text(f"id,neighbor_id,distance,{pred_header}\nx,,,1,0\n")
+        paths["truth"].write_text(f"id,{truth_header}\nx,1,0\n")
+        report = tmp_path / "report.csv"
+        code, out, err = run_cli(capsys, "evaluate", paths["pred"], paths["truth"], "--output", report)
+        assert (code, out) == (2, "")
+        assert err == f"error: {paths[path]}:1: {message}\n"
+        assert not report.exists()
+
     def test_json_format(self, tmp_path, capsys):
         pred, truth = self.write_tables(tmp_path, [("a", (1, 1, 1))], [("a", (1, 1, 1))])
         code, out, _ = run_cli(capsys, "evaluate", pred, truth, "--format", "json")
         assert code == 0
         assert json.loads(out)["s_z"] == 1.0
+
+
+class TestProductNamesInBasketTables:
+    """A baskets table whose header repeats a product name or leaves one
+    empty is a parse error at its header line (exit 2), and nothing is
+    written."""
+
+    @pytest.mark.parametrize("header, message", [
+        ("id,p1,p1,p3", "repeated product name 'p1' in column 3"),
+        ("id,p1,,p3", "empty product name in column 3"),
+    ], ids=["repeated", "empty"])
+    @pytest.mark.parametrize("command", ["predict", "experiment"])
+    def test_exits_2(self, tiny_dataset, capsys, command, header, message):
+        train, test, root = tiny_dataset
+        baskets = root / "train.baskets.csv"
+        lines = baskets.read_text().splitlines()
+        baskets.write_text("\n".join([header, *lines[1:]]) + "\n")
+        output = root / "out.csv"
+        inputs = [train, test] if command == "predict" else [train, "--runs", 1, "--predictor", "mean"]
+        code, out, err = run_cli(capsys, command, *inputs, "--output", output)
+        assert (code, out) == (2, "")
+        assert err == f"error: {baskets}:1: {message}\n"
+        assert not output.exists()
 
 
 class TestExperiment:
@@ -580,6 +620,11 @@ GOLDEN_EVALUATE = """\
 }
 """
 
+GOLDEN_EVALUATE_UNFILTERED = """\
+predictor,s_z,one_minus_dH,one_minus_dHplus,s_pre,s_pro,s_pro_x_pre,n
+unfiltered,0.0000,0.5556,0.6111,0.7963,0.9444,0.7500,3
+"""
+
 GOLDEN_SPLIT = """\
 run,role,id
 0,train,log1
@@ -631,6 +676,22 @@ class TestGoldenBytes:
                              "--output", output)
         assert code == 0
         assert output.read_bytes() == GOLDEN_EVALUATE.encode()
+
+    def test_evaluate_unfiltered_csv(self, tmp_path, capsys):
+        """Both-zero products kept and a large epsilon: every score's
+        zero-quantity branch is in the bytes."""
+        predictions = tmp_path / "pred.csv"
+        write_predictions({"a": PredictionOutcome(ProductBasket((2, 1, 0)), "t", 0.5),
+                           "b": PredictionOutcome(ProductBasket((2, 0, 0))),
+                           "c": PredictionOutcome(ProductBasket((0, 0, 0)), "u", 2.0)},
+                          ("p1", "p2", "p3"), predictions)
+        truth = tmp_path / "truth.csv"
+        truth.write_text("id,p1,p2,p3\na,2,0,1\nb,4,0,0\nc,0,0,3\n")
+        output = tmp_path / "evaluate.csv"
+        code, _, _ = run_cli(capsys, "evaluate", predictions, truth, "--label", "unfiltered", "--no-filter",
+                             "--epsilon", 0.5, "--output", output)
+        assert code == 0
+        assert output.read_bytes() == GOLDEN_EVALUATE_UNFILTERED.encode()
 
     def test_split_drop_empty(self, manifest, tmp_path, capsys):
         output = tmp_path / "split.csv"

@@ -51,6 +51,13 @@ class TestDataset:
         with pytest.raises(InvalidInputError, match="at least one product name"):
             Dataset((), ())
 
+    @pytest.mark.parametrize("names", [("p1", "p1"), ("p1", ""), ("", "p2"), (" ", "p2")])
+    def test_product_names_distinct_and_non_empty(self, names):
+        rng = np.random.default_rng(3)
+        rec = LogRecord("a", box_cloud(rng, 5), ProductBasket((1, 2)))
+        with pytest.raises(InvalidInputError, match="product names must be distinct and non-empty"):
+            Dataset((rec,), names)
+
 
 class TestSplit:
     def test_sixty_forty_sizes(self):

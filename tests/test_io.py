@@ -588,6 +588,15 @@ TABLE_ERRORS = [
     ("predictions", "id,neighbor_id,distance,p1\na,t1,,3\n", 2, "neighbor_id and distance must be present together"),
     ("predictions", "id,neighbor_id,distance,p1\nb,,0.5,2\n", 2, "neighbor_id and distance must be present together"),
     ("predictions", "id,neighbor_id,distance,p1\nc,t2,-1.0,1\n", 2, "distance must be finite and >= 0, got -1.0"),
+    # product names that repeat or are empty, named by column
+    ("baskets", "id,a,a\nA,1,2\n", 1, "repeated product name 'a' in column 3"),
+    ("baskets", "id,a,\nA,1,2\n", 1, "empty product name in column 3"),
+    ("baskets", "id, ,a\nA,1,2\n", 1, "empty product name in column 2"),
+    ("baskets", "id,a,b, a \nA,1,2,3\n", 1, "repeated product name 'a' in column 4"),
+    ("baskets", "id,a,a\nA,x\n", 1, "repeated product name 'a' in column 3"),
+    ("predictions", "id,neighbor_id,distance,a,a\nA,,,1,0\n", 1, "repeated product name 'a' in column 5"),
+    ("predictions", "id,neighbor_id,distance,a,\nA,,,1,0\n", 1, "empty product name in column 5"),
+    ("predictions", "id,neighbor_id,distance, \nA,,,1\n", 1, "empty product name in column 4"),
 ]
 
 

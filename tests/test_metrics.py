@@ -27,12 +27,18 @@ def pair(real, predicted):
 
 
 @st.composite
-def basket_pairs(draw, min_value=0, max_value=10, max_width=19):
-    width = draw(st.integers(min_value=1, max_value=max_width))
+def basket_pairs(draw, min_value=0, max_value=10, max_width=19, min_width=1):
+    width = draw(st.integers(min_value=min_width, max_value=max_width))
     quantities = st.integers(min_value=min_value, max_value=max_value)
     real = draw(st.lists(quantities, min_size=width, max_size=width))
     predicted = draw(st.lists(quantities, min_size=width, max_size=width))
     return pair(real, predicted)
+
+
+@st.composite
+def pair_lists(draw):
+    width = draw(st.integers(min_value=1, max_value=8))
+    return draw(st.lists(basket_pairs(max_value=4, min_width=width, max_width=width), min_size=1, max_size=6))
 
 
 class TestFilterPairs:
@@ -194,6 +200,28 @@ class TestInvariants:
         assert production_score(scaled, CFG) == pytest.approx(
             production_score(scored, CFG), abs=1e-12
         )
+
+    @settings(max_examples=200)
+    @given(pair_lists(), st.booleans(), st.floats(1e-9, 1.0))
+    def test_evaluate_is_the_mean_of_the_per_pair_scores(self, pairs, filtered, epsilon):
+        """Bit for bit: the public per-pair scores, summed in input order."""
+        cfg = MetricConfig(epsilon=epsilon, filter_zero_pairs=filtered)
+        sums = [0.0] * 6
+        for scored in pairs:
+            if filtered:
+                scored = filter_pairs(scored)
+            values = (zero_one(scored), 1.0 - hamming_distance(scored), 1.0 - augmented_hamming_distance(scored),
+                      prediction_score(scored, cfg), production_score(scored, cfg), area_score(scored, cfg))
+            for k, value in enumerate(values):
+                sums[k] += value
+        assert evaluate(pairs, cfg).values() == tuple(total / len(pairs) for total in sums)
+
+    @settings(max_examples=200)
+    @given(basket_pairs(), st.floats(1e-9, 1.0))
+    def test_area_is_the_product_of_the_ratio_scores(self, scored, epsilon):
+        cfg = MetricConfig(epsilon=epsilon)
+        for each in (scored, filter_pairs(scored)):
+            assert area_score(each, cfg) == prediction_score(each, cfg) * production_score(each, cfg)
 
 
 class TestEvaluate:

@@ -365,6 +365,29 @@ class TestIcpDistance:
         doubled = PointCloud(2.0 * sphere.xyz)
         assert icp_distance(sphere, doubled) > 1.0
 
+    @pytest.mark.parametrize("cfg", [IcpConfig(), IcpConfig(max_iterations=3)], ids=["converged", "capped"])
+    def test_is_icp_align_mse(self, cfg):
+        rng = np.random.default_rng(23)
+        moving = log_like_cloud(rng, 48)
+        model = apply_transform(random_transform(rng, math.radians(20), 30.0), log_like_cloud(rng, 48))
+        result, trace = icp_align(moving, model, cfg)
+        reason = TerminalReason.CONVERGED if cfg.max_iterations > 3 else TerminalReason.MAX_ITERATIONS
+        assert trace.terminal_reason is reason
+        distance = icp_distance(moving, model, cfg)
+        assert type(distance) is float
+        assert distance == result.mse
+
+    def test_records_no_trace(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        moving, model = log_like_cloud(rng, 48), log_like_cloud(rng, 48)
+        expected = icp_align(moving, model)[0].mse
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("icp_distance built a trace entry")
+
+        monkeypatch.setattr(registration, "IcpIteration", refuse)
+        assert icp_distance(moving, model) == expected
+
 
 class TestDegenerateGeometry:
     def test_single_point_clouds_register_by_translation(self):
